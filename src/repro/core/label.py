@@ -20,10 +20,18 @@ Both resolve overlapping ε-discs identically: the tweet belongs to the
 boundary inclusive (``distance <= ε``).  :class:`MicroBatchLabeler`
 wraps :func:`label_points` for streaming consumers that receive tweets
 one at a time but want vectorised throughput.
+
+The live ingest path needs both answers for every tweet — the nearest
+label (OD transitions) and every containing disc (population) — so
+:func:`label_and_contain` computes them together from one distance
+pass and returns them as a :class:`PointLabels` (labels plus CSR
+containment); :func:`label_tweet_batch` is the ingest door that sorts a
+tweet batch and labels it once for every consumer.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,7 +39,7 @@ import numpy as np
 from repro import obs
 from repro.core.world import World
 from repro.data.schema import Tweet
-from repro.geo.distance import points_to_point_km
+from repro.geo.distance import points_to_points_km
 
 # build_index moved down into repro.geo.index so World can reach it
 # without a core-internal cycle; re-exported here for existing callers.
@@ -50,6 +58,10 @@ from repro.geo.index import (  # noqa: F401  (re-exports)
 #: the equivalence suite proves indistinguishable.
 DENSE_AREA_THRESHOLD = 128
 
+#: Entries per block of :func:`point_area_distances`' broadcast, which
+#: bounds its temporaries (a few arrays of this many float64s).
+DISTANCE_BLOCK = 1 << 16
+
 #: Default flush size of :class:`MicroBatchLabeler`.  Large enough that
 #: the per-batch numpy dispatch cost amortises to well under the cost of
 #: one scalar haversine, small enough to keep streaming latency low.
@@ -59,25 +71,27 @@ DEFAULT_MICRO_BATCH = 1024
 def point_area_distances(world: World, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
     """Dense ``(n_points, n_areas)`` haversine distance matrix.
 
-    Column ``j`` is computed with the same vectorised call orientation
-    as the batch radius queries, so distances are bit-identical to what
-    the spatial index filters on.
+    Column ``j`` is bitwise equal to the single-centre call
+    ``points_to_point_km(lats, lons, centre_j)`` that the batch radius
+    queries and the grid index filter on (see
+    :func:`~repro.geo.distance.points_to_points_km`).  Rows are computed
+    in blocks of about :data:`DISTANCE_BLOCK` entries, so the broadcast
+    temporaries stay small at any batch × world size.
     """
     lats = np.asarray(lats, dtype=np.float64)
     lons = np.asarray(lons, dtype=np.float64)
     if lats.shape != lons.shape or lats.ndim != 1:
         raise ValueError("lats/lons must be equal-length 1-D arrays")
     out = np.empty((lats.size, world.n_areas), dtype=np.float64)
-    for j, area in enumerate(world.areas):
-        out[:, j] = _column_distances(world, lats, lons, j)
+    if world.n_areas == 0:
+        return out
+    step = max(1, DISTANCE_BLOCK // world.n_areas)
+    for start in range(0, lats.size, step):
+        block = slice(start, start + step)
+        out[block] = points_to_points_km(
+            lats[block], lons[block], world.centers_lat, world.centers_lon
+        )
     return out
-
-
-def _column_distances(
-    world: World, lats: np.ndarray, lons: np.ndarray, area_index: int
-) -> np.ndarray:
-    center = world.areas[area_index].center
-    return points_to_point_km(lats, lons, (center.lat, center.lon))
 
 
 def label_points(world: World, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
@@ -170,6 +184,97 @@ def membership_points(world: World, lats: np.ndarray, lons: np.ndarray) -> np.nd
     """Dense boolean ``(n_points, n_areas)`` ε-disc membership matrix."""
     distances = point_area_distances(world, lats, lons)
     return distances <= world.radius_km
+
+
+@dataclass(frozen=True)
+class PointLabels:
+    """Nearest labels plus CSR ε-disc containment for one point batch.
+
+    ``labels[i]`` is what :func:`label_points` gives row ``i``; the areas
+    whose disc contains row ``i`` are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending — exactly ``np.nonzero(membership_points(...)[i])[0]``.
+    A consumer that must skip a prefix of rows starts at that row's
+    ``indptr`` offset rather than copying the arrays.
+    """
+
+    labels: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.labels.size)
+
+
+def label_and_contain(world: World, lats: np.ndarray, lons: np.ndarray) -> PointLabels:
+    """Nearest label and every containing area, from one distance pass.
+
+    Bitwise equal to :func:`label_points` (labels) and to
+    ``np.nonzero(membership_points(...))`` (containment) for finite
+    coordinates.  Small worlds (≤ :data:`DENSE_AREA_THRESHOLD` areas)
+    derive both from :func:`point_area_distances` over row blocks of
+    about :data:`DISTANCE_BLOCK` entries (one block for a live batch);
+    country-scale worlds collect containment during the
+    :class:`~repro.geo.index.CenterGridIndex` candidate scan that picks
+    the nearest centre, so no dense points × areas matrix is built.
+    """
+    lats = np.asarray(lats, dtype=np.float64)
+    lons = np.asarray(lons, dtype=np.float64)
+    if lats.shape != lons.shape or lats.ndim != 1:
+        raise ValueError("lats/lons must be equal-length 1-D arrays")
+    n = lats.size
+    if n == 0 or world.n_areas == 0:
+        return PointLabels(
+            labels=np.full(n, -1, dtype=np.int64),
+            indptr=np.zeros(n + 1, dtype=np.int64),
+            indices=np.empty(0, dtype=np.int64),
+        )
+    with obs.span("core.label_and_contain", points=n, areas=world.n_areas) as sp:
+        if world.n_areas > DENSE_AREA_THRESHOLD:
+            labels, indptr, indices = world.center_grid.label_and_contain(lats, lons)
+        else:
+            # Row blocks keep the dense temporaries small even over a
+            # whole corpus (backfill); a live batch is one block.
+            labels = np.empty(n, dtype=np.int64)
+            counts = np.empty(n, dtype=np.int64)
+            chunks = []
+            step = max(1, DISTANCE_BLOCK // world.n_areas)
+            for start in range(0, n, step):
+                block = slice(start, start + step)
+                distances = point_area_distances(world, lats[block], lons[block])
+                inside = distances <= world.radius_km
+                chunks.append(np.nonzero(inside)[1])
+                counts[block] = inside.sum(axis=1)
+                distances[~inside] = np.inf
+                labels[block] = np.argmin(distances, axis=1)
+            labels[counts == 0] = -1
+            indices = np.concatenate(chunks).astype(np.int64)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+        sp.set(labelled=int((labels >= 0).sum()), memberships=int(indices.size))
+    obs.counter("core.points_labelled", n)
+    return PointLabels(labels=labels, indptr=indptr, indices=indices)
+
+
+def tweet_columns(tweets: Sequence[Tweet]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(lats, lons)`` float64 columns of a tweet sequence."""
+    n = len(tweets)
+    lats = np.fromiter((t.lat for t in tweets), np.float64, count=n)
+    lons = np.fromiter((t.lon for t in tweets), np.float64, count=n)
+    return lats, lons
+
+
+def label_tweet_batch(
+    world: World, tweets: Sequence[Tweet]
+) -> tuple[list[Tweet], PointLabels]:
+    """Sort an ingest batch by timestamp and label it once.
+
+    Returns the time-ascending batch and its :class:`PointLabels`, row
+    for row.  Every live-ingest consumer (the monitor, the summary
+    store) takes this one result, so a batch is sorted once and goes
+    through the distance kernel once however many consumers it feeds.
+    """
+    ordered = sorted(tweets, key=lambda t: t.timestamp)
+    return ordered, label_and_contain(world, *tweet_columns(ordered))
 
 
 def label_corpus(
@@ -299,10 +404,7 @@ class MicroBatchLabeler:
 
     def label_batch(self, tweets: Sequence[Tweet]) -> np.ndarray:
         """Label an explicit batch through the dense kernel."""
-        n = len(tweets)
-        lats = np.fromiter((t.lat for t in tweets), np.float64, count=n)
-        lons = np.fromiter((t.lon for t in tweets), np.float64, count=n)
-        return label_points(self.world, lats, lons)
+        return label_points(self.world, *tweet_columns(tweets))
 
     def label_stream(
         self, stream: Iterable[Tweet]

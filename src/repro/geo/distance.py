@@ -14,7 +14,7 @@ Two distance formulas are provided:
   paper).  Used by the spatial index for cheap candidate pruning.
 
 Vectorised variants (:func:`points_to_point_km`,
-:func:`pairwise_distance_matrix`) operate on numpy arrays and are the
+:func:`points_to_points_km`, :func:`pairwise_distance_matrix`) operate on numpy arrays and are the
 workhorses of the extraction pipelines, which must compute distances from
 millions of tweets to area centres.
 """
@@ -140,6 +140,40 @@ def points_to_point_km(
     dphi = np.radians(clat - lats)
     dlmb = np.radians(clon - lons)
     h = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * math.cos(phi2) * np.sin(dlmb / 2.0) ** 2
+    np.clip(h, 0.0, 1.0, out=h)
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+
+
+def points_to_points_km(
+    lats_deg: np.ndarray,
+    lons_deg: np.ndarray,
+    center_lats_deg: np.ndarray,
+    center_lons_deg: np.ndarray,
+) -> np.ndarray:
+    """Vectorised haversine from many points to many centres.
+
+    Returns the ``(n_points, n_centres)`` matrix whose column ``j`` is
+    bitwise equal to ``points_to_point_km(lats, lons, centre_j)``: the
+    same elementwise operations in the same order, broadcast over the
+    centres instead of looped, with each centre's ``cos`` taken by
+    :func:`math.cos` as the single-centre form does.
+    """
+    lats = np.asarray(lats_deg, dtype=np.float64)
+    lons = np.asarray(lons_deg, dtype=np.float64)
+    center_lats = np.asarray(center_lats_deg, dtype=np.float64)
+    center_lons = np.asarray(center_lons_deg, dtype=np.float64)
+    if lats.shape != lons.shape or lats.ndim != 1:
+        raise ValueError("lats/lons must be equal-length 1-D arrays")
+    if center_lats.shape != center_lons.shape or center_lats.ndim != 1:
+        raise ValueError("centre lats/lons must be equal-length 1-D arrays")
+    phi1 = np.radians(lats)[:, None]
+    cos_phi2 = np.array(
+        [math.cos(math.radians(lat)) for lat in center_lats.tolist()],
+        dtype=np.float64,
+    )
+    dphi = np.radians(center_lats[None, :] - lats[:, None])
+    dlmb = np.radians(center_lons[None, :] - lons[:, None])
+    h = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * cos_phi2 * np.sin(dlmb / 2.0) ** 2
     np.clip(h, 0.0, 1.0, out=h)
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
 

@@ -242,10 +242,12 @@ class CenterGridIndex:
 
     Equivalence to the dense kernel is *bitwise*, by construction:
 
-    * candidate distances are computed with the same call orientation
-      (``points_to_point_km(point_lats, point_lons, centre)``) as the
-      dense kernel's columns, and those ufuncs are elementwise, so each
-      candidate distance equals the corresponding dense matrix entry;
+    * candidate distances are computed with the single-centre call
+      ``points_to_point_km(point_lats, point_lons, centre)``, whose
+      result is bitwise the dense kernel's column for that centre (see
+      :func:`~repro.geo.distance.points_to_points_km`), and those ufuncs
+      are elementwise, so each candidate distance equals the
+      corresponding dense matrix entry;
     * candidate registration is conservative (a centre is a candidate
       of every cell intersecting its margin rectangle, with the
       longitude margin widened for the pole-most latitude the disc can
@@ -353,6 +355,21 @@ class CenterGridIndex:
         grid box are provably farther than ε from every centre and
         label -1 without any distance computation.
         """
+        return self.label_and_contain(lats_deg, lons_deg)[0]
+
+    def label_and_contain(
+        self, lats_deg: np.ndarray, lons_deg: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nearest labels plus CSR containment from one candidate scan.
+
+        Returns ``(labels, indptr, indices)``: ``labels`` as from
+        :meth:`label_points`, and the centres within ε of point ``i`` as
+        ``indices[indptr[i]:indptr[i + 1]]``, ascending.  Containment is
+        collected from the same candidate distances that pick the
+        nearest centre, so it equals the dense ``distance <= ε``
+        membership matrix's non-zeros by the class docstring's argument
+        (non-candidates are provably outside ε).
+        """
         lats = np.asarray(lats_deg, dtype=np.float64)
         lons = np.asarray(lons_deg, dtype=np.float64)
         if lats.shape != lons.shape or lats.ndim != 1:
@@ -360,7 +377,7 @@ class CenterGridIndex:
         n = lats.size
         labels = np.full(n, -1, dtype=np.int64)
         if n == 0:
-            return labels
+            return labels, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
         cells = self.spec.cells_of(lats, lons)
         cell_ids = cells[:, 0] * self.spec.n_cols + cells[:, 1]
         cell_ids[cells[:, 0] < 0] = -1
@@ -368,6 +385,8 @@ class CenterGridIndex:
         sorted_ids = cell_ids[order]
         boundaries = np.nonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])[0]
         stops = np.append(boundaries[1:], n)
+        hit_rows: list[np.ndarray] = []
+        hit_areas: list[int] = []
         for start, stop in zip(boundaries, stops):
             cell_id = int(sorted_ids[start])
             if cell_id < 0:
@@ -386,11 +405,26 @@ class CenterGridIndex:
                     group_lons,
                     (self._lats[area_index], self._lons[area_index]),
                 )
-                closer = (dists <= self.radius_km) & (dists < best)
+                within = dists <= self.radius_km
+                closer = within & (dists < best)
                 best[closer] = dists[closer]
                 best_idx[closer] = area_index
+                hit_rows.append(rows[within])
+                hit_areas.append(area_index)
             labels[rows] = best_idx
-        return labels
+        if not hit_rows:
+            return labels, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+        point_rows = np.concatenate(hit_rows)
+        areas = np.repeat(
+            np.array(hit_areas, dtype=np.int64), [r.size for r in hit_rows]
+        )
+        # Each point sits in one cell, whose candidates were scanned in
+        # ascending centre order: a stable sort by point keeps every
+        # row's centres ascending.
+        by_point = np.argsort(point_rows, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(point_rows, minlength=n), out=indptr[1:])
+        return labels, indptr, areas[by_point]
 
     def label_point(self, lat: float, lon: float) -> int:
         """Scalar convenience over :meth:`label_points`."""

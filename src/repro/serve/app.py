@@ -95,6 +95,7 @@ from urllib.parse import parse_qsl, urlsplit
 import numpy as np
 
 from repro import obs
+from repro.core.label import label_tweet_batch
 from repro.core.world import World
 from repro.data.gazetteer import Scale, gazetteer_from_spec
 from repro.data.schema import SchemaError
@@ -151,6 +152,10 @@ class EstimationApp:
         summary: SummaryStore | None = None,
         summary_scale: Scale = Scale.NATIONAL,
     ) -> None:
+        if summary is not None and summary.world != ingest.world:
+            # One label set feeds both consumers, so they must share
+            # the area system it indexes.
+            raise ValueError("summary store and ingest service monitor different worlds")
         self.registry = registry
         self.ingest = ingest
         self.summary = summary
@@ -618,17 +623,21 @@ class EstimationApp:
         """Apply a parsed tweet batch to this process's own state.
 
         The post-routing half of ingest: the monitor plus (when wired)
-        the summary store's minute tiles.  The shard router calls this
-        directly for the locally-owned slice of a split batch.
+        the summary store's minute tiles.  The batch is sorted and
+        labelled once (:func:`~repro.core.label.label_tweet_batch`) and
+        that one result feeds both consumers; each drops its own stale
+        prefix.  The shard router calls this directly for the
+        locally-owned slice of a split batch.
         """
-        result = self.ingest.ingest(tweets)
+        ordered, labelled = label_tweet_batch(self.ingest.world, tweets)
+        result = self.ingest.ingest_labelled(ordered, labelled)
         payload = {
             "accepted": result.accepted,
             "dropped_stale": result.dropped_stale,
             "anomalies_raised": result.anomalies_raised,
         }
         if self.summary is not None:
-            outcome = self.summary.ingest(tweets)
+            outcome = self.summary.ingest_labelled(ordered, labelled)
             payload["summary"] = {
                 "accepted": outcome.accepted,
                 "dropped_late": outcome.dropped_late,
@@ -672,6 +681,10 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    #: Headers and body go out in two sends; with Nagle on, a keep-alive
+    #: response's second send waits ~40 ms for the client's delayed ACK.
+    #: ``StreamRequestHandler`` sets ``TCP_NODELAY`` on the connection.
+    disable_nagle_algorithm = True
     #: Socket read timeout per request — a stalled client cannot pin a
     #: handler thread forever.
     timeout = 30.0
@@ -892,21 +905,20 @@ def create_app(
     if preload:
         registry.load()
     resolved = gazetteer_from_spec(gazetteer)
+    # One world for both live consumers: a batch labelled once is valid
+    # for the monitor and the summary store by construction.
+    world = World.from_scale(monitor_scale, gazetteer=resolved)
     ingest = IngestService(
-        resolved.areas_for_scale(monitor_scale),
-        radius_km=resolved.search_radius_km(monitor_scale),
-        window_seconds=window_seconds,
+        world, radius_km=world.radius_km, window_seconds=window_seconds
     )
     summary = None
     if with_summary:
         if resolved.is_legacy:
             default_namespace = monitor_scale.value
-            summary_world = World.from_scale(monitor_scale)
         else:
             default_namespace = f"{resolved.namespace_slug}-{monitor_scale.value}"
-            summary_world = World.from_scale(monitor_scale, gazetteer=resolved)
         summary = SummaryStore(
-            summary_world,
+            world,
             artifacts=store,
             namespace=summary_namespace or default_namespace,
         )

@@ -8,6 +8,11 @@ sorted by timestamp before pushing, and tweets older than the stream's
 high-water mark are *dropped and counted* rather than raising — an HTTP
 client cannot be trusted to deliver globally ordered batches.
 
+Sorting and labelling happen once per batch, outside the service:
+:func:`repro.core.label.label_tweet_batch` produces the time-ascending
+batch and its labels, which the serving app hands to both this service
+and the summary store (:meth:`IngestService.ingest_labelled`).
+
 Reads (``/v1/anomalies``) take the same lock, so anomaly listings are
 consistent with completed batches — a deliberate single-writer design,
 documented in DESIGN.md.
@@ -19,6 +24,7 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.label import PointLabels, label_tweet_batch
 from repro.core.world import World
 from repro.data.gazetteer import Area
 from repro.data.schema import Tweet, parse_tweet_record
@@ -35,7 +41,15 @@ class IngestResult:
 
 
 class IngestService:
-    """Thread-safe facade over a windowed mobility monitor."""
+    """Thread-safe facade over a windowed mobility monitor.
+
+    ``world`` (the monitor's area system) is the world every batch is
+    labelled against.  :meth:`ingest_labelled` is the one ingest path:
+    it takes a time-ascending batch with the :class:`PointLabels` the
+    kernel computed for it, drops the stale prefix and pushes the rest
+    with its label slice — no re-sort, no re-label.  :meth:`ingest` is
+    the thin wrapper that sorts and labels first.
+    """
 
     def __init__(
         self,
@@ -48,6 +62,7 @@ class IngestService:
         self._monitor = MobilityMonitor(
             areas, radius_km, window_seconds, **monitor_kwargs
         )
+        self.world = self._monitor.world
         self._accepted = 0
         self._dropped_stale = 0
 
@@ -64,15 +79,21 @@ class IngestService:
         return parse_tweet_record(record)
 
     def ingest(self, tweets: Sequence[Tweet]) -> IngestResult:
-        """Push one batch through the monitor, oldest first.
+        """Sort and label one batch, then apply it (:meth:`ingest_labelled`)."""
+        return self.ingest_labelled(*label_tweet_batch(self.world, tweets))
 
-        Within-batch disorder is repaired by sorting; tweets behind the
-        monitor's high-water mark are dropped (counted, not an error).
-        The surviving batch is labelled in one vectorised pass
-        (:meth:`MobilityMonitor.push_batch`) — the same kernel the batch
-        extractors run.
+    def ingest_labelled(
+        self, ordered: Sequence[Tweet], labelled: PointLabels
+    ) -> IngestResult:
+        """Push a time-ascending, already-labelled batch through the monitor.
+
+        ``labelled`` must come from the kernel over exactly these rows
+        and this service's :attr:`world`.  Tweets behind the monitor's
+        high-water mark are dropped (counted, not an error); the rest
+        go to :meth:`MobilityMonitor.push_batch` with their label slice.
         """
-        ordered = sorted(tweets, key=lambda t: t.timestamp)
+        if len(labelled) != len(ordered):
+            raise ValueError(f"{len(labelled)} labels for {len(ordered)} tweets")
         with self._lock:
             # The batch is ascending, so only a prefix can sit behind
             # the monitor's high-water mark.
@@ -82,7 +103,9 @@ class IngestService:
                 keep += 1
             dropped = keep
             accepted = len(ordered) - dropped
-            anomalies = len(self._monitor.push_batch(ordered[keep:]))
+            anomalies = len(
+                self._monitor.push_batch(ordered[keep:], labelled.labels[keep:])
+            )
             self._accepted += accepted
             self._dropped_stale += dropped
         return IngestResult(

@@ -101,14 +101,22 @@ class MobilityMonitor:
         self.counter.push(tweet)
         return self._maybe_check(tweet.timestamp)
 
-    def push_batch(self, tweets: Sequence[Tweet]) -> list[FlowAnomaly]:
+    def push_batch(
+        self, tweets: Sequence[Tweet], labels: np.ndarray | None = None
+    ) -> list[FlowAnomaly]:
         """Ingest a time-ordered batch; returns all anomalies raised.
 
-        The batch is labelled in one pass through the micro-batch kernel
-        (via :meth:`OnlineMobilityCounter.push_batch` chunks), while the
-        check/refit schedule fires exactly as it would under per-tweet
-        ``push`` — checks are driven by stream time, not call shape.
+        The batch is labelled once — ``labels`` when the caller already
+        labelled it, else one kernel pass here — and the labels are
+        sliced at check boundaries into
+        :meth:`OnlineMobilityCounter.push_batch`, so the check/refit
+        schedule fires exactly as it would under per-tweet ``push``:
+        checks are driven by stream time, not call shape.
         """
+        if labels is None:
+            labels = self.counter.label_batch(tweets)
+        elif len(labels) != len(tweets):
+            raise ValueError(f"{len(labels)} labels for {len(tweets)} tweets")
         anomalies: list[FlowAnomaly] = []
         start = 0
         timestamps = [tweet.timestamp for tweet in tweets]
@@ -122,7 +130,7 @@ class MobilityMonitor:
                 while stop < len(tweets) and timestamps[stop] < self._next_check:
                     stop += 1
                 stop = min(stop + 1, len(tweets))
-            self.counter.push_batch(tweets[start:stop])
+            self.counter.push_batch(tweets[start:stop], labels[start:stop])
             anomalies.extend(self._maybe_check(timestamps[stop - 1]))
             start = stop
         return anomalies

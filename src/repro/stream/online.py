@@ -16,8 +16,9 @@ the equivalences are structural: the stream runs the same vectorised
 arithmetic as the batch extractors (the old scalar per-tweet linear
 scan, whose float sequence could drift from the batch path at disc
 boundaries, is gone).  ``push`` ingests one tweet; ``push_batch``
-ingests a time-ordered batch and labels it through the micro-batch
-kernel, which is the hot path for replays and the ingest endpoint.
+ingests a time-ordered batch, labelled in one kernel pass — or, on the
+ingest endpoint's hot path, with the labels the endpoint already
+computed for the whole batch.
 The equivalences are asserted in the test suite by replaying corpora
 through the counters with an infinite window.
 """
@@ -29,7 +30,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.accumulate import ODAccumulator, PopulationAccumulator
-from repro.core.label import containing_areas, label_point, label_points, membership_points
+from repro.core.label import (
+    containing_areas,
+    label_point,
+    label_points,
+    membership_points,
+    tweet_columns,
+)
 from repro.core.world import World
 from repro.data.gazetteer import Area
 from repro.data.schema import Tweet
@@ -42,13 +49,6 @@ def _as_world(areas: Sequence[Area] | World, radius_km: float) -> World:
     if radius_km <= 0:
         raise ValueError(f"radius must be positive, got {radius_km}")
     return World.from_areas(areas, radius_km)
-
-
-def _batch_columns(tweets: Sequence[Tweet]) -> tuple[np.ndarray, np.ndarray]:
-    n = len(tweets)
-    lats = np.fromiter((t.lat for t in tweets), np.float64, count=n)
-    lons = np.fromiter((t.lon for t in tweets), np.float64, count=n)
-    return lats, lons
 
 
 class OnlinePopulationCounter:
@@ -97,8 +97,7 @@ class OnlinePopulationCounter:
         """
         if not tweets:
             return
-        lats, lons = _batch_columns(tweets)
-        membership = membership_points(self.world, lats, lons)
+        membership = membership_points(self.world, *tweet_columns(tweets))
         for row, tweet in enumerate(tweets):
             self._population.add(np.nonzero(membership[row])[0], tweet.user_id)
             if self._window is not None:
@@ -145,20 +144,32 @@ class OnlineMobilityCounter:
         label = label_point(self.world, tweet.lat, tweet.lon)
         self._push_labeled(tweet, label)
 
-    def push_batch(self, tweets: Sequence[Tweet]) -> None:
-        """Ingest a time-ordered batch, labelled through the dense kernel.
+    def label_batch(self, tweets: Sequence[Tweet]) -> np.ndarray:
+        """Labels of a batch in one vectorised kernel pass."""
+        return label_points(self.world, *tweet_columns(tweets))
 
-        Labels are precomputed in one vectorised pass (they depend only
-        on coordinates), then applied sequentially so ordering checks,
-        transition recording and window expiry behave exactly as a
-        ``push`` per tweet.
+    def push_batch(
+        self, tweets: Sequence[Tweet], labels: np.ndarray | None = None
+    ) -> None:
+        """Ingest a time-ordered batch, labelled in one vectorised pass.
+
+        ``labels`` are the batch's precomputed nearest-area labels, row
+        for row — the live ingest path labels each batch once (see
+        :func:`repro.core.label.label_tweet_batch`) and passes slices
+        here; without them the batch is labelled by
+        :meth:`label_batch`.  Labels depend only on coordinates, so they
+        are applied sequentially and ordering checks, transition
+        recording and window expiry behave exactly as a ``push`` per
+        tweet.
         """
         if not tweets:
             return
-        lats, lons = _batch_columns(tweets)
-        labels = label_points(self.world, lats, lons)
-        for tweet, label in zip(tweets, labels):
-            self._push_labeled(tweet, int(label))
+        if labels is None:
+            labels = self.label_batch(tweets)
+        elif len(labels) != len(tweets):
+            raise ValueError(f"{len(labels)} labels for {len(tweets)} tweets")
+        for tweet, label in zip(tweets, labels.tolist()):
+            self._push_labeled(tweet, label)
 
     def _push_labeled(self, tweet: Tweet, label: int) -> None:
         if tweet.timestamp < self._latest:

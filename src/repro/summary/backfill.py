@@ -6,13 +6,13 @@ path when a summary store must cover history that streamed in before
 the store existed.
 
 The batch construction reuses the kernel layer end to end: OD labels
-come from :func:`~repro.core.label.label_corpus` (the indexed batch
-kernel), ε-disc membership from
-:func:`~repro.core.label.membership_points`, and transition detection
-is the vectorised consecutive-pair rule over the corpus's native
-``(user, time)`` ordering — so a backfilled tile is **bit-identical**
-to the tile the streaming path would have produced from the same
-tweets (pinned in ``tests/summary``).
+and CSR ε-disc containment come from one
+:func:`~repro.core.label.label_and_contain` pass — the kernel the live
+ingest path runs — and transition detection is the vectorised
+consecutive-pair rule over the corpus's native ``(user, time)``
+ordering, so a backfilled tile is **bit-identical** to the tile the
+streaming path would have produced from the same tweets (pinned in
+``tests/summary``).
 
 ``summary_pipeline`` exposes the build as a cached pipeline task over
 the standard corpus task, so repeated backfills of the same corpus
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.label import label_corpus, membership_points
+from repro.core.label import label_and_contain
 from repro.core.world import World
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Scale
@@ -38,9 +38,6 @@ from repro.pipeline.store import ArtifactStore
 from repro.pipeline.task import Task, TaskContext
 from repro.summary.store import SummaryStore
 from repro.summary.tiers import SummaryBucket, TimeTier, bucket_start
-
-#: Rows of dense membership computed per chunk, bounding peak memory.
-MEMBERSHIP_CHUNK = 65_536
 
 #: Code-version tag of the tile-build task (bump to invalidate caches).
 TILES_TASK_VERSION = "1"
@@ -71,9 +68,7 @@ class TileSet:
         return self.minutes[0].start, self.minutes[-1].end
 
 
-def build_minute_buckets(
-    world: World, corpus: TweetCorpus, index=None
-) -> TileSet:
+def build_minute_buckets(world: World, corpus: TweetCorpus) -> TileSet:
     """One vectorised pass from corpus columns to finalized minute tiles.
 
     The corpus's native ``(user, time)`` ordering is exactly what the
@@ -82,7 +77,8 @@ def build_minute_buckets(
     """
     n = len(corpus)
     with obs.span("summary.backfill", tweets=n, areas=world.n_areas):
-        labels = label_corpus(world, corpus.lats, corpus.lons, index=index)
+        labelled = label_and_contain(world, corpus.lats, corpus.lons)
+        labels = labelled.labels
         minute_ids = (
             np.floor_divide(corpus.timestamps, TimeTier.MINUTE.span_seconds)
             .astype(np.int64)
@@ -99,22 +95,16 @@ def build_minute_buckets(
                 buckets[int(start)] = bucket
             return bucket
 
-        # Population: each tweet counts toward every containing ε-disc,
-        # attributed to its own minute.  Membership is computed in row
-        # chunks to bound the dense matrix's footprint.
-        for chunk_start in range(0, n, MEMBERSHIP_CHUNK):
-            chunk = slice(chunk_start, min(chunk_start + MEMBERSHIP_CHUNK, n))
-            membership = membership_points(
-                world, corpus.lats[chunk], corpus.lons[chunk]
-            )
-            for offset in range(chunk.stop - chunk_start):
-                row = chunk_start + offset
-                bucket = bucket_for(int(minute_ids[row]))
-                bucket.population.add(
-                    np.nonzero(membership[offset])[0],
-                    int(corpus.user_ids[row]),
-                )
-                bucket.n_tweets += 1
+        # Population: each tweet counts toward every containing ε-disc
+        # (one CSR row), attributed to its own minute.
+        bounds = labelled.indptr.tolist()
+        indices = labelled.indices.tolist()
+        for row, (minute, user_id) in enumerate(
+            zip(minute_ids.tolist(), corpus.user_ids.tolist())
+        ):
+            bucket = bucket_for(minute)
+            bucket.population.add(indices[bounds[row] : bounds[row + 1]], user_id)
+            bucket.n_tweets += 1
 
         # OD: vectorised consecutive-pair transitions, attributed to the
         # arriving tweet's minute (the same instant the streaming
@@ -157,8 +147,7 @@ def build_minute_buckets(
 def _task_summary_tiles(ctx: TaskContext) -> TileSet:
     scale = Scale(ctx.params["scale"])
     world = World.from_scale(scale, gazetteer=ctx.params.get("gazetteer"))
-    corpus = ctx.input("corpus")
-    tiles = build_minute_buckets(world, corpus, index=ctx.input("index"))
+    tiles = build_minute_buckets(world, ctx.input("corpus"))
     return TileSet(
         scale=scale.value,
         radius_km=tiles.radius_km,
@@ -176,21 +165,21 @@ def summary_pipeline(
     scale: Scale = Scale.NATIONAL,
     gazetteer: str | None = None,
 ) -> Pipeline:
-    """Corpus → index → minute tiles as a cached task DAG.
+    """Corpus → minute tiles as a cached task DAG.
 
-    Reuses the suite's corpus and index tasks (same cache keys, so a
-    piped corpus is a hit here and vice versa) and adds the tile build,
-    keyed by the corpus digest, the scale, and the gazetteer spec.
+    Reuses the suite's corpus task (same cache key, so a piped corpus
+    is a hit here and vice versa) and adds the tile build, keyed by the
+    corpus digest, the scale, and the gazetteer spec.
     """
     if gazetteer is None:
         gazetteer = config.gazetteer if config is not None else "legacy"
     base = suite_pipeline(config=config, corpus_path=corpus_path)
-    pipeline = Pipeline([base.task("corpus"), base.task("index")])
+    pipeline = Pipeline([base.task("corpus")])
     pipeline.add(
         Task(
             name="summary_tiles",
             fn=_task_summary_tiles,
-            deps=("corpus", "index"),
+            deps=("corpus",),
             params={"scale": scale.value, "gazetteer": gazetteer},
             version=TILES_TASK_VERSION,
         )

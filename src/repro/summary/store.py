@@ -50,7 +50,12 @@ import numpy as np
 
 from repro import obs
 from repro.core.accumulate import PopulationAccumulator
-from repro.core.label import label_points, membership_points
+from repro.core.label import PointLabels, label_tweet_batch
+
+# The retired per-consumer kernels stay importable under this module so
+# perfbench's layer probe, which wraps them where this module used to
+# look them up, keeps resolving; the live path no longer calls them.
+from repro.core.label import label_points, membership_points  # noqa: F401
 from repro.core.world import World
 from repro.data.schema import Tweet
 from repro.pipeline.store import ArtifactStore
@@ -178,34 +183,28 @@ class SummaryStore:
     # -- ingest --------------------------------------------------------
 
     def ingest(self, tweets: Sequence[Tweet]) -> IngestOutcome:
-        """Label and ingest one batch (sorted internally by timestamp).
+        """Sort and label one batch, then ingest it (:meth:`ingest_labelled`).
 
         Tweets behind the watermark are dropped and counted, exactly as
         at the serve ingest door — the stream contract is monotone time.
         """
-        ordered = sorted(tweets, key=lambda t: t.timestamp)
-        if not ordered:
-            with self._lock:
-                return IngestOutcome(0, 0, self._version)
-        n = len(ordered)
-        lats = np.fromiter((t.lat for t in ordered), np.float64, count=n)
-        lons = np.fromiter((t.lon for t in ordered), np.float64, count=n)
-        labels = label_points(self.world, lats, lons)
-        membership = membership_points(self.world, lats, lons)
-        return self.ingest_labelled(ordered, labels, membership)
+        return self.ingest_labelled(*label_tweet_batch(self.world, tweets))
 
     def ingest_labelled(
-        self,
-        ordered: Sequence[Tweet],
-        labels: np.ndarray,
-        membership: np.ndarray,
+        self, ordered: Sequence[Tweet], labelled: PointLabels
     ) -> IngestOutcome:
         """Ingest a time-ascending batch whose labels are precomputed.
 
-        ``labels``/``membership`` must come from the kernel layer over
-        the same rows (``label_points`` / ``membership_points``) — the
-        path for callers that already labelled the batch.
+        ``labelled`` must come from
+        :func:`~repro.core.label.label_and_contain` over exactly these
+        rows and this store's :attr:`world`: ``labelled.labels`` feed the
+        OD transitions, and the CSR containment (``indptr``/``indices``)
+        feeds each tweet's population areas without a per-row scan of a
+        dense membership matrix.  The stale prefix behind the watermark
+        is skipped in place, not copied.
         """
+        if len(labelled) != len(ordered):
+            raise ValueError(f"{len(labelled)} labels for {len(ordered)} tweets")
         with self._lock, obs.span("summary.ingest", tweets=len(ordered)):
             keep = 0
             while (
@@ -214,12 +213,14 @@ class SummaryStore:
             ):
                 keep += 1
             dropped = keep
+            labels = labelled.labels.tolist()
+            bounds = labelled.indptr.tolist()
+            indices = labelled.indices.tolist()
             for row in range(keep, len(ordered)):
-                tweet = ordered[row]
                 self._ingest_one(
-                    tweet,
-                    int(labels[row]),
-                    np.nonzero(membership[row])[0],
+                    ordered[row],
+                    labels[row],
+                    indices[bounds[row] : bounds[row + 1]],
                 )
             accepted = len(ordered) - dropped
             self._accepted += accepted
@@ -230,7 +231,7 @@ class SummaryStore:
             return IngestOutcome(accepted, dropped, self._version)
 
     def _ingest_one(
-        self, tweet: Tweet, label: int, area_indices: np.ndarray
+        self, tweet: Tweet, label: int, area_indices: Sequence[int]
     ) -> None:
         start = bucket_start(tweet.timestamp, TimeTier.MINUTE)
         bucket = self._minute_open.get(start)
