@@ -54,14 +54,16 @@ def merge_window_results(results: Sequence[WindowSummary]) -> WindowSummary:
                 f"({result.t0}, {result.t1})"
             )
     tiles: Counter = Counter()
+    od: Counter = Counter()
     for result in results:
         tiles.update(result.tiles_used)
+        od.update(result.od_counts)
     return WindowSummary(
         t0=first.t0,
         t1=first.t1,
         tweet_counts=np.sum([r.tweet_counts for r in results], axis=0),
         user_counts=np.sum([r.user_counts for r in results], axis=0),
-        flow_matrix=np.sum([r.flow_matrix for r in results], axis=0),
+        od_counts=od,
         n_tweets=sum(r.n_tweets for r in results),
         n_transitions=sum(r.n_transitions for r in results),
         buckets_touched=sum(r.buckets_touched for r in results),

@@ -89,7 +89,7 @@ import time
 import uuid
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
+from typing import Callable, Sequence
 from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
@@ -136,6 +136,54 @@ class ApiError(Exception):
 
 def _error_payload(status: int, message: str) -> dict:
     return {"error": {"code": status, "message": message}}
+
+
+def _area_filter(world: World, query: dict, key: str) -> int | None:
+    """Index of the area named by ``query[key]``; ``None`` when absent."""
+    name = query.get(key)
+    if name is None:
+        return None
+    index = world.area_index(name)
+    if index < 0:
+        raise ApiError(400, f"unknown {key} area {name!r}")
+    return index
+
+
+def render_flows(
+    sources: np.ndarray,
+    dests: np.ndarray,
+    flows: np.ndarray,
+    names: Sequence[str],
+    distance_km: np.ndarray,
+    origin: int | None,
+    dest: int | None,
+) -> list[dict]:
+    """Flow entries for the OD cells ``(sources[k], dests[k])``.
+
+    Cells come in row-major order (as :func:`numpy.nonzero` returns
+    them) with ``flows[k]`` the count of cell ``k``; diagonal and
+    non-positive cells are skipped, and ``origin``/``dest`` (area
+    indices) keep one row/column.  The entries are those of a row-major
+    scan of the dense matrix, at O(cells) instead of O(areas²).
+    """
+    keep = (sources != dests) & (flows > 0)
+    if origin is not None:
+        keep &= sources == origin
+    if dest is not None:
+        keep &= dests == dest
+    sources, dests, flows = sources[keep], dests[keep], flows[keep]
+    distances = distance_km[sources, dests]
+    return [
+        {
+            "origin": names[i],
+            "dest": names[j],
+            "flow": int(flow),
+            "distance_km": round(distance, 3),
+        }
+        for i, j, flow, distance in zip(
+            sources.tolist(), dests.tolist(), flows.tolist(), distances.tolist()
+        )
+    ]
 
 
 class EstimationApp:
@@ -442,12 +490,17 @@ class EstimationApp:
                 "summary_version": result.version,
                 "areas": [
                     {
-                        "name": world.names[i],
-                        "census_population": float(world.populations[i]),
-                        "twitter_population": int(result.user_counts[i]),
-                        "tweets": int(result.tweet_counts[i]),
+                        "name": name,
+                        "census_population": census,
+                        "twitter_population": users,
+                        "tweets": tweets,
                     }
-                    for i in range(world.n_areas)
+                    for name, census, users, tweets in zip(
+                        world.names,
+                        world.populations.tolist(),
+                        result.user_counts.tolist(),
+                        result.tweet_counts.tolist(),
+                    )
                 ],
             }
         snapshot, scale = self._resolve_scale(query)
@@ -474,22 +527,8 @@ class EstimationApp:
                 return self.shard_router.gather_flows(query)
             result = self._query_summary(query, window)
             world = self.summary.world
-            matrix = result.flow_matrix
-            rows: range | list = range(world.n_areas)
-            cols: range | list = range(world.n_areas)
-            origin = query.get("origin")
-            dest = query.get("dest")
-            if origin is not None:
-                index = world.area_index(origin)
-                if index < 0:
-                    raise ApiError(400, f"unknown origin area {origin!r}")
-                rows = [index]
-            if dest is not None:
-                index = world.area_index(dest)
-                if index < 0:
-                    raise ApiError(400, f"unknown dest area {dest!r}")
-                cols = [index]
-            distance = world.distance_matrix_km
+            origin = _area_filter(world, query, "origin")
+            dest = _area_filter(world, query, "dest")
             return 200, {
                 "scale": self.summary_scale.value,
                 "source": "summary",
@@ -499,45 +538,28 @@ class EstimationApp:
                 "tiles_used": result.tiles_used,
                 "summary_version": result.version,
                 "total_trips": result.n_transitions,
-                "flows": [
-                    {
-                        "origin": world.names[i],
-                        "dest": world.names[j],
-                        "flow": int(matrix[i, j]),
-                        "distance_km": round(float(distance[i, j]), 3),
-                    }
-                    for i in rows
-                    for j in cols
-                    if i != j and matrix[i, j] > 0
-                ],
+                "flows": render_flows(
+                    *result.flow_cells(),
+                    world.names,
+                    world.distance_matrix_km,
+                    origin,
+                    dest,
+                ),
             }
         snapshot, scale = self._resolve_scale(query)
+        origin = _area_filter(scale.world, query, "origin")
+        dest = _area_filter(scale.world, query, "dest")
         matrix = scale.flows.matrix
-        origin = query.get("origin")
-        dest = query.get("dest")
-        rows = range(len(scale.areas))
-        cols = range(len(scale.areas))
-        if origin is not None:
-            index = scale.area_index(origin)
-            if index < 0:
-                raise ApiError(400, f"unknown origin area {origin!r}")
-            rows = [index]
-        if dest is not None:
-            index = scale.area_index(dest)
-            if index < 0:
-                raise ApiError(400, f"unknown dest area {dest!r}")
-            cols = [index]
-        flows = [
-            {
-                "origin": scale.areas[i].name,
-                "dest": scale.areas[j].name,
-                "flow": int(matrix[i, j]),
-                "distance_km": round(float(scale.distance_km[i, j]), 3),
-            }
-            for i in rows
-            for j in cols
-            if i != j and matrix[i, j] > 0
-        ]
+        sources, dests = np.nonzero(matrix)
+        flows = render_flows(
+            sources,
+            dests,
+            matrix[sources, dests],
+            scale.world.names,
+            scale.distance_km,
+            origin,
+            dest,
+        )
         return 200, {
             "scale": scale.scale.value,
             "run_id": snapshot.run_id,

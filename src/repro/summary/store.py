@@ -41,15 +41,17 @@ user straddling the restart is not counted (documented contract).
 
 from __future__ import annotations
 
+import bisect
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.accumulate import PopulationAccumulator
+from repro.core.accumulate import stitched_counts
 from repro.core.label import PointLabels, label_tweet_batch
 
 # The retired per-consumer kernels stay importable under this module so
@@ -71,6 +73,11 @@ from repro.summary.tiers import (
 #: Root of every summary key in the artifact store's key index.
 KEY_PREFIX = "summary"
 
+#: ``(tier, span)`` in the planner's preference order, and the open
+#: minutes' span (they are tried after finalized minute tiles).
+_PLAN = tuple((tier, tier.span_seconds) for tier in COARSE_FIRST)
+_MINUTE_SPAN = TimeTier.MINUTE.span_seconds
+
 
 @dataclass(frozen=True)
 class IngestOutcome:
@@ -87,20 +94,40 @@ class WindowSummary:
 
     ``t0``/``t1`` are the *effective* minute-aligned bounds;
     ``tiles_used`` maps tier name to the number of tiles of that tier
-    stitched in (empty minutes touch nothing).
+    stitched in (empty minutes touch nothing).  ``od_counts`` holds the
+    nonzero transition counts keyed ``(source, dest)``; the dense
+    :attr:`flow_matrix` is built from it on first access.
     """
 
     t0: int
     t1: int
     tweet_counts: np.ndarray
     user_counts: np.ndarray
-    flow_matrix: np.ndarray
+    od_counts: Mapping[tuple[int, int], int]
     n_tweets: int
     n_transitions: int
     buckets_touched: int
     tiles_used: Mapping[str, int]
     staleness_seconds: float
     version: int
+
+    def flow_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(sources, dests, counts)`` of :attr:`od_counts`, row-major."""
+        pairs = np.array(list(self.od_counts), dtype=np.intp).reshape(-1, 2)
+        counts = np.fromiter(
+            self.od_counts.values(), dtype=np.int64, count=len(self.od_counts)
+        )
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        return pairs[order, 0], pairs[order, 1], counts[order]
+
+    @cached_property
+    def flow_matrix(self) -> np.ndarray:
+        """Transition counts as a dense ``(n_areas, n_areas)`` matrix."""
+        n_areas = len(self.tweet_counts)
+        matrix = np.zeros((n_areas, n_areas), dtype=np.int64)
+        sources, dests, counts = self.flow_cells()
+        matrix[sources, dests] = counts
+        return matrix
 
 
 class SummaryStore:
@@ -138,6 +165,8 @@ class SummaryStore:
         self._tiles: dict[TimeTier, dict[int, SummaryBucket]] = {
             tier: {} for tier in TimeTier
         }
+        # Sorted keys of each ``_tiles`` tier: the query planner bisects them.
+        self._starts: dict[TimeTier, list[int]] = {tier: [] for tier in TimeTier}
         self._pending_rollup: dict[TimeTier, set[int]] = {
             tier: set() for tier in ROLLUP_SOURCE
         }
@@ -259,8 +288,12 @@ class SummaryStore:
         for tier in (TimeTier.HOUR, TimeTier.DAY):
             self._rollup_tier(tier)
 
+    def _install_tile(self, tile: SummaryBucket) -> None:
+        self._tiles[tile.tier][tile.start] = tile
+        bisect.insort(self._starts[tile.tier], tile.start)
+
     def _finalize_minute(self, start: int, bucket: SummaryBucket) -> None:
-        self._tiles[TimeTier.MINUTE][start] = bucket
+        self._install_tile(bucket)
         self._persist(bucket)
         self._pending_rollup[TimeTier.HOUR].add(
             bucket_start(start, TimeTier.HOUR)
@@ -283,7 +316,7 @@ class SummaryStore:
             tile = SummaryBucket.rolled_up(
                 tier, start, self.world.n_areas, children
             )
-            self._tiles[tier][start] = tile
+            self._install_tile(tile)
             self._persist(tile)
             if tier in ROLLUP_SOURCE.values() and tier is not TimeTier.DAY:
                 self._pending_rollup[TimeTier.DAY].add(
@@ -333,7 +366,7 @@ class SummaryStore:
                     continue
                 if tile.start in self._tiles[tile.tier]:
                     continue
-                self._tiles[tile.tier][tile.start] = tile
+                self._install_tile(tile)
                 recovered += 1
                 self._watermark = max(self._watermark, float(tile.end))
                 if tile.tier in ROLLUP_SOURCE.values() or tile.tier is TimeTier.MINUTE:
@@ -382,76 +415,76 @@ class SummaryStore:
 
     # -- queries -------------------------------------------------------
 
+    def _cover(self, q0: int, q1: int) -> list[SummaryBucket]:
+        """The tiles stitched for ``[q0, q1)``, in time order.
+
+        The cover is greedy and coarse-first: walking the window from
+        ``q0``, take the coarsest tile that starts at the current minute
+        and ends by ``q1`` (a finalized minute before an open one), jump
+        past it, else step one minute.  Such a walk only ever takes a
+        tile at a tile start, so the planner jumps straight to the next
+        usable start by bisecting each tier's sorted starts: the cost is
+        O(tiles taken × log tiles), whatever the window's length.
+        """
+        lanes = [
+            (self._starts[tier], self._tiles[tier], span) for tier, span in _PLAN
+        ]
+        lanes.append((sorted(self._minute_open), self._minute_open, _MINUTE_SPAN))
+        covering: list[SummaryBucket] = []
+        t = q0
+        while t < q1:
+            best = None
+            for starts, tiles, span in lanes:
+                k = bisect.bisect_left(starts, t)
+                if (
+                    k < len(starts)
+                    and starts[k] + span <= q1
+                    and (best is None or starts[k] < best[0])
+                ):
+                    best = (starts[k], tiles, span)
+            if best is None:
+                break
+            start, tiles, span = best
+            covering.append(tiles[start])
+            t = start + span
+        return covering
+
     def query(self, t0: float, t1: float) -> WindowSummary:
         """Stitch the tiles covering ``[t0, t1)`` into one summary.
 
         Bounds snap outward to minute alignment (the finest tier); the
         effective bounds are reported on the result.  Open minute
         buckets are included, so answers reflect everything ingested.
+        Population counts are stitched without merging the tiles' user
+        multisets (:func:`~repro.core.accumulate.stitched_counts`), and
+        flows stay sparse (``od_counts``).
         """
         q0, q1 = window_align(t0, t1)
-        minute_span = TimeTier.MINUTE.span_seconds
-        plan = tuple((tier, tier.span_seconds) for tier in COARSE_FIRST)
         with self._lock, obs.span("summary.query", t0=q0, t1=q1) as sp:
-            covering: list[SummaryBucket] = []
-            used: Counter = Counter()
-            t = q0
-            while t < q1:
-                step = minute_span
-                bucket = None
-                for tier, span in plan:
-                    if t % span or t + span > q1:
-                        continue
-                    bucket = self._tiles[tier].get(t)
-                    if bucket is None and tier is TimeTier.MINUTE:
-                        bucket = self._minute_open.get(t)
-                    if bucket is not None:
-                        step = span
-                        break
-                if bucket is not None:
-                    covering.append(bucket)
-                    used[bucket.tier.name.lower()] += 1
-                t += step
-            touched = len(covering)
-            if touched == 1:
-                # Fast path for the aligned-window common case: read the
-                # one covering tile directly, no merge allocation.
-                tile = covering[0]
-                tweet_counts = tile.population.tweet_counts()
-                user_counts = tile.population.user_counts()
-                od = tile.od_counts  # read-only below
-                n_tweets = tile.n_tweets
-            else:
-                population = PopulationAccumulator(self.world.n_areas)
-                od = Counter()
-                n_tweets = 0
-                for bucket in covering:
-                    population.merge(bucket.population)
-                    od.update(bucket.od_counts)
-                    n_tweets += bucket.n_tweets
-                tweet_counts = population.tweet_counts()
-                user_counts = population.user_counts()
-            matrix = np.zeros(
-                (self.world.n_areas, self.world.n_areas), dtype=np.int64
+            covering = self._cover(q0, q1)
+            used = Counter(bucket.tier.name.lower() for bucket in covering)
+            tweet_counts, user_counts = stitched_counts(
+                [bucket.population for bucket in covering], self.world.n_areas
             )
-            for (source, dest), count in od.items():
-                matrix[source, dest] = count
+            od: Counter = Counter()
+            for bucket in covering:
+                od.update(bucket.od_counts)
             if np.isfinite(self._watermark):
                 staleness = min(
                     float(q1 - q0), max(0.0, q1 - self._watermark)
                 )
             else:
                 staleness = float(q1 - q0)
-            sp.set(buckets=touched)
+            sp.set(buckets=len(covering))
             return WindowSummary(
                 t0=q0,
                 t1=q1,
                 tweet_counts=tweet_counts,
                 user_counts=user_counts,
-                flow_matrix=matrix,
-                n_tweets=n_tweets,
+                od_counts=od,
+                n_tweets=sum(bucket.n_tweets for bucket in covering),
                 n_transitions=int(sum(od.values())),
-                buckets_touched=touched,
+                buckets_touched=len(covering),
                 tiles_used=dict(used),
                 staleness_seconds=round(staleness, 3),
                 version=self._version,
