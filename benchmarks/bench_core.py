@@ -6,10 +6,12 @@ default) through two labelling paths:
 * **legacy scalar** — the per-tweet linear scan over area centres that
   ``repro.stream.online`` used before the ``repro.core`` kernel layer.
   The implementation is preserved *here only*, as the benchmark
-  baseline; the source tree has exactly one labelling implementation.
-* **micro-batched** — :class:`repro.core.label.MicroBatchLabeler`
-  flushing the dense vectorised kernel every ``--batch-size`` tweets,
-  which is what the streaming counters and the ingest endpoint now run.
+  baseline; the source tree has no scalar labelling loop.
+* **micro-batched** — :func:`repro.core.label.label_points` over
+  consecutive ``--batch-size``-tweet chunks of the replay, each chunk's
+  coordinate columns read from its tweets.  ``label_points`` returns the
+  labels of :func:`repro.core.label.label_and_contain`, the kernel the
+  ingest endpoint runs once per batch.
 
 Emits a JSON summary (stdout or ``--out``), e.g.::
 
@@ -40,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.label import DEFAULT_MICRO_BATCH, MicroBatchLabeler
+from repro.core.label import label_points, tweet_columns
 from repro.core.world import World
 from repro.data.gazetteer import Scale
 from repro.geo.distance import haversine_km
@@ -53,6 +55,9 @@ DEFAULT_SEED = 20150413
 #: Acceptance floor: micro-batched labelling must beat the legacy
 #: per-tweet scalar path by at least this factor.
 MIN_SPEEDUP = 5.0
+
+#: Tweets per labelled chunk unless ``--batch-size`` says otherwise.
+DEFAULT_BATCH_SIZE = 1024
 
 #: Calibration loop: single-threaded blake2b over this many blocks.
 CALIBRATION_BLOCKS = 50_000
@@ -102,9 +107,13 @@ def run_benchmark(users: int, seed: int, batch_size: int) -> dict:
     ]
     scalar_seconds = time.perf_counter() - start
 
-    labeler = MicroBatchLabeler(world, batch_size=batch_size)
     start = time.perf_counter()
-    micro_labels = [label for _, label in labeler.label_stream(replay)]
+    micro_labels = np.concatenate(
+        [
+            label_points(world, *tweet_columns(replay[i : i + batch_size]))
+            for i in range(0, len(replay), batch_size)
+        ]
+    )
     micro_seconds = time.perf_counter() - start
 
     mismatches = int(
@@ -175,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--users", type=int, default=DEFAULT_USERS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--batch-size", type=int, default=DEFAULT_MICRO_BATCH)
+    parser.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     parser.add_argument("--out", help="write the JSON summary here (else stdout)")
     parser.add_argument(
         "--check-against",
@@ -206,7 +215,7 @@ def test_core_labelling_speedup():
     pytest while still amortising the vectorised dispatch cost.
     """
     summary = run_benchmark(
-        users=2_000, seed=DEFAULT_SEED, batch_size=DEFAULT_MICRO_BATCH
+        users=2_000, seed=DEFAULT_SEED, batch_size=DEFAULT_BATCH_SIZE
     )
     print()
     print(json.dumps(summary, indent=2))

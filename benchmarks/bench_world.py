@@ -100,7 +100,7 @@ def measure_world(
     build_seconds = time.perf_counter() - build_start
 
     dense_seconds, dense_labels = _time(lambda: label_points_dense(world, lats, lons))
-    grid_seconds, grid_labels = _time(lambda: grid.label_points(lats, lons))
+    grid_seconds, grid_labels = _time(lambda: grid.label_and_contain(lats, lons)[0])
 
     assert np.array_equal(grid_labels, dense_labels), (
         f"{label}: grid labels diverge from the dense kernel"

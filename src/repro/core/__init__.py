@@ -8,9 +8,13 @@ three things the paper's artefacts are made of, exactly once:
     :class:`World` — the area system: areas + ε radius + cached centre
     columns, population vector, pairwise distance matrix.
 ``label``
-    The ε-disc labelling kernels: index-accelerated batch labelling,
-    the dense micro-batch kernel, scalar conveniences over the same
-    arithmetic, and :class:`MicroBatchLabeler` for streaming.
+    The ε-disc labelling kernels: :func:`label_and_contain` labels point
+    batches against the world's centres (dense below
+    ``DENSE_AREA_THRESHOLD`` areas, centre grid above), and the
+    per-area radius-query loop over a point index behind
+    :func:`label_corpus` and :func:`count_population` serves whole
+    corpora.  ``label_points``, ``label_point`` and
+    ``containing_areas`` are views over :func:`label_and_contain`.
 ``accumulate``
     Population and OD counting rules in vectorised-batch and
     incremental (windowed) forms.
@@ -28,10 +32,9 @@ from repro.core.accumulate import (
     od_matrix_from_labels,
 )
 from repro.core.label import (
-    MicroBatchLabeler,
-    build_index,
     containing_areas,
     count_population,
+    label_and_contain,
     label_corpus,
     label_point,
     label_points,
@@ -41,13 +44,12 @@ from repro.core.label import (
 from repro.core.world import World
 
 __all__ = [
-    "MicroBatchLabeler",
     "ODAccumulator",
     "PopulationAccumulator",
     "World",
-    "build_index",
     "containing_areas",
     "count_population",
+    "label_and_contain",
     "label_corpus",
     "label_point",
     "label_points",

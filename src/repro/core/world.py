@@ -30,8 +30,8 @@ from repro.data.gazetteer import (
     gazetteer_from_spec,
     search_radius_km,
 )
-from repro.geo.distance import pairwise_distance_matrix, points_to_point_km
-from repro.geo.index import BruteForceIndex, CenterGridIndex, GridIndex, build_index
+from repro.geo.distance import pairwise_distance_matrix
+from repro.geo.index import CenterGridIndex
 from repro.geo.polygon import Polygon
 
 
@@ -151,22 +151,11 @@ class World:
         return pairwise_distance_matrix([a.center for a in self.areas])
 
     @cached_property
-    def centers_index(self) -> "GridIndex | BruteForceIndex":
-        """A spatial index over the area centres.
-
-        Brute force below :data:`repro.geo.index.GRID_INDEX_THRESHOLD`
-        centres (the paper's 60-area worlds), grid-bucketed above it
-        (country-scale gazetteers); both answer radius queries
-        identically, proven by the equivalence suite.
-        """
-        return build_index(self.centers_lat, self.centers_lon)
-
-    @cached_property
     def center_grid(self) -> CenterGridIndex:
         """The grid-bucketed ε-labelling index over the area centres.
 
         Built lazily: only the large-world labelling path (see
-        :func:`repro.core.label.label_points`) touches it, so the
+        :func:`repro.core.label.label_and_contain`) touches it, so the
         paper's 60-area worlds never pay for candidate registration.
         """
         return CenterGridIndex(self.centers_lat, self.centers_lon, self.radius_km)
@@ -185,12 +174,3 @@ class World:
     def has_footprints(self) -> bool:
         """Whether every area carries a polygon footprint."""
         return all(footprint is not None for footprint in self.footprints)
-
-    def distances_to_point(self, lat: float, lon: float) -> np.ndarray:
-        """Haversine distance from every centre to one point.
-
-        One vectorised call over the centre columns; haversine is
-        symmetric, so this equals the per-area batch orientation
-        (verified bitwise in the kernel tests).
-        """
-        return points_to_point_km(self.centers_lat, self.centers_lon, (lat, lon))

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.label import label_corpus
+from repro.core.world import World
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Area
-from repro.geo.index import BruteForceIndex, GridIndex
 
 
 @dataclass(frozen=True)
@@ -93,21 +94,6 @@ def home_based_population(
     if not (0.0 <= min_confidence <= 1.0):
         raise ValueError("min_confidence must be a probability")
     keep = homes.confidence >= min_confidence
-    lats = homes.lats[keep]
-    lons = homes.lons[keep]
-    if lats.size > 2000:
-        index: GridIndex | BruteForceIndex = GridIndex(lats, lons)
-    else:
-        index = BruteForceIndex(lats, lons)
-    counts = np.zeros(len(areas), dtype=np.int64)
-    best_distance = np.full(lats.size, np.inf)
-    assignment = np.full(lats.size, -1, dtype=np.int64)
-    for area_index, area in enumerate(areas):
-        result = index.query_radius(area.center, radius_km)
-        closer = result.distances_km < best_distance[result.indices]
-        rows = result.indices[closer]
-        assignment[rows] = area_index
-        best_distance[rows] = result.distances_km[closer]
-    for area_index in range(len(areas)):
-        counts[area_index] = int((assignment == area_index).sum())
-    return counts
+    world = World.from_areas(areas, radius_km)
+    labels = label_corpus(world, homes.lats[keep], homes.lons[keep])
+    return np.bincount(labels[labels >= 0], minlength=world.n_areas)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.label import build_index, count_population, label_corpus
+from repro.core.label import count_population, label_corpus
 from repro.core.world import World
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Area
@@ -80,10 +80,6 @@ def extract_area_observations(
     if radius_km <= 0:
         raise ValueError(f"radius must be positive, got {radius_km}")
     world = _as_world(areas, radius_km)
-    if index is None:
-        index = build_index(corpus.lats, corpus.lons)
-    if len(index) != len(corpus):
-        raise ValueError("index was built over a different corpus")
     tweet_counts, user_counts = count_population(
         world, corpus.lats, corpus.lons, corpus.user_ids, index=index
     )
@@ -114,10 +110,6 @@ def assign_tweets_to_areas(
     if radius_km <= 0:
         raise ValueError(f"radius must be positive, got {radius_km}")
     world = _as_world(areas, radius_km)
-    if index is None:
-        index = build_index(corpus.lats, corpus.lons)
-    if len(index) != len(corpus):
-        raise ValueError("index was built over a different corpus")
     return label_corpus(world, corpus.lats, corpus.lons, index=index)
 
 

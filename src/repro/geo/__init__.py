@@ -52,7 +52,6 @@ from repro.geo.index import (
     CenterGridIndex,
     GridIndex,
     RadiusQueryResult,
-    build_index,
 )
 from repro.geo.projection import LocalProjection
 
@@ -71,7 +70,6 @@ __all__ = [
     "SynthArea",
     "SyntheticGazetteer",
     "build_gazetteer",
-    "build_index",
     "parse_gazetteer_spec",
     "bearing_deg",
     "destination_point",

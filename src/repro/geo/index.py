@@ -3,16 +3,21 @@
 Population extraction (Section III of the paper) asks, for each of 60
 area centres, which tweets fall within a search radius ε (50 km, 25 km,
 2 km or 0.5 km depending on scale).  Over a multi-million-tweet corpus a
-brute-force scan per centre is wasteful, so two index implementations are
-provided:
+brute-force scan per centre is wasteful, so the batch kernels query a
+point index:
 
 * :class:`BruteForceIndex` — vectorised haversine over every point.
   Simple, obviously correct; used as the reference in tests and in the
   A2 ablation benchmark.
-* :class:`GridIndex` — points are bucketed into a uniform lat/lon grid;
-  a query visits only the cells intersecting the query disc's bounding
-  box, then applies the exact haversine filter.  Results are identical
-  to brute force (property-tested), just faster for small radii.
+* :class:`GridIndex` — points are bucketed into a uniform lat/lon grid
+  over their own bounding box; a query visits only the cells
+  intersecting the query disc's bounding box, then applies the exact
+  haversine filter.  Results are identical to brute force
+  (property-tested), just faster for small radii.
+
+Live labelling turns the question around — which centres are near each
+point? — and :class:`CenterGridIndex` buckets the *centres* of a
+country-scale world for that.
 """
 
 from __future__ import annotations
@@ -27,6 +32,17 @@ from repro.geo.distance import EARTH_RADIUS_KM, points_to_point_km
 from repro.geo.grid import GridSpec
 
 _CoordLike = Coordinate | tuple[float, float]
+
+#: Average points per occupied :class:`GridIndex` cell.
+_POINTS_PER_CELL = 64.0
+
+#: Widening of the grid indexes' margin rectangles; extra candidates only
+#: cost time, the distance filter is exact.  :class:`GridIndex`'s margins
+#: are exact bounds, so there it absorbs rounding at the disc edge;
+#: :class:`CenterGridIndex`'s planar ε→degrees longitude margin
+#: underestimates the spherical disc width by O((ε/R)²), which 5 % covers
+#: many times over for ε ≤ 100 km.
+_MARGIN_SAFETY = 1.05
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,25 +114,16 @@ class GridIndex:
     runs the exact distance filter only on candidates.
     """
 
-    def __init__(
-        self,
-        lats_deg: np.ndarray,
-        lons_deg: np.ndarray,
-        spec: GridSpec | None = None,
-        target_points_per_cell: float = 64.0,
-    ) -> None:
+    def __init__(self, lats_deg: np.ndarray, lons_deg: np.ndarray) -> None:
         self._lats = np.asarray(lats_deg, dtype=np.float64)
         self._lons = np.asarray(lons_deg, dtype=np.float64)
         if self._lats.shape != self._lons.shape or self._lats.ndim != 1:
             raise ValueError("lats/lons must be equal-length 1-D arrays")
-        if spec is None:
-            spec = self._auto_spec(target_points_per_cell)
-        self.spec = spec
+        self.spec = self._auto_spec()
         self._build_buckets()
 
-    def _auto_spec(self, target_points_per_cell: float) -> GridSpec:
-        """Choose a grid so the average occupied cell holds a modest count."""
-        n = max(1, self._lats.size)
+    def _auto_spec(self) -> GridSpec:
+        """A grid over the points' own box, about :data:`_POINTS_PER_CELL` per cell."""
         if self._lats.size == 0:
             bbox = BoundingBox(min_lat=-90, max_lat=90, min_lon=-180, max_lon=180)
             return GridSpec(bbox=bbox, n_rows=1, n_cols=1)
@@ -126,7 +133,7 @@ class GridIndex:
             min_lon=float(self._lons.min()),
             max_lon=float(self._lons.max()),
         ).expanded(1e-9)
-        n_cells = max(1, int(n / max(target_points_per_cell, 1.0)))
+        n_cells = max(1, int(self._lats.size / _POINTS_PER_CELL))
         side = max(1, int(np.sqrt(n_cells)))
         return GridSpec(bbox=bbox, n_rows=side, n_cols=side)
 
@@ -157,17 +164,32 @@ class GridIndex:
         return int(self._lats.size)
 
     def _candidate_indices(self, center: _CoordLike, radius_km: float) -> np.ndarray:
-        """Indices of points in all cells intersecting the query rectangle."""
+        """Indices of points in all cells intersecting the query rectangle.
+
+        The rectangle holds the whole disc: a point within ``radius_km``
+        differs from the centre by at most ``radius_km / R`` radians of
+        latitude, and — from the haversine identity, with both
+        latitudes at most ``reach`` from the equator — by at most
+        ``2·asin(sin(radius_km / 2R) / cos(reach))`` of longitude.  A
+        disc that reaches a pole or crosses the antimeridian spans every
+        column.
+        """
         clat, clon = _as_latlon(center)
         km_per_deg_lat = np.pi * EARTH_RADIUS_KM / 180.0
-        margin_lat = radius_km / km_per_deg_lat
-        cos_lat = max(np.cos(np.radians(clat)), 1e-9)
-        margin_lon = radius_km / (km_per_deg_lat * cos_lat)
+        margin_lat = radius_km / km_per_deg_lat * _MARGIN_SAFETY
+        reach = min(abs(clat) + margin_lat, 90.0)
+        ratio = np.sin(radius_km / (2.0 * EARTH_RADIUS_KM)) / np.cos(np.radians(reach))
         spec = self.spec
         lo_row = int(np.floor((clat - margin_lat - spec.bbox.min_lat) / spec.cell_height_deg))
         hi_row = int(np.floor((clat + margin_lat - spec.bbox.min_lat) / spec.cell_height_deg))
-        lo_col = int(np.floor((clon - margin_lon - spec.bbox.min_lon) / spec.cell_width_deg))
-        hi_col = int(np.floor((clon + margin_lon - spec.bbox.min_lon) / spec.cell_width_deg))
+        margin_lon = 360.0
+        if ratio < 1.0:
+            margin_lon = float(np.degrees(2.0 * np.arcsin(ratio))) * _MARGIN_SAFETY
+        if abs(clon) + margin_lon > 180.0:
+            lo_col, hi_col = 0, spec.n_cols - 1
+        else:
+            lo_col = int(np.floor((clon - margin_lon - spec.bbox.min_lon) / spec.cell_width_deg))
+            hi_col = int(np.floor((clon + margin_lon - spec.bbox.min_lon) / spec.cell_width_deg))
         lo_row = max(lo_row, 0)
         lo_col = max(lo_col, 0)
         hi_row = min(hi_row, spec.n_rows - 1)
@@ -189,8 +211,8 @@ class GridIndex:
         """All indexed points within ``radius_km`` of ``center``.
 
         Returns exactly the same set as :class:`BruteForceIndex` on the
-        same data (indices sorted ascending), assuming all points fell
-        inside the index's grid box at build time.
+        same data (indices sorted ascending): the grid covers every
+        indexed point and the candidate rectangle covers the disc.
         """
         if radius_km < 0:
             raise ValueError(f"radius must be non-negative, got {radius_km}")
@@ -210,23 +232,6 @@ class GridIndex:
     def count_radius(self, center: _CoordLike, radius_km: float) -> int:
         """Number of indexed points within the radius."""
         return len(self.query_radius(center, radius_km))
-
-
-#: Point-set size above which :func:`build_index` prefers the grid index.
-GRID_INDEX_THRESHOLD = 2000
-
-
-def build_index(
-    lats: np.ndarray, lons: np.ndarray, prefer_grid: bool | None = None
-) -> GridIndex | BruteForceIndex:
-    """A spatial index over point columns, grid-backed for large sets."""
-    lats = np.asarray(lats, dtype=np.float64)
-    lons = np.asarray(lons, dtype=np.float64)
-    if prefer_grid is None:
-        prefer_grid = lats.size > GRID_INDEX_THRESHOLD
-    if prefer_grid:
-        return GridIndex(lats, lons)
-    return BruteForceIndex(lats, lons)
 
 
 class CenterGridIndex:
@@ -262,18 +267,11 @@ class CenterGridIndex:
     by the hypothesis suite in ``tests/core/test_world_index.py``.
     """
 
-    #: Longitude-margin safety factor: the planar ε→degrees conversion
-    #: underestimates the true spherical disc width by O((ε/R)²); 5 % is
-    #: orders of magnitude more than needed for ε ≤ 100 km.
-    _LON_SAFETY = 1.05
+    #: Cap on grid rows and columns, so tiny radii over a country box
+    #: cannot explode the grid.
+    _MAX_CELLS_PER_SIDE = 512
 
-    def __init__(
-        self,
-        lats_deg: np.ndarray,
-        lons_deg: np.ndarray,
-        radius_km: float,
-        max_cells_per_side: int = 512,
-    ) -> None:
+    def __init__(self, lats_deg: np.ndarray, lons_deg: np.ndarray, radius_km: float) -> None:
         if radius_km <= 0:
             raise ValueError(f"radius must be positive, got {radius_km}")
         self._lats = np.asarray(lats_deg, dtype=np.float64)
@@ -295,7 +293,7 @@ class CenterGridIndex:
         if cos_extreme < 0.1:
             margin_lon = 360.0  # near-polar: candidate discs span all columns
         else:
-            margin_lon = self.radius_km / (km_per_deg * cos_extreme) * self._LON_SAFETY
+            margin_lon = self.radius_km / (km_per_deg * cos_extreme) * _MARGIN_SAFETY
         self._margin_lat = margin_lat
         self._margin_lon = margin_lon
 
@@ -305,15 +303,14 @@ class CenterGridIndex:
             min_lon=float(self._lons.min()) - margin_lon,
             max_lon=float(self._lons.max()) + margin_lon,
         )
-        # Cells roughly ε across (so a disc touches O(1) cells), capped
-        # so tiny radii over a country box cannot explode the grid.
+        # Cells roughly ε across, so a disc touches O(1) cells.
         lat_cells = int(np.ceil(bbox.lat_span * km_per_deg / self.radius_km))
         lon_km_per_deg = km_per_deg * max(np.cos(np.radians(bbox.center.lat)), 0.1)
         lon_cells = int(np.ceil(bbox.lon_span * lon_km_per_deg / self.radius_km))
         self.spec = GridSpec(
             bbox=bbox,
-            n_rows=int(np.clip(lat_cells, 1, max_cells_per_side)),
-            n_cols=int(np.clip(lon_cells, 1, max_cells_per_side)),
+            n_rows=int(np.clip(lat_cells, 1, self._MAX_CELLS_PER_SIDE)),
+            n_cols=int(np.clip(lon_cells, 1, self._MAX_CELLS_PER_SIDE)),
         )
         self._build_candidates()
 
@@ -347,28 +344,19 @@ class CenterGridIndex:
         """Number of grid cells with at least one candidate centre."""
         return len(self._candidates)
 
-    def label_points(self, lats_deg: np.ndarray, lons_deg: np.ndarray) -> np.ndarray:
-        """Nearest centre within ε for each point, else -1.
-
-        Bitwise identical to the dense masked-argmin kernel (see the
-        class docstring for the argument); points outside the expanded
-        grid box are provably farther than ε from every centre and
-        label -1 without any distance computation.
-        """
-        return self.label_and_contain(lats_deg, lons_deg)[0]
-
     def label_and_contain(
         self, lats_deg: np.ndarray, lons_deg: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nearest labels plus CSR containment from one candidate scan.
 
-        Returns ``(labels, indptr, indices)``: ``labels`` as from
-        :meth:`label_points`, and the centres within ε of point ``i`` as
+        Returns ``(labels, indptr, indices)``: the nearest centre within
+        ε of each point (else -1), and the centres within ε of point ``i`` as
         ``indices[indptr[i]:indptr[i + 1]]``, ascending.  Containment is
         collected from the same candidate distances that pick the
-        nearest centre, so it equals the dense ``distance <= ε``
-        membership matrix's non-zeros by the class docstring's argument
-        (non-candidates are provably outside ε).
+        nearest centre, so both equal the dense kernel's answers by the
+        class docstring's argument (non-candidates are provably outside
+        ε).  Points outside the expanded grid box are farther than ε from
+        every centre and label -1 without any distance computation.
         """
         lats = np.asarray(lats_deg, dtype=np.float64)
         lons = np.asarray(lons_deg, dtype=np.float64)
@@ -425,7 +413,3 @@ class CenterGridIndex:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(point_rows, minlength=n), out=indptr[1:])
         return labels, indptr, areas[by_point]
-
-    def label_point(self, lat: float, lon: float) -> int:
-        """Scalar convenience over :meth:`label_points`."""
-        return int(self.label_points(np.array([lat]), np.array([lon]))[0])

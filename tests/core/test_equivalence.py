@@ -2,10 +2,11 @@
 
 The tentpole claim of the kernel layer: whichever cadence a consumer
 labels tweets at — the index-accelerated batch path, the dense
-vectorised kernel, or the streaming micro-batch wrapper — the labels
-are identical, at every paper radius.  Hypothesis drives random corpora
-through all three; a final regression pins Fig 3's overall Pearson r so
-the refactor provably reproduces the published number.
+reference kernel, or the production kernel over stream-sized batches —
+the labels are identical, at every paper radius.  Hypothesis drives
+random corpora through all three; a final regression pins Fig 3's
+overall Pearson r so the refactor provably reproduces the published
+number.
 """
 
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.label import MicroBatchLabeler, label_points
+from repro.core.label import label_points, label_points_dense
 from repro.core.world import World
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Scale
@@ -29,6 +30,20 @@ GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "golden_small.json"
 RADII_KM = (50.0, 25.0, 2.0)
 
 NATIONAL = World.from_scale(Scale.NATIONAL)
+
+
+def label_in_batches(world: World, corpus: TweetCorpus, batch_size: int) -> np.ndarray:
+    """The production kernel over consecutive ``batch_size``-row batches."""
+    return np.concatenate(
+        [
+            label_points(
+                world,
+                corpus.lats[start : start + batch_size],
+                corpus.lons[start : start + batch_size],
+            )
+            for start in range(0, len(corpus), batch_size)
+        ]
+    )
 
 
 @st.composite
@@ -73,13 +88,8 @@ class TestThreeWayLabelEquivalence:
         world = NATIONAL.with_radius(radius_km)
 
         batch = assign_tweets_to_areas(corpus, world.areas, radius_km)
-        dense = label_points(world, corpus.lats, corpus.lons)
-
-        tweets = list(corpus.iter_tweets())
-        labeler = MicroBatchLabeler(world, batch_size=7)
-        streamed = np.array(
-            [label for _, label in labeler.label_stream(iter(tweets))]
-        )
+        dense = label_points_dense(world, corpus.lats, corpus.lons)
+        streamed = label_in_batches(world, corpus, batch_size=7)
 
         assert np.array_equal(batch, dense)
         assert np.array_equal(batch, streamed)
@@ -88,13 +98,9 @@ class TestThreeWayLabelEquivalence:
     @settings(max_examples=10, deadline=None)
     def test_micro_batch_size_never_changes_labels(self, corpus):
         world = NATIONAL
-        tweets = list(corpus.iter_tweets())
         reference = None
         for batch_size in (1, 3, 64):
-            labeler = MicroBatchLabeler(world, batch_size=batch_size)
-            labels = np.array(
-                [label for _, label in labeler.label_stream(iter(tweets))]
-            )
+            labels = label_in_batches(world, corpus, batch_size)
             if reference is None:
                 reference = labels
             else:

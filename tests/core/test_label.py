@@ -1,24 +1,22 @@
-"""Labelling kernels: dense, indexed and scalar paths must agree exactly."""
+"""Labelling kernels: dense, indexed, production and scalar paths agree exactly."""
 
 import numpy as np
 import pytest
 
 from repro.core.label import (
-    DEFAULT_MICRO_BATCH,
-    MicroBatchLabeler,
-    build_index,
     containing_areas,
     count_population,
     label_corpus,
     label_point,
     label_points,
+    label_points_dense,
     membership_points,
     point_area_distances,
 )
 from repro.core.world import World
-from repro.data.gazetteer import Area, Scale, areas_for_scale
-from repro.data.schema import Tweet
+from repro.data.gazetteer import Area, Scale
 from repro.geo.coords import Coordinate
+from repro.geo.distance import points_to_point_km
 from repro.geo.index import BruteForceIndex, GridIndex
 
 WORLD = World.from_scale(Scale.NATIONAL)
@@ -36,26 +34,29 @@ def _scatter(n, seed=7, spread=3.0):
 class TestKernelAgreement:
     def test_dense_equals_indexed_equals_scalar(self):
         lats, lons = _scatter(500)
-        dense = label_points(WORLD, lats.copy(), lons.copy())
+        dense = label_points_dense(WORLD, lats.copy(), lons.copy())
         indexed = label_corpus(WORLD, lats, lons)
         scalar = np.array(
             [label_point(WORLD, lat, lon) for lat, lon in zip(lats, lons)]
         )
         assert np.array_equal(dense, indexed)
         assert np.array_equal(dense, scalar)
+        assert np.array_equal(dense, label_points(WORLD, lats, lons))
 
     def test_orientation_swap_is_bitwise_exact(self):
-        """The scalar path's swapped haversine orientation loses nothing.
+        """Swapping the haversine orientation loses nothing.
 
-        ``label_point`` computes centres->point while the dense kernel
-        computes points->centre per area; haversine is symmetric and the
-        vectorised arithmetic sequences match, so the distances are
-        bit-identical — the drift the old per-tweet scan suffered from.
+        Centres->point and points->centre distances are bit-identical:
+        haversine is symmetric and the vectorised arithmetic sequences
+        match, so no orientation can reintroduce the boundary drift the
+        old per-tweet scan suffered from.
         """
         lats, lons = _scatter(64, seed=11)
         dense = point_area_distances(WORLD, lats, lons)
         for row, (lat, lon) in enumerate(zip(lats, lons)):
-            swapped = WORLD.distances_to_point(float(lat), float(lon))
+            swapped = points_to_point_km(
+                WORLD.centers_lat, WORLD.centers_lon, (float(lat), float(lon))
+            )
             assert np.array_equal(dense[row], swapped)
 
     def test_prebuilt_index_paths_agree(self):
@@ -109,55 +110,3 @@ class TestSemantics:
         with pytest.raises(ValueError, match="different point set"):
             lats, lons = _scatter(10)
             label_corpus(WORLD, lats, lons, index=BruteForceIndex(lats[:5], lons[:5]))
-
-
-class TestBuildIndex:
-    def test_small_sets_use_brute_force(self):
-        lats, lons = _scatter(50)
-        assert isinstance(build_index(lats, lons), BruteForceIndex)
-
-    def test_large_sets_use_grid(self):
-        lats, lons = _scatter(2500)
-        assert isinstance(build_index(lats, lons), GridIndex)
-
-    def test_explicit_preference_wins(self):
-        lats, lons = _scatter(50)
-        assert isinstance(build_index(lats, lons, prefer_grid=True), GridIndex)
-
-
-class TestMicroBatchLabeler:
-    def _tweets(self, n, seed=13):
-        lats, lons = _scatter(n, seed=seed)
-        return [
-            Tweet(user_id=i, timestamp=float(i), lat=float(lat), lon=float(lon))
-            for i, (lat, lon) in enumerate(zip(lats, lons))
-        ]
-
-    def test_flushes_exactly_at_batch_size(self):
-        labeler = MicroBatchLabeler(WORLD, batch_size=4)
-        tweets = self._tweets(6)
-        out = []
-        for tweet in tweets:
-            out.extend(labeler.add(tweet))
-        assert len(out) == 4  # one full batch flushed
-        assert len(labeler) == 2
-        out.extend(labeler.flush())
-        assert [t for t, _ in out] == tweets
-        assert len(labeler) == 0
-
-    def test_stream_labels_equal_dense_kernel(self):
-        tweets = self._tweets(257)
-        labeler = MicroBatchLabeler(WORLD, batch_size=32)
-        streamed = list(labeler.label_stream(iter(tweets)))
-        lats = np.array([t.lat for t in tweets])
-        lons = np.array([t.lon for t in tweets])
-        expected = label_points(WORLD, lats, lons)
-        assert [t for t, _ in streamed] == tweets
-        assert np.array_equal([label for _, label in streamed], expected)
-
-    def test_default_batch_size(self):
-        assert MicroBatchLabeler(WORLD).batch_size == DEFAULT_MICRO_BATCH
-
-    def test_rejects_non_positive_batch(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            MicroBatchLabeler(WORLD, batch_size=0)

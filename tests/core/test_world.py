@@ -10,7 +10,6 @@ from repro.data.gazetteer import (
     distance_matrix_km,
     search_radius_km,
 )
-from repro.geo.distance import haversine_km
 
 
 class TestConstruction:
@@ -70,17 +69,7 @@ class TestDerivedGeometry:
     def test_distance_matrix_is_cached(self, world):
         assert world.distance_matrix_km is world.distance_matrix_km
 
-    def test_distances_to_point_matches_scalar_haversine(self, world):
-        point = (-33.0, 151.0)
-        distances = world.distances_to_point(*point)
-        for i, area in enumerate(world.areas):
-            expected = haversine_km(point, (area.center.lat, area.center.lon))
-            assert distances[i] == pytest.approx(expected, rel=1e-9)
-
     def test_names_and_area_index(self, world):
         assert world.names == tuple(a.name for a in world.areas)
         assert world.area_index(world.areas[3].name.upper()) == 3
         assert world.area_index("nowhere-at-all") == -1
-
-    def test_centers_index_covers_all_centres(self, world):
-        assert len(world.centers_index) == world.n_areas

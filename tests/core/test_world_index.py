@@ -6,9 +6,9 @@ same first-minimum tie-break, same outside-ε misses — at every paper
 radius (ε ∈ {2, 25, 50} km), including points sitting exactly on grid
 cell edges and exactly at distance ε from a centre.  The suite checks
 it with hypothesis-driven point clouds over synthetic worlds and with
-hand-pinned adversarial cases, and also proves the ``centers_index``
-upgrade (brute force → :class:`GridIndex` above the threshold) answers
-radius queries identically.
+hand-pinned adversarial cases, and also proves that a point
+:class:`GridIndex` over a country-scale world's centres answers radius
+queries like brute force.
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ from repro.data.gazetteer import Area, Scale, gazetteer_from_spec
 from repro.geo.bbox import AUSTRALIA_BBOX
 from repro.geo.coords import Coordinate
 from repro.geo.distance import destination_point
-from repro.geo.index import (
-    GRID_INDEX_THRESHOLD,
-    BruteForceIndex,
-    CenterGridIndex,
-    GridIndex,
-)
+from repro.geo.index import BruteForceIndex, CenterGridIndex, GridIndex
 
 #: One synthetic world per paper scale; 300 leaves keeps builds fast
 #: while exceeding :data:`DENSE_AREA_THRESHOLD` at the metro scale.
@@ -68,9 +63,14 @@ points_strategy = st.lists(
 )
 
 
+def grid_labels(grid: CenterGridIndex, lats, lons) -> np.ndarray:
+    """The nearest-centre labels of the grid's candidate scan."""
+    return grid.label_and_contain(np.asarray(lats, float), np.asarray(lons, float))[0]
+
+
 def assert_equivalent(world: World, lats: np.ndarray, lons: np.ndarray) -> None:
     """Grid labelling must match the dense reference element-for-element."""
-    grid = world.center_grid.label_points(lats, lons)
+    grid = grid_labels(world.center_grid, lats, lons)
     dense = label_points_dense(world, lats, lons)
     assert np.array_equal(grid, dense), (
         f"grid/dense disagree at ε={world.radius_km}: "
@@ -121,8 +121,8 @@ class TestGridDenseEquivalence:
     def test_centres_label_to_themselves(self):
         for scale in Scale:
             world = world_for(scale)
-            labels = world.center_grid.label_points(
-                world.centers_lat, world.centers_lon
+            labels = grid_labels(
+                world.center_grid, world.centers_lat, world.centers_lon
             )
             dense = label_points_dense(world, world.centers_lat, world.centers_lon)
             assert np.array_equal(labels, dense)
@@ -187,39 +187,29 @@ class TestPinnedCases:
         world = self._two_centre_world()
         grid = CenterGridIndex(world.centers_lat, world.centers_lon, world.radius_km)
         # (0, 0) is bitwise equidistant from the mirrored centres.
-        assert grid.label_point(0.0, 0.0) == 0
+        assert grid_labels(grid, [0.0], [0.0])[0] == 0
         assert label_points_dense(world, np.zeros(1), np.zeros(1))[0] == 0
 
     def test_outside_epsilon_is_minus_one(self):
         world = self._two_centre_world(radius_km=5.0)
         grid = CenterGridIndex(world.centers_lat, world.centers_lon, world.radius_km)
-        assert grid.label_point(3.0, 0.0) == -1
-        assert grid.label_point(0.0, 0.1) == 1
+        assert grid_labels(grid, [3.0], [0.0])[0] == -1
+        assert grid_labels(grid, [0.0], [0.1])[0] == 1
 
     def test_point_far_outside_grid_box_short_circuits(self):
         world = self._two_centre_world(radius_km=5.0)
         grid = CenterGridIndex(world.centers_lat, world.centers_lon, world.radius_km)
-        labels = grid.label_points(np.array([80.0, -80.0]), np.array([170.0, -170.0]))
+        labels = grid_labels(grid, [80.0, -80.0], [170.0, -170.0])
         assert labels.tolist() == [-1, -1]
 
 
 class TestCentersIndexUpgrade:
-    def test_legacy_world_uses_brute_force(self):
-        world = world_for(Scale.NATIONAL, gazetteer=None)
-        assert isinstance(world.centers_index, BruteForceIndex)
-
-    def test_large_world_uses_grid(self):
-        world = World.from_scale(
-            Scale.METROPOLITAN, gazetteer="synth:2500@5"
-        )
-        assert world.n_areas > GRID_INDEX_THRESHOLD
-        assert isinstance(world.centers_index, GridIndex)
-
     def test_grid_and_brute_force_answer_identically(self):
+        """A point grid over 2500+ clustered centres answers like brute force."""
         world = World.from_scale(
             Scale.METROPOLITAN, gazetteer="synth:2500@5"
         )
-        grid = world.centers_index
+        grid = GridIndex(world.centers_lat, world.centers_lon)
         brute = BruteForceIndex(world.centers_lat, world.centers_lon)
         rng = np.random.default_rng(13)
         for _ in range(25):

@@ -84,6 +84,48 @@ class TestGridIndex:
         )
         assert len(grid.query_radius(center, 10.0)) == 0
 
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.floats(min_value=0.1, max_value=8000.0),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equivalence_over_the_whole_globe(self, n, radius, seed):
+        """Wide discs near the poles and across the antimeridian lose no point."""
+        lats, lons = _random_points(n, seed=seed, lat_range=(-85, 85), lon_range=(-180, 180))
+        rng = np.random.default_rng(seed + 1)
+        center = (rng.uniform(-85, 85), rng.uniform(-180, 180))
+        assert np.array_equal(
+            BruteForceIndex(lats, lons).query_radius(center, radius).indices,
+            GridIndex(lats, lons).query_radius(center, radius).indices,
+        )
+
+    @pytest.mark.parametrize(
+        "seed, radius",
+        [(126, 2000.0), (316, 2000.0), (331, 3000.0), (6863, 1000.0), (7527, 1000.0)],
+    )
+    def test_wide_disc_at_high_latitude(self, seed, radius):
+        """A disc is wider in longitude at its pole-ward edge than at its centre.
+
+        These discs reach neither a pole nor the antimeridian; a margin
+        taken at the centre's latitude missed a point inside each.
+        """
+        lats, lons = _random_points(300, seed=seed, lat_range=(-85, 85), lon_range=(-180, 180))
+        rng = np.random.default_rng(seed + 1)
+        center = (rng.uniform(-80, 80), rng.uniform(-100, 100))
+        assert np.array_equal(
+            GridIndex(lats, lons).query_radius(center, radius).indices,
+            BruteForceIndex(lats, lons).query_radius(center, radius).indices,
+        )
+
+    def test_disc_across_the_antimeridian(self):
+        # Filler points spread the grid over several longitude columns.
+        lats = np.concatenate([[-17.0, -17.0], np.full(1024, 60.0)])
+        lons = np.concatenate([[179.9, -179.9], np.linspace(-179.0, 179.0, 1024)])
+        grid = GridIndex(lats, lons)
+        assert grid.query_radius((-17.0, 179.95), 50.0).indices.tolist() == [0, 1]
+        assert grid.query_radius((-17.0, -179.95), 50.0).indices.tolist() == [0, 1]
+
     def test_empty_grid_index(self):
         grid = GridIndex(np.empty(0), np.empty(0))
         assert len(grid.query_radius((0.0, 0.0), 100.0)) == 0
@@ -94,23 +136,6 @@ class TestGridIndex:
         grid = GridIndex(lats, lons)
         result = grid.query_radius((-33.87, 151.21), 1.0)
         assert len(result) == 7
-
-    def test_explicit_spec(self):
-        from repro.geo.bbox import BoundingBox
-        from repro.geo.grid import GridSpec
-
-        lats, lons = _random_points(300, seed=4)
-        spec = GridSpec(
-            bbox=BoundingBox(min_lat=-45, max_lat=-9, min_lon=112, max_lon=155),
-            n_rows=20,
-            n_cols=20,
-        )
-        grid = GridIndex(lats, lons, spec=spec)
-        brute = BruteForceIndex(lats, lons)
-        assert np.array_equal(
-            grid.query_radius((-30.0, 140.0), 300.0).indices,
-            brute.query_radius((-30.0, 140.0), 300.0).indices,
-        )
 
     def test_count_radius(self):
         lats, lons = _random_points(400, seed=5)
