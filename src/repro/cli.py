@@ -726,6 +726,10 @@ def _cmd_summary(args: argparse.Namespace) -> int:
             print(f"  {tier:<8s} {count} tiles")
         watermark = stats["watermark"]
         print(f"  watermark: {watermark if watermark is not None else 'none'}")
+        print(
+            f"  journal: {stats['journal_bytes']} bytes"
+            f" ({stats['torn_bytes_dropped']} torn bytes dropped)"
+        )
         return 0
 
     if args.jobs < 1:

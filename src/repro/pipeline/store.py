@@ -6,6 +6,7 @@ via the ``REPRO_CACHE_DIR`` environment variable or an explicit path)::
     objects/<digest>.pkl   pickled artifact, named by content digest
     keys/<cache-key>.json  cache-key -> {digest, task, meta} record
     runs/<run-id>/         one directory per executor run (manifest.json)
+    journals/<name>.log    append-only framed journals (see ``journal``)
 
 Objects are immutable: a digest fully determines the bytes, so ``put``
 is a no-op when the object already exists and concurrent writers (the
@@ -23,6 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.pipeline.hashing import hash_bytes
+from repro.pipeline.journal import Journal
 
 #: Pickle protocol pinned so digests are stable across interpreter runs.
 PICKLE_PROTOCOL = 4
@@ -59,6 +61,7 @@ class ArtifactStore:
         self.objects_dir = self.root / "objects"
         self.keys_dir = self.root / "keys"
         self.runs_dir = self.root / "runs"
+        self.journals_dir = self.root / "journals"
 
     # -- objects -------------------------------------------------------
 
@@ -115,22 +118,11 @@ class ArtifactStore:
         except (OSError, json.JSONDecodeError):
             return None
 
-    def keys_with_prefix(self, prefix: str) -> list[str]:
-        """Every recorded cache key starting with ``prefix``, sorted.
+    # -- journals ------------------------------------------------------
 
-        Keys may contain ``/`` (they map to subdirectories under
-        ``keys/``), which namespaced families — the summary store's
-        ``summary/<namespace>/<tier>/<start>`` tiles — rely on to
-        enumerate their members.
-        """
-        if not self.keys_dir.exists():
-            return []
-        keys = []
-        for path in self.keys_dir.rglob("*.json"):
-            key = path.relative_to(self.keys_dir).as_posix()[: -len(".json")]
-            if key.startswith(prefix):
-                keys.append(key)
-        return sorted(keys)
+    def journal(self, name: str) -> Journal:
+        """The append-only journal ``journals/<name>.log`` of this store."""
+        return Journal(self.journals_dir / f"{name}.log")
 
     # -- runs ----------------------------------------------------------
 
@@ -178,9 +170,11 @@ class ArtifactStore:
     # -- maintenance ---------------------------------------------------
 
     def clear(self) -> int:
-        """Delete every object, key and run record; returns files removed."""
+        """Delete every object, key, run record and journal; returns files removed."""
         removed = 0
-        for directory in (self.objects_dir, self.keys_dir, self.runs_dir):
+        for directory in (
+            self.objects_dir, self.keys_dir, self.runs_dir, self.journals_dir
+        ):
             if not directory.exists():
                 continue
             for path in sorted(directory.rglob("*"), reverse=True):
@@ -192,10 +186,14 @@ class ArtifactStore:
         return removed
 
     def size_bytes(self) -> int:
-        """Total bytes held by stored artifacts."""
-        if not self.objects_dir.exists():
-            return 0
-        return sum(p.stat().st_size for p in self.objects_dir.glob("*.pkl"))
+        """Total bytes held by stored artifacts and journals."""
+        return sum(
+            p.stat().st_size
+            for p in (
+                *self.objects_dir.glob("*.pkl"),
+                *self.journals_dir.glob("*.log"),
+            )
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArtifactStore({str(self.root)!r})"

@@ -5,7 +5,8 @@ corpus or the latest artifact run — O(corpus) per query.  This
 subpackage makes it O(buckets touched): tweets ingest into minute
 buckets, finalized minutes roll up into hour and day tiles, and any
 ``[t0, t1)`` window is answered by stitching the coarsest aligned tiles
-that cover it.  Tiles persist content-addressed through the pipeline's
+that cover it.  Each finalized tile is one framed append to a
+per-namespace journal in the pipeline's
 :class:`~repro.pipeline.store.ArtifactStore`, so a restarted service
 recovers its summaries without replaying a corpus.
 

@@ -10,7 +10,7 @@ Lifecycle of a tile
 Tweets ingest into **open** minute buckets (time-ordered batches; the
 store keeps a watermark and drops older tweets, counted).  Once the
 watermark passes a minute's end the bucket **finalizes**: it becomes
-immutable, is persisted content-addressed through the
+immutable, is appended to the namespace's journal in the
 :class:`~repro.pipeline.store.ArtifactStore` (when one is attached),
 and is scheduled for rollup.  When every minute of an hour is behind
 the watermark the present minute tiles merge into an **hour** tile;
@@ -32,16 +32,30 @@ cadence.
 
 Restart recovery
 ----------------
-:meth:`recover` reloads every persisted tile for the store's namespace
-from the artifact store — no corpus replay.  Only finalized tiles were
-persisted, so at most the open (sub-minute-old) tail is lost; per-user
-OD positions are also reset, so the first post-restart transition of a
-user straddling the restart is not counted (documented contract).
+Each finalized (or rolled-up) tile is one frame appended to the
+namespace's journal, ``<store root>/journals/summary-<namespace>.log``
+(:class:`~repro.pipeline.journal.Journal`): a ``"<II"`` header (payload
+length, CRC-32) and the tile's pickle, the same bytes
+:meth:`~repro.pipeline.store.ArtifactStore.put` would write.  There is
+no fsync.  :meth:`recover` reads the journal once — no corpus replay —
+and stops at the first short or CRC-failing frame; for a repeated
+``(tier, start)`` the last frame wins.  The first append of a process
+truncates a torn tail back to the last good frame, so new tiles never
+land behind it; appends hold an exclusive ``flock``, so a backfill and
+a running server sharing a cache directory interleave whole frames.
+Tiles written by versions that stored one key file per tile are not
+read; ``repro summary backfill`` rebuilds them.
+
+Only finalized tiles were persisted, so at most the open
+(sub-minute-old) tail is lost; per-user OD positions are also reset, so
+the first post-restart transition of a user straddling the restart is
+not counted (documented contract).
 """
 
 from __future__ import annotations
 
 import bisect
+import pickle
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -60,7 +74,7 @@ from repro.core.label import PointLabels, label_tweet_batch
 from repro.core.label import label_points, membership_points  # noqa: F401
 from repro.core.world import World
 from repro.data.schema import Tweet
-from repro.pipeline.store import ArtifactStore
+from repro.pipeline.store import PICKLE_PROTOCOL, ArtifactStore
 from repro.summary.tiers import (
     COARSE_FIRST,
     ROLLUP_SOURCE,
@@ -69,9 +83,6 @@ from repro.summary.tiers import (
     bucket_start,
     window_align,
 )
-
-#: Root of every summary key in the artifact store's key index.
-KEY_PREFIX = "summary"
 
 #: ``(tier, span)`` in the planner's preference order, and the open
 #: minutes' span (they are tried after finalized minute tiles).
@@ -138,11 +149,11 @@ class SummaryStore:
     world:
         The area system every tile is aligned with.
     artifacts:
-        Optional artifact store; when given, finalized tiles persist
-        content-addressed under ``summary/<namespace>/...`` keys and
+        Optional artifact store; when given, finalized tiles append to
+        its journal ``journals/summary-<namespace>.log`` and
         :meth:`recover` restores them after a restart.
     namespace:
-        Key namespace separating summary families (typically the
+        Journal name separating summary families (typically the
         gazetteer scale name) within one artifact store.
 
     All public methods are thread-safe (one internal mutex, the same
@@ -159,7 +170,9 @@ class SummaryStore:
             raise ValueError(f"namespace must be a non-empty path segment, got {namespace!r}")
         self.world = world
         self.namespace = namespace
-        self._artifacts = artifacts
+        self._journal = (
+            None if artifacts is None else artifacts.journal(f"summary-{namespace}")
+        )
         self._lock = threading.Lock()
         self._minute_open: dict[int, SummaryBucket] = {}
         self._tiles: dict[TimeTier, dict[int, SummaryBucket]] = {
@@ -205,7 +218,13 @@ class SummaryStore:
                     tier.name.lower(): len(buckets)
                     for tier, buckets in self._tiles.items()
                 },
-                "persistent": self._artifacts is not None,
+                "persistent": self._journal is not None,
+                "journal_bytes": (
+                    0 if self._journal is None else self._journal.size()
+                ),
+                "torn_bytes_dropped": (
+                    0 if self._journal is None else self._journal.torn_bytes_dropped
+                ),
                 "tracked_users": len(self._last_label),
             }
 
@@ -325,45 +344,30 @@ class SummaryStore:
 
     # -- persistence ---------------------------------------------------
 
-    def _tile_key(self, tier: TimeTier, start: int) -> str:
-        return f"{KEY_PREFIX}/{self.namespace}/{tier.name.lower()}/{start}"
-
     def _persist(self, bucket: SummaryBucket) -> None:
-        if self._artifacts is None:
+        if self._journal is None:
             return
-        digest = self._artifacts.put(bucket)
-        self._artifacts.record_key(
-            self._tile_key(bucket.tier, bucket.start),
-            digest,
-            meta={
-                "tier": bucket.tier.name.lower(),
-                "start": bucket.start,
-                "n_tweets": bucket.n_tweets,
-                "namespace": self.namespace,
-            },
-        )
+        with obs.span("summary.persist", tier=bucket.tier.name.lower()):
+            self._journal.append(pickle.dumps(bucket, protocol=PICKLE_PROTOCOL))
 
     def recover(self) -> int:
-        """Reload every persisted tile of this namespace; returns count.
+        """Reload every journaled tile of this namespace; returns count.
 
-        Installs recovered tiles, advances the watermark to the newest
-        recovered tile end and re-derives the rollup schedule — no
-        corpus replay.  Tiles already present in memory are kept
-        (recovery after partial operation is additive, and identical
-        tiles are content-addressed anyway).
+        Reads the journal once, up to its first damaged frame; the last
+        frame for a ``(tier, start)`` wins.  Installs the tiles not
+        already in memory (recovery after partial operation is
+        additive), advances the watermark to the newest recovered tile
+        end and re-derives the rollup schedule — no corpus replay.
         """
-        if self._artifacts is None:
+        if self._journal is None:
             return 0
-        prefix = f"{KEY_PREFIX}/{self.namespace}/"
+        latest: dict[tuple[TimeTier, int], SummaryBucket] = {}
+        for payload in self._journal.read():
+            tile = pickle.loads(payload)
+            latest[tile.tier, tile.start] = tile
         recovered = 0
         with self._lock:
-            for key in self._artifacts.keys_with_prefix(prefix):
-                digest = self._artifacts.lookup(key)
-                if digest is None:
-                    continue
-                tile = self._artifacts.get(digest)
-                if not isinstance(tile, SummaryBucket):
-                    continue
+            for tile in latest.values():
                 if tile.start in self._tiles[tile.tier]:
                     continue
                 self._install_tile(tile)

@@ -98,7 +98,7 @@ class SummaryBucket:
     merged tiles report exact unique users); ``od_counts`` carries
     compacted transition counts for transitions whose arriving tweet's
     timestamp falls in the bucket.  Tiles are plain picklable values —
-    the artifact store persists them as-is.
+    the summary journal stores their pickles as-is.
     """
 
     tier: TimeTier

@@ -51,6 +51,16 @@ class TestArtifactStore:
         assert store.size_bytes() == 0
         assert store.lookup("k") is None
 
+    def test_clear_and_size_include_journals(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        journal = store.journal("summary-national")
+        journal.append(b"tile")
+        journal.close()
+        assert store.size_bytes() == journal.size() > len(b"tile")
+        assert store.clear() == 1
+        assert store.size_bytes() == 0
+        assert journal.read() == []
+
     def test_clear_empty_store(self, tmp_path):
         assert ArtifactStore(tmp_path / "fresh").clear() == 0
 

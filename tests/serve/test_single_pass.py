@@ -10,9 +10,9 @@ that contract:
   and an app whose consumers disagree on the world is refused;
 * a shuffled, partly stale batch stream through ``ingest_apply`` gives
   the same monitor stats, anomalies, windowed answers and persisted
-  tile digests as consumers fed labels from the reference kernels
-  (``label_points_dense`` + ``membership_points``), on a dense-path and
-  a grid-path world.
+  tile journal (byte for byte) as consumers fed labels from the
+  reference kernels (``label_points_dense`` + ``membership_points``),
+  on a dense-path and a grid-path world.
 """
 
 from __future__ import annotations
@@ -106,9 +106,8 @@ def _shuffled_batches(tweets, rng) -> list[list]:
     return batches
 
 
-def _tile_digests(store: ArtifactStore, namespace: str) -> dict[str, str]:
-    prefix = f"summary/{namespace}/"
-    return {key: store.lookup(key) for key in store.keys_with_prefix(prefix)}
+def _tile_journal(store: ArtifactStore, namespace: str) -> bytes:
+    return (store.journals_dir / f"summary-{namespace}.log").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -165,5 +164,5 @@ def test_single_pass_equals_reference_kernels(tmp_path, gazetteer, scale):
     assert got.n_tweets > 0
 
     assert app.summary.flush() == ref_summary.flush()
-    digests = _tile_digests(live_store, "t")
-    assert digests and digests == _tile_digests(ref_store, "t")
+    journal = _tile_journal(live_store, "t")
+    assert journal and journal == _tile_journal(ref_store, "t")
