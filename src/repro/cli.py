@@ -730,6 +730,7 @@ def _cmd_summary(args: argparse.Namespace) -> int:
             f"  journal: {stats['journal_bytes']} bytes"
             f" ({stats['torn_bytes_dropped']} torn bytes dropped)"
         )
+        print(f"  stale_frames: {stats['stale_frames']}")
         return 0
 
     if args.jobs < 1:
@@ -758,6 +759,9 @@ def _cmd_summary(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    # The open tail minute would die with this process: persist it, as
+    # a draining server does.
+    summary.flush()
     span = tiles.span
     span_text = f"[{span[0]}, {span[1]})" if span else "empty"
     print(

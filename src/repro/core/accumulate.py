@@ -17,15 +17,13 @@ the vectorised batch form; :class:`PopulationAccumulator` and
 :class:`ODAccumulator` are the incremental forms with exact removal, so
 windowed results equal a from-scratch recomputation at every instant
 (property-tested in ``tests/core`` and ``tests/test_stream_properties``).
-:func:`stitched_counts` reads the counts of a merge of several
-population accumulators without building it (windowed summary reads).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -132,48 +130,6 @@ class PopulationAccumulator:
         self._tweet_counts += other._tweet_counts
         for mine, theirs in zip(self._users_per_area, other._users_per_area):
             mine.update(theirs)
-
-
-def stitched_counts(
-    parts: Sequence[PopulationAccumulator], n_areas: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(tweet_counts, user_counts)`` of the merge of ``parts``.
-
-    Equal to merging every part into a fresh accumulator and reading
-    :meth:`~PopulationAccumulator.tweet_counts` and
-    :meth:`~PopulationAccumulator.user_counts`, without building the
-    merged user multisets: tweet counts add, and an area's unique users
-    are the size of the set union of the user sets of the parts that
-    counted a tweet there (a set seen in one part only, or every set of
-    a single part, is counted as is).  Cost is proportional to the
-    areas each part touches, not to ``len(parts) × n_areas``.  ``parts``
-    are read, never mutated.
-    """
-    for part in parts:
-        if part.n_areas != n_areas:
-            raise ValueError(
-                f"cannot stitch an accumulator over {part.n_areas} areas "
-                f"into {n_areas}"
-            )
-    user_counts = np.zeros(n_areas, dtype=np.int64)
-    if len(parts) == 1:
-        (part,) = parts
-        touched = np.flatnonzero(part._tweet_counts)
-        user_counts[touched] = [
-            len(part._users_per_area[area]) for area in touched.tolist()
-        ]
-        return part.tweet_counts(), user_counts
-    tweet_counts = np.zeros(n_areas, dtype=np.int64)
-    user_sets: dict[int, list[Counter[int]]] = {}
-    for part in parts:
-        tweet_counts += part._tweet_counts
-        for area in np.flatnonzero(part._tweet_counts).tolist():
-            user_sets.setdefault(area, []).append(part._users_per_area[area])
-    user_counts[list(user_sets)] = [
-        len(sets[0]) if len(sets) == 1 else len(set().union(*sets))
-        for sets in user_sets.values()
-    ]
-    return tweet_counts, user_counts
 
 
 class ODAccumulator:

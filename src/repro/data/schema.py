@@ -25,6 +25,10 @@ from repro.geo.coords import (
 )
 
 
+#: Largest id an int64 column holds.
+INT64_MAX = 2**63 - 1
+
+
 class SchemaError(ValueError):
     """Raised when a record's fields are out of range or inconsistent."""
 
@@ -36,7 +40,9 @@ class Tweet:
     Attributes
     ----------
     user_id:
-        Non-negative integer identifying the author.
+        Non-negative integer identifying the author; it must fit a
+        signed 64-bit column (below ``2**63``), as every corpus and
+        summary-tile column that stores it does.
     timestamp:
         Posting time as Unix seconds (float; sub-second precision kept).
     lat, lon:
@@ -54,6 +60,10 @@ class Tweet:
     def __post_init__(self) -> None:
         if self.user_id < 0:
             raise SchemaError(f"user_id must be non-negative, got {self.user_id}")
+        if self.user_id > INT64_MAX:
+            raise SchemaError(
+                f"user_id must fit int64 (at most {INT64_MAX}), got {self.user_id}"
+            )
         if not math.isfinite(self.timestamp):
             raise SchemaError(f"timestamp must be finite, got {self.timestamp!r}")
         object.__setattr__(self, "lat", validate_latitude(self.lat))

@@ -263,6 +263,11 @@ class CenterGridIndex:
       strict-``<`` best-distance update, which is the first-minimum
       rule of ``argmin``.
 
+    Longitude wraps at ±180°: when the margin box reaches past it, each
+    centre also registers its rectangle shifted by ±360°, and a point
+    outside the box is looked up at its longitude ± 360°, so a disc
+    straddling the antimeridian still finds the points across it.
+
     Hence same winner, same tie-break, same outside-ε misses — proven
     by the hypothesis suite in ``tests/core/test_world_index.py``.
     """
@@ -312,28 +317,36 @@ class CenterGridIndex:
             n_rows=int(np.clip(lat_cells, 1, self._MAX_CELLS_PER_SIDE)),
             n_cols=int(np.clip(lon_cells, 1, self._MAX_CELLS_PER_SIDE)),
         )
+        # Worlds whose box stays inside [-180, 180] build and query as
+        # if longitude did not wrap.
+        self._wraps = bbox.min_lon < -180.0 or bbox.max_lon > 180.0
         self._build_candidates()
 
     def _build_candidates(self) -> None:
         """Register every centre with each cell its margin rectangle touches."""
         spec = self.spec
+        shifts = (0.0, -360.0, 360.0) if self._wraps else (0.0,)
         candidates: dict[int, list[int]] = {}
         for area_index in range(self._lats.size):
             clat = self._lats[area_index]
-            clon = self._lons[area_index]
             lo_row = int(np.floor((clat - self._margin_lat - spec.bbox.min_lat) / spec.cell_height_deg))
             hi_row = int(np.floor((clat + self._margin_lat - spec.bbox.min_lat) / spec.cell_height_deg))
-            lo_col = int(np.floor((clon - self._margin_lon - spec.bbox.min_lon) / spec.cell_width_deg))
-            hi_col = int(np.floor((clon + self._margin_lon - spec.bbox.min_lon) / spec.cell_width_deg))
             lo_row = max(lo_row, 0)
-            lo_col = max(lo_col, 0)
             hi_row = min(hi_row, spec.n_rows - 1)
-            hi_col = min(hi_col, spec.n_cols - 1)
-            for row in range(lo_row, hi_row + 1):
-                base = row * spec.n_cols
-                for col in range(lo_col, hi_col + 1):
-                    # Ascending centre order by construction of the loop.
-                    candidates.setdefault(base + col, []).append(area_index)
+            for shift in shifts:
+                clon = self._lons[area_index] + shift
+                lo_col = int(np.floor((clon - self._margin_lon - spec.bbox.min_lon) / spec.cell_width_deg))
+                hi_col = int(np.floor((clon + self._margin_lon - spec.bbox.min_lon) / spec.cell_width_deg))
+                lo_col = max(lo_col, 0)
+                hi_col = min(hi_col, spec.n_cols - 1)
+                for row in range(lo_row, hi_row + 1):
+                    base = row * spec.n_cols
+                    for col in range(lo_col, hi_col + 1):
+                        # Ascending centre order by construction of the
+                        # loop; a shifted copy may reach a cell twice.
+                        cell = candidates.setdefault(base + col, [])
+                        if not cell or cell[-1] != area_index:
+                            cell.append(area_index)
         self._candidates = candidates
 
     def __len__(self) -> int:
@@ -366,7 +379,12 @@ class CenterGridIndex:
         labels = np.full(n, -1, dtype=np.int64)
         if n == 0:
             return labels, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-        cells = self.spec.cells_of(lats, lons)
+        cell_lons = lons
+        if self._wraps:
+            box = self.spec.bbox
+            cell_lons = np.where(lons < box.min_lon, lons + 360.0, lons)
+            cell_lons = np.where(cell_lons > box.max_lon, cell_lons - 360.0, cell_lons)
+        cells = self.spec.cells_of(lats, cell_lons)
         cell_ids = cells[:, 0] * self.spec.n_cols + cells[:, 1]
         cell_ids[cells[:, 0] < 0] = -1
         order = np.argsort(cell_ids, kind="stable")

@@ -11,8 +11,11 @@ per-namespace journal in the pipeline's
 recovers its summaries without replaying a corpus.
 
 ``tiers``
-    :class:`TimeTier` (minute/hour/day), bucket-boundary semantics and
-    the :class:`SummaryBucket` tile type with exact-merge rollup.
+    :class:`TimeTier` (minute/hour/day), bucket-boundary semantics, the
+    :class:`SummaryBucket` tile type (sorted sparse columns, an
+    array-merge rollup and a fixed binary codec) and
+    :func:`build_tiles`, the one kernel live ingest and backfill use to
+    turn labelled rows into tiles.
 ``store``
     :class:`SummaryStore`: thread-safe incremental ingest, rollup,
     persistence/recovery and the tile-stitching window query with a
@@ -38,6 +41,7 @@ from repro.summary.tiers import (
     SummaryBucket,
     TimeTier,
     bucket_start,
+    build_tiles,
     window_align,
 )
 
@@ -51,6 +55,7 @@ __all__ = [
     "backfill_summary",
     "bucket_start",
     "build_minute_buckets",
+    "build_tiles",
     "summary_pipeline",
     "window_align",
 ]

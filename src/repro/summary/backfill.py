@@ -5,14 +5,14 @@ the same tiles in one vectorised pass over a corpus — the recovery
 path when a summary store must cover history that streamed in before
 the store existed.
 
-The batch construction reuses the kernel layer end to end: OD labels
-and CSR ε-disc containment come from one
-:func:`~repro.core.label.label_and_contain` pass — the kernel the live
-ingest path runs — and transition detection is the vectorised
-consecutive-pair rule over the corpus's native ``(user, time)``
-ordering, so a backfilled tile is **bit-identical** to the tile the
-streaming path would have produced from the same tweets (pinned in
-``tests/summary``).
+The batch construction reuses the live path's kernels end to end: OD
+labels and CSR ε-disc containment come from one
+:func:`~repro.core.label.label_and_contain` pass, transition detection
+is the vectorised consecutive-pair rule over the corpus's native
+``(user, time)`` ordering, and :func:`~repro.summary.tiers.build_tiles`
+— the kernel live ingest runs — turns the rows into minute tiles, so a
+backfilled tile is **bit-identical** to the tile the streaming path
+would have produced from the same tweets (pinned in ``tests/summary``).
 
 ``summary_pipeline`` exposes the build as a cached pipeline task over
 the standard corpus task, so repeated backfills of the same corpus
@@ -37,10 +37,10 @@ from repro.pipeline.graphs import suite_pipeline
 from repro.pipeline.store import ArtifactStore
 from repro.pipeline.task import Task, TaskContext
 from repro.summary.store import SummaryStore
-from repro.summary.tiers import SummaryBucket, TimeTier, bucket_start
+from repro.summary.tiers import SummaryBucket, TimeTier, bucket_starts, build_tiles
 
 #: Code-version tag of the tile-build task (bump to invalidate caches).
-TILES_TASK_VERSION = "1"
+TILES_TASK_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -79,64 +79,33 @@ def build_minute_buckets(world: World, corpus: TweetCorpus) -> TileSet:
     with obs.span("summary.backfill", tweets=n, areas=world.n_areas):
         labelled = label_and_contain(world, corpus.lats, corpus.lons)
         labels = labelled.labels
-        minute_ids = (
-            np.floor_divide(corpus.timestamps, TimeTier.MINUTE.span_seconds)
-            .astype(np.int64)
-            * TimeTier.MINUTE.span_seconds
+        users = corpus.user_ids
+        starts = bucket_starts(corpus.timestamps, TimeTier.MINUTE)
+        # OD: consecutive-pair transitions, attributed to the arriving
+        # tweet's minute (the same instant the streaming accumulator
+        # records them at).
+        moved = (users[1:] == users[:-1]) & (labels[:-1] >= 0) & (labels[1:] >= 0)
+        moved &= labels[:-1] != labels[1:]
+        rows = np.flatnonzero(moved)
+        n_transitions = int(rows.size)
+        minutes = build_tiles(
+            TimeTier.MINUTE, world.n_areas, starts, users,
+            labelled.indptr, labelled.indices,
+            (starts[rows + 1], labels[rows], labels[rows + 1]),
         )
-        buckets: dict[int, SummaryBucket] = {}
-
-        def bucket_for(start: int) -> SummaryBucket:
-            bucket = buckets.get(start)
-            if bucket is None:
-                bucket = SummaryBucket.empty(
-                    TimeTier.MINUTE, int(start), world.n_areas
-                )
-                buckets[int(start)] = bucket
-            return bucket
-
-        # Population: each tweet counts toward every containing ε-disc
-        # (one CSR row), attributed to its own minute.
-        bounds = labelled.indptr.tolist()
-        indices = labelled.indices.tolist()
-        for row, (minute, user_id) in enumerate(
-            zip(minute_ids.tolist(), corpus.user_ids.tolist())
-        ):
-            bucket = bucket_for(minute)
-            bucket.population.add(indices[bounds[row] : bounds[row + 1]], user_id)
-            bucket.n_tweets += 1
-
-        # OD: vectorised consecutive-pair transitions, attributed to the
-        # arriving tweet's minute (the same instant the streaming
-        # accumulator records them at).
-        n_transitions = 0
-        if n >= 2:
-            same_user = corpus.user_ids[1:] == corpus.user_ids[:-1]
-            src = labels[:-1]
-            dst = labels[1:]
-            valid = same_user & (src >= 0) & (dst >= 0) & (src != dst)
-            rows = np.nonzero(valid)[0]
-            n_transitions = int(rows.size)
-            for row in rows:
-                bucket = bucket_for(int(minute_ids[row + 1]))
-                bucket.od_counts[(int(src[row]), int(dst[row]))] += 1
 
         # Each user's final label seeds the live stream's OD position.
         last_label: dict[int, int] = {}
         if n:
-            boundaries = np.nonzero(
-                corpus.user_ids[1:] != corpus.user_ids[:-1]
-            )[0]
-            last_rows = np.append(boundaries, n - 1)
-            last_label = {
-                int(corpus.user_ids[row]): int(labels[row])
-                for row in last_rows
-            }
+            last_rows = np.append(np.flatnonzero(users[1:] != users[:-1]), n - 1)
+            last_label = dict(
+                zip(users[last_rows].tolist(), labels[last_rows].tolist())
+            )
         watermark = float(corpus.timestamps.max()) if n else float("-inf")
     return TileSet(
         scale="custom",
         radius_km=world.radius_km,
-        minutes=tuple(buckets[start] for start in sorted(buckets)),
+        minutes=tuple(minutes),
         watermark=watermark,
         last_label=last_label,
         n_tweets=n,

@@ -8,16 +8,24 @@ of rescanning a corpus.
 Lifecycle of a tile
 -------------------
 Tweets ingest into **open** minute buckets (time-ordered batches; the
-store keeps a watermark and drops older tweets, counted).  Once the
-watermark passes a minute's end the bucket **finalizes**: it becomes
-immutable, is appended to the namespace's journal in the
+store keeps a watermark and drops older tweets, counted).  Each batch
+becomes minute tiles through one call of the tile kernel,
+:func:`~repro.summary.tiers.build_tiles` — the kernel backfill runs
+too — and a tile for a minute that is already open merges into it.
+A tile holds sorted columns whose size follows the minute's activity:
+its distinct ``(area, user)`` pairs with their tweet counts, and its
+nonzero OD cells (:class:`~repro.summary.tiers.SummaryBucket`).  Once
+the watermark passes a minute's end the bucket **finalizes**: it is
+appended to the namespace's journal in the
 :class:`~repro.pipeline.store.ArtifactStore` (when one is attached),
 and is scheduled for rollup.  When every minute of an hour is behind
 the watermark the present minute tiles merge into an **hour** tile;
 hours merge into **day** tiles the same way.  Finer tiles are retained
 — partial windows need them — so a query greedily covers its span with
 the coarsest aligned tile available and falls through to finer tiers
-(ultimately to "empty minute") where a coarse tile is absent.
+(ultimately to "empty minute") where a coarse tile is absent.  Rollup
+and query stitching are the same array merge: concatenate the tiles'
+columns, then group equal keys.
 
 Consistency and staleness
 -------------------------
@@ -35,16 +43,19 @@ Restart recovery
 Each finalized (or rolled-up) tile is one frame appended to the
 namespace's journal, ``<store root>/journals/summary-<namespace>.log``
 (:class:`~repro.pipeline.journal.Journal`): a ``"<II"`` header (payload
-length, CRC-32) and the tile's pickle, the same bytes
-:meth:`~repro.pipeline.store.ArtifactStore.put` would write.  There is
+length, CRC-32) and the tile's fixed binary encoding
+(:meth:`~repro.summary.tiers.SummaryBucket.encode`: a header with magic
+and format version, then raw little-endian int64 columns).  There is
 no fsync.  :meth:`recover` reads the journal once — no corpus replay —
 and stops at the first short or CRC-failing frame; for a repeated
-``(tier, start)`` the last frame wins.  The first append of a process
-truncates a torn tail back to the last good frame, so new tiles never
-land behind it; appends hold an exclusive ``flock``, so a backfill and
-a running server sharing a cache directory interleave whole frames.
-Tiles written by versions that stored one key file per tile are not
-read; ``repro summary backfill`` rebuilds them.
+``(tier, start)`` the last frame wins.  A whole frame that is not a
+current-format tile over this world (another format version, or an
+older build's pickled tile) is skipped and counted as stale, never
+treated as damage.  The first append of a process truncates a torn
+tail back to the last good frame, so new tiles never land behind it;
+appends hold an exclusive ``flock``, so a backfill and a running server
+sharing a cache directory interleave whole frames.  Tiles written by
+older versions are not read; ``repro summary backfill`` rebuilds them.
 
 Only finalized tiles were persisted, so at most the open
 (sub-minute-old) tail is lost; per-user OD positions are also reset, so
@@ -55,17 +66,16 @@ not counted (documented contract).
 from __future__ import annotations
 
 import bisect
-import pickle
 import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.accumulate import stitched_counts
 from repro.core.label import PointLabels, label_tweet_batch
 
 # The retired per-consumer kernels stay importable under this module so
@@ -74,13 +84,17 @@ from repro.core.label import PointLabels, label_tweet_batch
 from repro.core.label import label_points, membership_points  # noqa: F401
 from repro.core.world import World
 from repro.data.schema import Tweet
-from repro.pipeline.store import PICKLE_PROTOCOL, ArtifactStore
+from repro.pipeline.store import ArtifactStore
 from repro.summary.tiers import (
     COARSE_FIRST,
     ROLLUP_SOURCE,
+    StaleTileError,
     SummaryBucket,
     TimeTier,
     bucket_start,
+    bucket_starts,
+    build_tiles,
+    first_of_runs,
     window_align,
 )
 
@@ -188,6 +202,7 @@ class SummaryStore:
         self._version = 0
         self._accepted = 0
         self._dropped_late = 0
+        self._stale_frames = 0
 
     # -- introspection -------------------------------------------------
 
@@ -225,6 +240,7 @@ class SummaryStore:
                 "torn_bytes_dropped": (
                     0 if self._journal is None else self._journal.torn_bytes_dropped
                 ),
+                "stale_frames": self._stale_frames,
                 "tracked_users": len(self._last_label),
             }
 
@@ -247,54 +263,71 @@ class SummaryStore:
         :func:`~repro.core.label.label_and_contain` over exactly these
         rows and this store's :attr:`world`: ``labelled.labels`` feed the
         OD transitions, and the CSR containment (``indptr``/``indices``)
-        feeds each tweet's population areas without a per-row scan of a
-        dense membership matrix.  The stale prefix behind the watermark
-        is skipped in place, not copied.
+        feeds each tweet's population areas.  The stale prefix behind
+        the watermark is skipped in place, not copied.  Each row's
+        previous label comes from the batch itself or, for a user's
+        first row, from the store's per-user position; then one
+        :func:`~repro.summary.tiers.build_tiles` call turns the rows
+        into minute tiles, merged into the open minutes.
         """
-        if len(labelled) != len(ordered):
-            raise ValueError(f"{len(labelled)} labels for {len(ordered)} tweets")
-        with self._lock, obs.span("summary.ingest", tweets=len(ordered)):
-            keep = 0
-            while (
-                keep < len(ordered)
-                and ordered[keep].timestamp < self._watermark
-            ):
-                keep += 1
-            dropped = keep
-            labels = labelled.labels.tolist()
-            bounds = labelled.indptr.tolist()
-            indices = labelled.indices.tolist()
-            for row in range(keep, len(ordered)):
-                self._ingest_one(
-                    ordered[row],
-                    labels[row],
-                    indices[bounds[row] : bounds[row + 1]],
+        n = len(ordered)
+        if len(labelled) != n:
+            raise ValueError(f"{len(labelled)} labels for {n} tweets")
+        with self._lock, obs.span("summary.ingest", tweets=n):
+            timestamps = np.fromiter((t.timestamp for t in ordered), np.float64, count=n)
+            keep = int(np.searchsorted(timestamps, self._watermark))
+            accepted = n - keep
+            if accepted:
+                users = np.fromiter(
+                    (t.user_id for t in islice(ordered, keep, None)),
+                    np.int64,
+                    count=accepted,
                 )
-            accepted = len(ordered) - dropped
+                starts = bucket_starts(timestamps[keep:], TimeTier.MINUTE)
+                moves = self._moves(starts, users, labelled.labels[keep:])
+                for tile in build_tiles(
+                    TimeTier.MINUTE, self.world.n_areas, starts, users,
+                    labelled.indptr[keep:], labelled.indices, moves,
+                ):
+                    held = self._minute_open.get(tile.start)
+                    if held is not None:
+                        tile = SummaryBucket.merged(
+                            TimeTier.MINUTE, tile.start, tile.n_areas, (held, tile)
+                        )
+                    self._minute_open[tile.start] = tile
+                self._watermark = float(timestamps[-1])
             self._accepted += accepted
-            self._dropped_late += dropped
+            self._dropped_late += keep
             self._advance()
             if accepted:
                 self._version += 1
-            return IngestOutcome(accepted, dropped, self._version)
+            return IngestOutcome(accepted, keep, self._version)
 
-    def _ingest_one(
-        self, tweet: Tweet, label: int, area_indices: Sequence[int]
-    ) -> None:
-        start = bucket_start(tweet.timestamp, TimeTier.MINUTE)
-        bucket = self._minute_open.get(start)
-        if bucket is None:
-            bucket = SummaryBucket.empty(
-                TimeTier.MINUTE, start, self.world.n_areas
-            )
-            self._minute_open[start] = bucket
-        bucket.population.add(area_indices, tweet.user_id)
-        bucket.n_tweets += 1
-        previous = self._last_label.get(tweet.user_id, -1)
-        self._last_label[tweet.user_id] = label
-        if previous >= 0 and label >= 0 and previous != label:
-            bucket.od_counts[(previous, label)] += 1
-        self._watermark = tweet.timestamp
+    def _moves(
+        self, starts: np.ndarray, users: np.ndarray, labels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The batch's transitions as ``(starts, sources, dests)`` columns.
+
+        A stable sort by user keeps each user's rows in time order, so a
+        row's previous label is the row before it, or the user's stored
+        position for their first row; the stored position then moves to
+        each user's last label (an unlabelled tweet still moves it).
+        """
+        order = users.argsort(kind="stable")
+        users = users[order]
+        labels = labels[order]
+        firsts = first_of_runs(users)
+        lasts = np.append(firsts[1:], users.size) - 1
+        first_users = users[firsts].tolist()
+        get = self._last_label.get
+        previous = np.empty_like(labels)
+        previous[1:] = labels[:-1]
+        previous[firsts] = [get(user, -1) for user in first_users]
+        self._last_label.update(zip(first_users, labels[lasts].tolist()))
+        moved = previous != labels
+        moved &= previous >= 0
+        moved &= labels >= 0
+        return starts[order][moved], previous[moved], labels[moved]
 
     # -- finalization and rollup ---------------------------------------
 
@@ -348,13 +381,16 @@ class SummaryStore:
         if self._journal is None:
             return
         with obs.span("summary.persist", tier=bucket.tier.name.lower()):
-            self._journal.append(pickle.dumps(bucket, protocol=PICKLE_PROTOCOL))
+            self._journal.append(bucket.encode())
 
     def recover(self) -> int:
         """Reload every journaled tile of this namespace; returns count.
 
         Reads the journal once, up to its first damaged frame; the last
-        frame for a ``(tier, start)`` wins.  Installs the tiles not
+        frame for a ``(tier, start)`` wins.  Frames that do not decode as
+        a current-format tile over this world's areas (another format
+        version, or an older build's pickled tile) are skipped and
+        counted in ``stats()["stale_frames"]``.  Installs the tiles not
         already in memory (recovery after partial operation is
         additive), advances the watermark to the newest recovered tile
         end and re-derives the rollup schedule — no corpus replay.
@@ -362,11 +398,19 @@ class SummaryStore:
         if self._journal is None:
             return 0
         latest: dict[tuple[TimeTier, int], SummaryBucket] = {}
+        stale = 0
         for payload in self._journal.read():
-            tile = pickle.loads(payload)
+            try:
+                tile = SummaryBucket.decode(payload)
+            except StaleTileError:
+                tile = None
+            if tile is None or tile.n_areas != self.world.n_areas:
+                stale += 1
+                continue
             latest[tile.tier, tile.start] = tile
         recovered = 0
         with self._lock:
+            self._stale_frames = stale
             for tile in latest.values():
                 if tile.start in self._tiles[tile.tier]:
                     continue
@@ -459,20 +503,17 @@ class SummaryStore:
         Bounds snap outward to minute alignment (the finest tier); the
         effective bounds are reported on the result.  Open minute
         buckets are included, so answers reflect everything ingested.
-        Population counts are stitched without merging the tiles' user
-        multisets (:func:`~repro.core.accumulate.stitched_counts`), and
-        flows stay sparse (``od_counts``).
+        The covering tiles' columns merge into one transient tile
+        (:meth:`~repro.summary.tiers.SummaryBucket.merged`) that the
+        per-area counts and the sparse ``od_counts`` are read from.
         """
         q0, q1 = window_align(t0, t1)
         with self._lock, obs.span("summary.query", t0=q0, t1=q1) as sp:
             covering = self._cover(q0, q1)
             used = Counter(bucket.tier.name.lower() for bucket in covering)
-            tweet_counts, user_counts = stitched_counts(
-                [bucket.population for bucket in covering], self.world.n_areas
+            merged = SummaryBucket.merged(
+                TimeTier.MINUTE, q0, self.world.n_areas, covering
             )
-            od: Counter = Counter()
-            for bucket in covering:
-                od.update(bucket.od_counts)
             if np.isfinite(self._watermark):
                 staleness = min(
                     float(q1 - q0), max(0.0, q1 - self._watermark)
@@ -483,11 +524,11 @@ class SummaryStore:
             return WindowSummary(
                 t0=q0,
                 t1=q1,
-                tweet_counts=tweet_counts,
-                user_counts=user_counts,
-                od_counts=od,
-                n_tweets=sum(bucket.n_tweets for bucket in covering),
-                n_transitions=int(sum(od.values())),
+                tweet_counts=merged.tweet_counts(),
+                user_counts=merged.user_counts(),
+                od_counts=merged.od_counts(),
+                n_tweets=merged.n_tweets,
+                n_transitions=merged.n_transitions,
                 buckets_touched=len(covering),
                 tiles_used=dict(used),
                 staleness_seconds=round(staleness, 3),

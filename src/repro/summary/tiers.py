@@ -2,12 +2,13 @@
 
 A **tier** is a bucketing resolution (minute, hour, day); a **tile**
 (:class:`SummaryBucket`) is everything the service needs to answer a
-population or flow query over one bucket of one tier:
+population or flow query over one bucket of one tier, held as sorted
+int64 columns whose size grows with activity, not with the area count:
 
-* per-area tweet counts and the per-area *user multisets* (held as a
-  :class:`~repro.core.accumulate.PopulationAccumulator`), so unique-user
-  counts stay exact under any merge — tweet counts add, user sets union;
-* compacted OD transition counts, keyed ``(source, dest)``.
+* population: the distinct ``(area, user)`` pairs the bucket saw,
+  sorted, with the tweets each pair contributed — unique-user counts
+  stay exact under any merge, because merging unions the pairs;
+* OD: the nonzero ``(source, dest, count)`` transition cells, sorted.
 
 Bucket-boundary semantics are fixed here once: a bucket covers the
 half-open span ``[start, start + span)``, and a timestamp landing
@@ -18,24 +19,31 @@ bucket of the **arriving** tweet's timestamp — the same instant
 at — so tile-stitched flows over ``[t0, t1)`` equal a full-stream
 replay filtered to transition timestamps in ``[t0, t1)``.
 
-Rollup is plain merging: an hour tile is the merge of its (present)
-minute tiles, a day tile the merge of its hour tiles.  Merging is
-associative and order-independent for every field, which is what makes
-the multi-resolution store's answers independent of which tier mix
-covered a window.
+:func:`build_tiles` is the one kernel that turns labelled rows into
+tiles: live ingest and backfill both call it.  Rollup and query
+stitching are the same array merge (:meth:`SummaryBucket.merged`):
+concatenate the columns, then group equal keys and sum.  Merging is
+associative and order-independent for every column, which is what
+makes the multi-resolution store's answers independent of which tier
+mix covered a window.
+
+Tiles persist in a small fixed binary format (:meth:`SummaryBucket.encode`):
+a header — magic, format version, tier, start, area count, tweet count
+and the two column lengths — then the six columns as raw little-endian
+int64.  :meth:`SummaryBucket.decode` rejects any other magic or version
+with :class:`StaleTileError`; bump :data:`TILE_FORMAT_VERSION` whenever
+the layout changes.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from repro.core.accumulate import PopulationAccumulator
 
 
 class TimeTier(Enum):
@@ -60,6 +68,23 @@ COARSE_FIRST = tuple(reversed(TIER_ORDER))
 #: Which tier each coarse tier rolls up from.
 ROLLUP_SOURCE = {TimeTier.HOUR: TimeTier.MINUTE, TimeTier.DAY: TimeTier.HOUR}
 
+#: First bytes of every encoded tile.
+TILE_MAGIC = b"RTIL"
+
+#: Version of the encoded tile layout; frames of any other version are stale.
+TILE_FORMAT_VERSION = 1
+
+#: Magic, format version, tier (index in :data:`TIER_ORDER`), start,
+#: areas, tweets, population pairs, OD cells.
+_HEADER = struct.Struct("<4sHHqqqqq")
+_COLUMN = np.dtype("<i8")
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
+
+class StaleTileError(ValueError):
+    """A payload that is not a tile in this build's format version."""
+
 
 def bucket_start(timestamp: float, tier: TimeTier) -> int:
     """Start of the tier bucket containing ``timestamp``.
@@ -71,6 +96,12 @@ def bucket_start(timestamp: float, tier: TimeTier) -> int:
     if not math.isfinite(timestamp):
         raise ValueError(f"timestamp must be finite, got {timestamp!r}")
     return int(math.floor(timestamp / tier.span_seconds)) * tier.span_seconds
+
+
+def bucket_starts(timestamps: np.ndarray, tier: TimeTier) -> np.ndarray:
+    """:func:`bucket_start` of every (finite) timestamp, as int64."""
+    span = tier.span_seconds
+    return np.floor(np.asarray(timestamps, dtype=np.float64) / span).astype(np.int64) * span
 
 
 def window_align(t0: float, t1: float) -> tuple[int, int]:
@@ -90,29 +121,64 @@ def window_align(t0: float, t1: float) -> tuple[int, int]:
     return q0, q1
 
 
-@dataclass
+def first_of_runs(*keys: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal rows starts in the (sorted,
+    equal-length, non-empty) key columns: 0, then every row where any
+    key differs from the row before."""
+    first = np.empty(keys[0].size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[0][1:], keys[0][:-1], out=first[1:])
+    for key in keys[1:]:
+        first[1:] |= key[1:] != key[:-1]
+    return first.nonzero()[0]
+
+
+def _group(
+    major: np.ndarray, minor: np.ndarray, weights: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct ``(major, minor)`` keys, sorted, with their summed weights.
+
+    ``weights=None`` counts each row once.
+    """
+    if major.size == 0:
+        return _EMPTY, _EMPTY, _EMPTY
+    order = np.lexsort((minor, major))
+    major = major[order]
+    minor = minor[order]
+    firsts = first_of_runs(major, minor)
+    if weights is None:
+        sums = np.empty(firsts.size, dtype=np.int64)
+        sums[:-1] = firsts[1:] - firsts[:-1]
+        sums[-1] = major.size - firsts[-1]
+    else:
+        sums = np.add.reduceat(weights[order], firsts)
+    return major[firsts], minor[firsts], sums
+
+
+@dataclass(frozen=True, eq=False)
 class SummaryBucket:
     """One tile: population + OD summaries over ``[start, start + span)``.
 
-    ``population`` carries per-area tweet counts and user multisets (so
-    merged tiles report exact unique users); ``od_counts`` carries
-    compacted transition counts for transitions whose arriving tweet's
-    timestamp falls in the bucket.  Tiles are plain picklable values —
-    the summary journal stores their pickles as-is.
+    ``areas``/``users``/``tweets`` are the distinct ``(area, user)``
+    pairs, sorted by area then user, with the tweets each pair
+    contributed (a tweet counts toward every area whose ε-disc contains
+    it); ``sources``/``dests``/``counts`` are the nonzero OD cells,
+    sorted, for transitions whose arriving tweet falls in the bucket.
+    ``n_tweets`` counts the bucket's tweets, labelled or not; a tile
+    given only ``(tier, start, n_areas)`` is empty.  Tiles are
+    immutable; merging builds a new tile.
     """
 
     tier: TimeTier
     start: int
-    population: PopulationAccumulator
-    od_counts: Counter = field(default_factory=Counter)
+    n_areas: int
     n_tweets: int = 0
-
-    @classmethod
-    def empty(cls, tier: TimeTier, start: int, n_areas: int) -> "SummaryBucket":
-        """A fresh all-zero tile."""
-        return cls(
-            tier=tier, start=start, population=PopulationAccumulator(n_areas)
-        )
+    areas: np.ndarray = field(default_factory=lambda: _EMPTY)
+    users: np.ndarray = field(default_factory=lambda: _EMPTY)
+    tweets: np.ndarray = field(default_factory=lambda: _EMPTY)
+    sources: np.ndarray = field(default_factory=lambda: _EMPTY)
+    dests: np.ndarray = field(default_factory=lambda: _EMPTY)
+    counts: np.ndarray = field(default_factory=lambda: _EMPTY)
 
     @property
     def end(self) -> int:
@@ -120,32 +186,71 @@ class SummaryBucket:
         return self.start + self.tier.span_seconds
 
     @property
-    def n_areas(self) -> int:
-        """Number of areas the tile summarises."""
-        return self.population.n_areas
-
-    @property
     def n_transitions(self) -> int:
         """Total OD transitions recorded in the bucket."""
-        return sum(self.od_counts.values())
+        return int(self.counts.sum())
+
+    def tweet_counts(self) -> np.ndarray:
+        """Tweets per area (a tweet counts in every containing disc)."""
+        return np.bincount(
+            self.areas, weights=self.tweets, minlength=self.n_areas
+        ).astype(np.int64)
+
+    def user_counts(self) -> np.ndarray:
+        """Unique users per area."""
+        return np.bincount(self.areas, minlength=self.n_areas)
+
+    def od_counts(self) -> dict[tuple[int, int], int]:
+        """The nonzero transition counts keyed ``(source, dest)``, sorted."""
+        return dict(
+            zip(
+                zip(self.sources.tolist(), self.dests.tolist()),
+                self.counts.tolist(),
+            )
+        )
 
     def flow_matrix(self) -> np.ndarray:
         """The bucket's OD counts as a dense ``(n, n)`` matrix."""
         matrix = np.zeros((self.n_areas, self.n_areas), dtype=np.int64)
-        for (source, dest), count in self.od_counts.items():
-            matrix[source, dest] = count
+        matrix[self.sources, self.dests] = self.counts
         return matrix
 
-    def merge(self, other: "SummaryBucket") -> None:
-        """Fold another tile's counts into this one (other untouched)."""
-        if other.n_areas != self.n_areas:
-            raise ValueError(
-                f"cannot merge a {other.n_areas}-area tile into a "
-                f"{self.n_areas}-area tile"
-            )
-        self.population.merge(other.population)
-        self.od_counts.update(other.od_counts)
-        self.n_tweets += other.n_tweets
+    @classmethod
+    def merged(
+        cls,
+        tier: TimeTier,
+        start: int,
+        n_areas: int,
+        parts: Sequence["SummaryBucket"],
+    ) -> "SummaryBucket":
+        """One tile holding the union of ``parts``' counts (parts untouched).
+
+        Columns concatenate, then equal ``(area, user)`` pairs and equal
+        ``(source, dest)`` cells are grouped and summed.  One part is
+        reused as is: its columns are already grouped.
+        """
+        for part in parts:
+            if part.n_areas != n_areas:
+                raise ValueError(
+                    f"cannot merge a {part.n_areas}-area tile into a "
+                    f"{n_areas}-area tile"
+                )
+        n_tweets = sum(part.n_tweets for part in parts)
+        busy = [part for part in parts if part.areas.size or part.counts.size]
+        if not busy:
+            return cls(tier, start, n_areas, n_tweets)
+        if len(busy) == 1:
+            return replace(busy[0], tier=tier, start=start, n_tweets=n_tweets)
+
+        def cat(column: str) -> np.ndarray:
+            return np.concatenate([getattr(part, column) for part in busy])
+
+        areas, users, tweets = _group(cat("areas"), cat("users"), cat("tweets"))
+        sources, dests, counts = _group(cat("sources"), cat("dests"), cat("counts"))
+        return cls(
+            tier, start, n_areas, n_tweets, areas, users, tweets,
+            sources, dests, counts,
+        )
 
     @classmethod
     def rolled_up(
@@ -160,12 +265,115 @@ class SummaryBucket:
         Children outside ``[start, start + span)`` are rejected — a
         rollup must never smuggle counts across its own boundary.
         """
-        tile = cls.empty(tier, start, n_areas)
+        children = list(children)
+        end = start + tier.span_seconds
         for child in children:
-            if child.start < start or child.end > tile.end:
+            if child.start < start or child.end > end:
                 raise ValueError(
                     f"child [{child.start}, {child.end}) lies outside "
-                    f"rollup span [{start}, {tile.end})"
+                    f"rollup span [{start}, {end})"
                 )
-            tile.merge(child)
-        return tile
+        return cls.merged(tier, start, n_areas, children)
+
+    # -- codec ---------------------------------------------------------
+
+    def encode(self) -> bytes:
+        """The tile's fixed binary form: header, then six int64 columns."""
+        header = _HEADER.pack(
+            TILE_MAGIC, TILE_FORMAT_VERSION, TIER_ORDER.index(self.tier),
+            self.start, self.n_areas, self.n_tweets,
+            self.areas.size, self.counts.size,
+        )
+        columns = (
+            self.areas, self.users, self.tweets,
+            self.sources, self.dests, self.counts,
+        )
+        return header + b"".join(
+            column.astype(_COLUMN, copy=False).tobytes() for column in columns
+        )
+
+    @classmethod
+    def decode(cls, payload: bytes | memoryview) -> "SummaryBucket":
+        """Inverse of :meth:`encode`.
+
+        Raises :class:`StaleTileError` for a payload of another magic,
+        format version or tier, or whose length disagrees with its
+        header.
+        """
+        if len(payload) < _HEADER.size:
+            raise StaleTileError(f"{len(payload)}-byte payload is shorter than a tile header")
+        magic, version, tier, start, n_areas, n_tweets, n_pairs, n_cells = (
+            _HEADER.unpack_from(payload)
+        )
+        if magic != TILE_MAGIC or version != TILE_FORMAT_VERSION:
+            raise StaleTileError(f"not a version-{TILE_FORMAT_VERSION} tile")
+        size = 3 * (n_pairs + n_cells)
+        if tier >= len(TIER_ORDER) or len(payload) != _HEADER.size + size * _COLUMN.itemsize:
+            raise StaleTileError("tile header disagrees with its payload")
+        columns = np.frombuffer(
+            payload, dtype=_COLUMN, count=size, offset=_HEADER.size
+        ).astype(np.int64)
+        pairs = 3 * n_pairs
+        cuts = (0, n_pairs, 2 * n_pairs, pairs, pairs + n_cells, pairs + 2 * n_cells, size)
+        return cls(
+            TIER_ORDER[tier], start, n_areas, n_tweets,
+            *(columns[lo:hi] for lo, hi in zip(cuts, cuts[1:])),
+        )
+
+    def __reduce__(self):
+        # Pickles (the backfill ``TileSet`` artifact) carry the codec form.
+        return (SummaryBucket.decode, (self.encode(),))
+
+
+def build_tiles(
+    tier: TimeTier,
+    n_areas: int,
+    starts: np.ndarray,
+    users: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    moves: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> list[SummaryBucket]:
+    """Labelled rows → one tile per distinct bucket start, in start order.
+
+    Row ``i`` has bucket start ``starts[i]``, user ``users[i]`` and the
+    containing areas ``indices[indptr[i]:indptr[i + 1]]`` (CSR; ``indptr``
+    need not start at 0, so a skipped prefix costs no copy).  ``moves``
+    holds the transitions as ``(starts, sources, dests)`` columns, each
+    attributed to its arriving row's bucket start.  The live store and
+    backfill both build their tiles here; only how they find each row's
+    previous label differs.
+    """
+    if starts.size == 0:
+        return []
+    ordered = np.sort(starts)
+    tile_starts = ordered[first_of_runs(ordered)]
+    row_tile = tile_starts.searchsorted(starts)
+    n_tweets = np.bincount(row_tile, minlength=tile_starts.size)
+    members = indptr[1:] - indptr[:-1]
+    pair_key, pair_users, pair_tweets = _group(
+        row_tile.repeat(members) * n_areas + indices[indptr[0] : indptr[-1]],
+        users.repeat(members),
+        None,
+    )
+    move_starts, sources, dests = moves
+    cell_key, cell_dests, cell_counts = _group(
+        tile_starts.searchsorted(move_starts) * n_areas + sources, dests, None
+    )
+    pair_tile, pair_areas = np.divmod(pair_key, n_areas)
+    cell_tile, cell_sources = np.divmod(cell_key, n_areas)
+    edges = np.arange(tile_starts.size + 1)
+    pair_bounds = pair_tile.searchsorted(edges).tolist()
+    cell_bounds = cell_tile.searchsorted(edges).tolist()
+    tiles = []
+    for k, (start, count) in enumerate(zip(tile_starts.tolist(), n_tweets.tolist())):
+        pairs = slice(pair_bounds[k], pair_bounds[k + 1])
+        cells = slice(cell_bounds[k], cell_bounds[k + 1])
+        tiles.append(
+            SummaryBucket(
+                tier, start, n_areas, count,
+                pair_areas[pairs], pair_users[pairs], pair_tweets[pairs],
+                cell_sources[cells], cell_dests[cells], cell_counts[cells],
+            )
+        )
+    return tiles

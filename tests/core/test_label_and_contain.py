@@ -37,9 +37,10 @@ from repro.core.label import (
     point_area_distances,
 )
 from repro.core.world import World
-from repro.data.gazetteer import Scale
+from repro.data.gazetteer import Area, Scale
 from repro.data.schema import Tweet
 from repro.geo.bbox import AUSTRALIA_BBOX
+from repro.geo.coords import Coordinate
 from repro.geo.distance import destination_point, points_to_point_km
 
 #: (gazetteer, scale) pairs; ``None`` is the legacy 20-area gazetteer.
@@ -258,3 +259,40 @@ class TestLabelTweetBatch:
         # Stable: equal timestamps keep arrival order.
         assert [t.user_id for t in ordered] == [1, 3, 2, 0]
         assert labelled.labels.tolist() == [0, 3, 1, 2]
+
+
+def antimeridian_world(n_areas: int = 200, radius_km: float = 8.0) -> World:
+    """A row of discs centred at 179.95°E, 0.05° of latitude apart."""
+    areas = [
+        Area(
+            name=f"a{k}",
+            center=Coordinate(lat=-17.0 + 0.05 * k, lon=179.95),
+            population=1000,
+            scale=Scale.METROPOLITAN,
+        )
+        for k in range(n_areas)
+    ]
+    return World.from_areas(areas, radius_km=radius_km)
+
+
+class TestAntimeridian:
+    """A country-scale world whose discs straddle ±180° (grid path)."""
+
+    def test_points_across_the_antimeridian_find_their_centres(self):
+        world = antimeridian_world()
+        assert world.n_areas > DENSE_AREA_THRESHOLD
+        # Each point is ~6.4 km east of its row's centre, across ±180°.
+        lons = np.full(world.n_areas, -179.99)
+        result = assert_matches_reference(world, world.centers_lat, lons)
+        assert result.labels.tolist() == list(range(world.n_areas))
+        assert np.all(np.diff(result.indptr) >= 1)
+
+    def test_points_on_both_sides_match_the_dense_reference(self):
+        world = antimeridian_world()
+        rng = np.random.default_rng(7)
+        lats = rng.uniform(-17.2, -6.8, size=400)
+        lons = np.concatenate(
+            [rng.uniform(179.8, 180.0, size=200), rng.uniform(-180.0, -179.9, size=200)]
+        )
+        result = assert_matches_reference(world, lats, lons)
+        assert (result.labels[200:] >= 0).sum() >= 40

@@ -64,6 +64,13 @@ class TestCsvRoundTrip:
             list(read_tweets_csv(path))
 
 
+    def test_user_id_beyond_int64_raises_the_parser_message(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(f"tweet_id,user_id,timestamp,lat,lon\n1,{2**64},0.0,0,0\n")
+        with pytest.raises(DataFormatError, match=":2.*user_id must fit int64"):
+            list(read_tweets_csv(path))
+
+
 class TestJsonlRoundTrip:
     def test_roundtrip_exact(self, tmp_path):
         path = tmp_path / "tweets.jsonl"
@@ -87,6 +94,14 @@ class TestJsonlRoundTrip:
         path = tmp_path / "bad.jsonl"
         path.write_text("{not json}\n")
         with pytest.raises(DataFormatError, match=":1"):
+            list(read_tweets_jsonl(path))
+
+    def test_user_id_beyond_int64_raises_the_parser_message(self, tmp_path):
+        path = tmp_path / "big.jsonl"
+        path.write_text(
+            f'{{"user_id": {2**64}, "timestamp": 0.0, "lat": 0.0, "lon": 0.0}}\n'
+        )
+        with pytest.raises(DataFormatError, match=":1.*user_id must fit int64"):
             list(read_tweets_jsonl(path))
 
     def test_default_tweet_id(self, tmp_path):

@@ -22,6 +22,11 @@ class TestTweet:
         with pytest.raises(SchemaError):
             Tweet(user_id=-1, timestamp=0.0, lat=0.0, lon=0.0)
 
+    def test_user_id_must_fit_int64(self):
+        Tweet(user_id=2**63 - 1, timestamp=0.0, lat=0.0, lon=0.0)
+        with pytest.raises(SchemaError, match="user_id must fit int64"):
+            Tweet(user_id=2**63, timestamp=0.0, lat=0.0, lon=0.0)
+
     def test_non_finite_timestamp_raises(self):
         with pytest.raises(SchemaError):
             Tweet(user_id=0, timestamp=float("nan"), lat=0.0, lon=0.0)
@@ -87,6 +92,18 @@ class TestParseTweetRecord:
     def test_out_of_range_latitude_wrapped_as_schema_error(self):
         with pytest.raises(SchemaError, match=r"latitude must be in \[-90, 90\]"):
             parse_tweet_record({**self.RECORD, "lat": 95.0})
+
+    @pytest.mark.parametrize("user_id", [2**63, 2**64, str(2**64)])
+    def test_user_id_beyond_int64_named_in_error(self, user_id):
+        with pytest.raises(SchemaError, match="user_id must fit int64"):
+            parse_tweet_record({**self.RECORD, "user_id": user_id})
+
+    def test_largest_int64_user_id_reaches_a_corpus(self):
+        from repro.data.corpus import TweetCorpus
+
+        tweet = parse_tweet_record({**self.RECORD, "user_id": 2**63 - 1})
+        corpus = TweetCorpus.from_tweets([tweet])
+        assert int(corpus.user_ids[0]) == 2**63 - 1
 
     def test_matches_ingest_service_parser(self):
         """HTTP ingest and file loaders share one parser (same errors)."""

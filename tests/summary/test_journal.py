@@ -10,13 +10,14 @@ journal — and assert what recovery must return.
 
 from __future__ import annotations
 
+import base64
 import os
-import pickle
 import signal
 import subprocess
 import sys
 import textwrap
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -25,10 +26,11 @@ import repro
 from repro.core.world import World
 from repro.data.gazetteer import Scale, areas_for_scale
 from repro.data.schema import Tweet
-from repro.pipeline.journal import FRAME, scan_frames
-from repro.pipeline.store import PICKLE_PROTOCOL, ArtifactStore
+from repro.pipeline.journal import FRAME, Journal, scan_frames
+from repro.pipeline.store import ArtifactStore
+from repro.serve import EstimationApp, IngestService
 from repro.summary.store import SummaryStore
-from repro.summary.tiers import TimeTier
+from repro.summary.tiers import SummaryBucket, TimeTier
 
 AREAS = areas_for_scale(Scale.NATIONAL)[:5]
 WORLD = World.from_areas(AREAS, radius_km=50.0)
@@ -77,16 +79,16 @@ def frame_bounds(data: bytes) -> list[tuple[int, int]]:
 
 
 def tile_bytes(store: SummaryStore) -> dict[tuple[TimeTier, int], bytes]:
-    """Every finalized tile in memory, pickled as the journal stores it."""
+    """Every finalized tile in memory, encoded as the journal stores it."""
     return {
-        (tier, start): pickle.dumps(tile, protocol=PICKLE_PROTOCOL)
+        (tier, start): tile.encode()
         for tier, tiles in store._tiles.items()
         for start, tile in tiles.items()
     }
 
 
 def payload_keys(data: bytes) -> list[tuple[TimeTier, int]]:
-    tiles = [pickle.loads(payload) for payload in scan_frames(data)[0]]
+    tiles = [SummaryBucket.decode(payload) for payload in scan_frames(data)[0]]
     return [(tile.tier, tile.start) for tile in tiles]
 
 
@@ -176,6 +178,64 @@ class TestTornAndCorruptFrames:
         assert after == tile_bytes(store)
         assert {key: after[key] for key in old} == old
         assert (TimeTier.MINUTE, 200 * 60) in after
+
+
+#: A minute tile in the previous, pickled format: one
+#: ``PopulationAccumulator`` of per-area ``Counter``s plus an OD
+#: ``Counter`` (minute 120 over 5 areas, user 3 in area 1, one 0 -> 1
+#: transition), exactly as an older build journaled it.
+PICKLED_TILE = base64.b64decode(
+    "gASV7wEAAAAAAACME3JlcHJvLnN1bW1hcnkudGllcnOUjA1TdW1tYXJ5QnVja2V0lJOUKYGU"
+    "fZQojAR0aWVylGgAjAhUaW1lVGllcpSTlEs8hZRSlIwFc3RhcnSUS3iMCnBvcHVsYXRpb26U"
+    "jBVyZXByby5jb3JlLmFjY3VtdWxhdGWUjBVQb3B1bGF0aW9uQWNjdW11bGF0b3KUk5QpgZR9"
+    "lCiMB25fYXJlYXOUSwWMDV90d2VldF9jb3VudHOUjBZudW1weS5fY29yZS5tdWx0aWFycmF5"
+    "lIwMX3JlY29uc3RydWN0lJOUjAVudW1weZSMB25kYXJyYXmUk5RLAIWUQwFilIeUUpQoSwFL"
+    "BYWUaBaMBWR0eXBllJOUjAJpOJSJiIeUUpQoSwOMATyUTk5OSv////9K/////0sAdJRiiUMo"
+    "AAAAAAAAAAABAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAJR0lGKMD191c2Vyc19w"
+    "ZXJfYXJlYZRdlCiMC2NvbGxlY3Rpb25zlIwHQ291bnRlcpSTlH2UhZRSlGgrfZRLA0sBc4WU"
+    "UpRoK32UhZRSlGgrfZSFlFKUaCt9lIWUUpRldWKMCW9kX2NvdW50c5RoK32USwBLAYaUSwFz"
+    "hZRSlIwIbl90d2VldHOUSwF1Yi4="
+)
+
+
+class TestStaleFrames:
+    def test_old_format_frame_is_skipped_counted_and_kept(self, tmp_path, written):
+        """A CRC-valid frame of the previous tile format between current
+        frames: recovery skips it by magic and version, returns exactly
+        the current tiles, reports it, and appends never cut it off."""
+        data, tiles = written
+        bounds = frame_bounds(data)
+        cut = bounds[10][1]
+        stale = FRAME.pack(len(PICKLED_TILE), zlib.crc32(PICKLED_TILE)) + PICKLED_TILE
+        mixed = data[:cut] + stale + data[cut:]
+        assert scan_frames(mixed)[1] == len(mixed)
+
+        store, recovered = recover_from(tmp_path, mixed)
+        assert recovered == len(bounds)
+        assert tile_bytes(store) == tiles
+        assert store.stats()["stale_frames"] == 1
+        world_ingest = IngestService(WORLD, radius_km=WORLD.radius_km)
+        app = EstimationApp(None, world_ingest, summary=store)
+        status, metrics, _ = app.handle("GET", "/metrics", {}, None)
+        assert status == 200
+        assert metrics["summary"]["stale_frames"] == 1
+
+        store.ingest(minute_stream(200, 3))
+        assert store.stats()["torn_bytes_dropped"] == 0
+        after = journal_path(tmp_path).read_bytes()
+        assert after.startswith(mixed)
+        reborn = summary(tmp_path)
+        assert reborn.recover() == len(tile_bytes(store))
+        assert tile_bytes(reborn) == tile_bytes(store)
+        assert reborn.stats()["stale_frames"] == 1
+
+    def test_tile_over_another_area_count_is_stale(self, tmp_path):
+        Journal(journal_path(tmp_path)).append(
+            SummaryBucket(TimeTier.MINUTE, 0, WORLD.n_areas + 1).encode()
+        )
+        store = summary(tmp_path)
+        assert store.recover() == 0
+        assert store.stats()["stale_frames"] == 1
 
 
 _PERSIST_LOOP = """

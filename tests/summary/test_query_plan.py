@@ -22,7 +22,13 @@ from repro.data.gazetteer import Scale, areas_for_scale
 from repro.data.schema import Tweet
 from repro.pipeline.store import ArtifactStore
 from repro.summary.store import SummaryStore
-from repro.summary.tiers import COARSE_FIRST, SummaryBucket, TimeTier, window_align
+from repro.summary.tiers import (
+    COARSE_FIRST,
+    SummaryBucket,
+    TimeTier,
+    build_tiles,
+    window_align,
+)
 
 AREAS = areas_for_scale(Scale.NATIONAL)[:4]
 WORLD = World.from_areas(AREAS, radius_km=50.0)
@@ -57,12 +63,23 @@ def assert_answer_matches(store: SummaryStore, t0: float, t1: float) -> None:
     """``store.query`` ≡ merging the minute-walk cover's tiles."""
     q0, q1 = window_align(t0, t1)
     covering = minute_walk_cover(store, q0, q1)
-    assert [id(b) for b in store._cover(q0, q1)] == [id(b) for b in covering]
+    def keys(tiles):
+        return [(tile.tier, tile.start) for tile in tiles]
+
+    assert keys(store._cover(q0, q1)) == keys(covering)
+    # Replay each tile's columns into one accumulator: the merged
+    # accumulator's counts are what the stitched answer must equal.
     merged = PopulationAccumulator(WORLD.n_areas)
     od: Counter = Counter()
     for bucket in covering:
-        merged.merge(bucket.population)
-        od.update(bucket.od_counts)
+        part = PopulationAccumulator(WORLD.n_areas)
+        for area, user, tweets in zip(
+            bucket.areas.tolist(), bucket.users.tolist(), bucket.tweets.tolist()
+        ):
+            for _ in range(tweets):
+                part.add([area], user)
+        merged.merge(part)
+        od.update(bucket.od_counts())
     flows = np.zeros((WORLD.n_areas, WORLD.n_areas), dtype=np.int64)
     for (source, dest), count in od.items():
         flows[source, dest] = count
@@ -81,13 +98,31 @@ def assert_answer_matches(store: SummaryStore, t0: float, t1: float) -> None:
 def filled_tile(tier: TimeTier, start: int, seed: int) -> SummaryBucket:
     """A tile with a few deterministic users and transitions."""
     rng = np.random.default_rng(seed)
-    tile = SummaryBucket.empty(tier, start, WORLD.n_areas)
-    for _ in range(int(rng.integers(0, 4))):
-        areas = sorted(set(rng.integers(0, WORLD.n_areas, size=2).tolist()))
-        tile.population.add(areas, int(rng.integers(0, 6)))
-        tile.n_tweets += 1
+    n_rows = int(rng.integers(0, 4))
+    rows = [
+        sorted(set(rng.integers(0, WORLD.n_areas, size=2).tolist()))
+        for _ in range(n_rows)
+    ]
+    users = [int(rng.integers(0, 6)) for _ in range(n_rows)]
     source, dest = rng.choice(WORLD.n_areas, size=2, replace=False).tolist()
-    tile.od_counts[(source, dest)] += int(rng.integers(1, 3))
+    moves = int(rng.integers(1, 3))
+    # A row-less tile still carries its transitions: give them a row
+    # that lies in no disc.
+    if not rows:
+        rows, users = [[]], [0]
+    (tile,) = build_tiles(
+        tier,
+        WORLD.n_areas,
+        np.full(len(rows), start, dtype=np.int64),
+        np.array(users, dtype=np.int64),
+        np.cumsum([0] + [len(areas) for areas in rows]),
+        np.array([area for areas in rows for area in areas], dtype=np.int64),
+        (
+            np.full(moves, start, dtype=np.int64),
+            np.full(moves, source, dtype=np.int64),
+            np.full(moves, dest, dtype=np.int64),
+        ),
+    )
     return tile
 
 

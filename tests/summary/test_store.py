@@ -8,7 +8,7 @@ from repro.data.gazetteer import Scale, areas_for_scale
 from repro.data.schema import Tweet
 from repro.pipeline.store import ArtifactStore
 from repro.summary.store import SummaryStore
-from repro.summary.tiers import SummaryBucket, TimeTier
+from repro.summary.tiers import SummaryBucket, TimeTier, build_tiles
 
 AREAS = areas_for_scale(Scale.NATIONAL)[:5]
 WORLD = World.from_areas(AREAS, radius_km=50.0)
@@ -175,9 +175,15 @@ class TestPersistence:
 
 class TestInstallMinutes:
     def _bucket(self, start, user=1, area=0):
-        bucket = SummaryBucket.empty(TimeTier.MINUTE, start, WORLD.n_areas)
-        bucket.population.add([area], user_id=user)
-        bucket.n_tweets = 1
+        (bucket,) = build_tiles(
+            TimeTier.MINUTE,
+            WORLD.n_areas,
+            np.array([start]),
+            np.array([user]),
+            np.array([0, 1]),
+            np.array([area]),
+            (np.empty(0, dtype=np.int64),) * 3,
+        )
         return bucket
 
     def test_install_is_idempotent(self):
@@ -189,13 +195,13 @@ class TestInstallMinutes:
 
     def test_install_rejects_non_minute_tiles(self):
         store = fresh_store()
-        stray = SummaryBucket.empty(TimeTier.HOUR, 0, WORLD.n_areas)
+        stray = SummaryBucket(TimeTier.HOUR, 0, WORLD.n_areas)
         with pytest.raises(ValueError, match="HOUR"):
             store.install_minutes([stray], watermark=3600.0)
 
     def test_install_rejects_area_mismatch(self):
         store = fresh_store()
-        stray = SummaryBucket.empty(TimeTier.MINUTE, 0, WORLD.n_areas + 1)
+        stray = SummaryBucket(TimeTier.MINUTE, 0, WORLD.n_areas + 1)
         with pytest.raises(ValueError, match="areas"):
             store.install_minutes([stray], watermark=60.0)
 

@@ -230,6 +230,26 @@ class TestSummaryCommand:
         assert "namespace: national" in out
         assert "minute" in out
 
+    def test_second_backfill_installs_nothing_and_status_counts_stale(
+        self, tmp_path, capsys
+    ):
+        from repro.pipeline.journal import Journal
+
+        args = ["summary", "backfill", "--users", "120", "--seed", "5",
+                "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert main(args) == 0
+        assert "backfilled 0 minute tiles" in capsys.readouterr().out
+        assert main(["summary", "status", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "stale_frames: 0" in out
+        for tier in ("minute", "hour", "day"):
+            assert f"  {tier} " in out
+        # A CRC-valid frame that is not a current-format tile.
+        Journal(tmp_path / "journals" / "summary-national.log").append(b"not a tile")
+        assert main(["summary", "status", "--cache-dir", str(tmp_path)]) == 0
+        assert "stale_frames: 1" in capsys.readouterr().out
+
     def test_status_on_empty_cache(self, tmp_path, capsys):
         code = main(["summary", "status", "--cache-dir", str(tmp_path)])
         assert code == 0
