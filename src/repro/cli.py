@@ -202,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--window-seconds", type=float, default=3600.0,
-        help="sliding flow window for the ingest monitor",
+        help="flow window of the anomaly monitor (rounded up to whole minutes)",
     )
     serve.add_argument(
         "--poll-interval", type=float, default=2.0,
@@ -214,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-summary", action="store_true",
-        help="serve without the windowed summary store",
+        help="keep the summary store in memory and answer windowed reads 503",
     )
     serve.add_argument(
         "--workers", type=int, default=1,

@@ -25,6 +25,12 @@ which makes the topology loop-free by construction (at most one hop).
   :mod:`repro.cluster.merge`.  Any shard failure fails the gather with
   a ``503`` naming the shards that did not answer — a partial merge
   would silently under-count.
+* **Anomalies** (``gather_anomalies``): every shard sends its minute
+  tiles' OD cells, and a fresh monitor with this worker's settings runs
+  the anomaly kernel over the fleet windows — the shards' cells summed
+  per minute, exact because each user's transitions live on one shard.
+  A check boundary counts only once every shard's frontier has passed
+  it, so the answer is the same whichever worker is asked.
 
 The HTTP leg uses stdlib ``urllib`` against the peers' private
 per-shard addresses; tests inject an in-process ``transport`` instead.
@@ -39,11 +45,19 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping, Sequence
 from urllib.parse import urlencode
 
+import numpy as np
+
 from repro import obs
 from repro.cluster.hashring import HashRing
 from repro.cluster.merge import merge_flows_payloads, merge_population_payloads
 from repro.data.schema import Tweet
-from repro.serve.app import ApiError, EstimationApp
+from repro.serve.app import (
+    ApiError,
+    EstimationApp,
+    anomalies_payload,
+    check_payload,
+    wants_check,
+)
 
 #: Seconds a worker waits on one peer leg before failing the request.
 PEER_TIMEOUT = 10.0
@@ -264,6 +278,61 @@ class ShardRouter:
             self._gather("/v1/flows", query),
             list(self.app.summary.world.names),
         )
+
+    def gather_anomalies(self, query: Mapping[str, str]) -> tuple[int, dict]:
+        """Cluster-wide ``/v1/anomalies``: the kernel over fleet windows.
+
+        Stateless: each call replays the fleet's minutes into a fresh
+        monitor up to the fleet frontier (the least shard frontier), so
+        concurrent reads share nothing.  ``check=1`` evaluates the fleet's
+        open window (up to the newest shard edge) against the fleet
+        baseline, folding nothing.
+        """
+        shard_query = {key: value for key, value in query.items() if key != "check"}
+        payloads = self._gather("/v1/anomalies", {**shard_query, "cells": "1"})
+        listings = [payload["minutes"] for payload in payloads]
+        minutes = sorted(
+            (
+                (start, np.array(keys, dtype=np.int64), np.array(counts, dtype=np.int64))
+                for listing in listings
+                for start, keys, counts in listing["cells"]
+            ),
+            key=lambda minute: minute[0],
+        )
+        frontiers = [listing["frontier"] for listing in listings]
+        monitor = self.app.ingest.monitor.fresh()
+        if None not in frontiers:
+            frontier = min(frontiers)
+            monitor.advance(
+                [minute for minute in minutes if minute[0] < frontier], frontier
+            )
+        view = monitor.view
+        edge = max(
+            (listing["edge"] for listing in listings if listing["edge"] is not None),
+            default=None,
+        )
+        open_window = (
+            np.zeros(0, dtype=np.int64) if edge is None
+            else monitor.window_cells(minutes, edge)[1]
+        )
+        stats = {
+            "accepted": sum(p["stats"]["accepted"] for p in payloads),
+            "dropped_stale": sum(p["stats"]["dropped_stale"] for p in payloads),
+            "window_transitions": int(open_window.sum()),
+            "checks_done": view.checks_done,
+            "anomalies_total": len(view.anomalies),
+            "has_windowed_fit": view.latest_fit is not None,
+            "frontier": view.frontier,
+        }
+        payload = anomalies_payload(view.anomalies, stats)
+        if wants_check(query):
+            flags = [] if edge is None else monitor.provisional(minutes, edge)
+            payload["check"] = check_payload(edge, flags)
+        payload["cluster"] = {
+            "shards": len(payloads),
+            "frontiers": frontiers,
+        }
+        return 200, payload
 
     def close(self) -> None:
         """Stop the gather pool (worker shutdown)."""

@@ -18,9 +18,10 @@ import numpy as np
 
 from repro import obs
 from repro.core.accumulate import od_matrix_from_labels
+from repro.core.world import World
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Area
-from repro.geo.distance import pairwise_distance_matrix
+from repro.geo.distance import pair_distances_km, pairwise_distance_matrix
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,30 @@ class ODPairs:
 
     def __len__(self) -> int:
         return int(self.flow.size)
+
+    @classmethod
+    def from_cells(
+        cls, world: World, source: np.ndarray, dest: np.ndarray, flow: np.ndarray
+    ) -> "ODPairs":
+        """Fitting arrays for the listed OD cells of ``world``.
+
+        The sparse counterpart of :meth:`ODFlows.pairs`: masses come
+        from the world's cached populations and distances are computed
+        for these pairs only, never for the full area × area matrix.
+        """
+        obs.counter("extraction.od_pairs_built", int(source.size))
+        populations = world.populations
+        return cls(
+            source=source,
+            dest=dest,
+            m=populations[source],
+            n=populations[dest],
+            d_km=pair_distances_km(
+                world.centers_lat[source], world.centers_lon[source],
+                world.centers_lat[dest], world.centers_lon[dest],
+            ),
+            flow=np.asarray(flow, dtype=np.float64),
+        )
 
 
 def extract_od_flows(

@@ -14,7 +14,8 @@ Two distance formulas are provided:
   paper).  Used by the spatial index for cheap candidate pruning.
 
 Vectorised variants (:func:`points_to_point_km`,
-:func:`points_to_points_km`, :func:`pairwise_distance_matrix`) operate on numpy arrays and are the
+:func:`points_to_points_km`, :func:`pairwise_distance_matrix`,
+:func:`pair_distances_km`) operate on numpy arrays and are the
 workhorses of the extraction pipelines, which must compute distances from
 millions of tweets to area centres.
 """
@@ -217,3 +218,24 @@ def pairwise_distance_matrix(points: Sequence[_CoordLike]) -> np.ndarray:
     matrix = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
     np.fill_diagonal(matrix, 0.0)
     return matrix
+
+
+def pair_distances_km(
+    lats_a: np.ndarray, lons_a: np.ndarray, lats_b: np.ndarray, lons_b: np.ndarray
+) -> np.ndarray:
+    """Haversine distance from each point ``a[k]`` to its partner ``b[k]``.
+
+    The elementwise counterpart of :func:`pairwise_distance_matrix`: the
+    same operations in the same order, evaluated only for the listed
+    pairs, so a handful of OD cells over a many-thousand-area world
+    never allocates the full matrix.
+    """
+    phi_a = np.radians(np.asarray(lats_a, dtype=np.float64))
+    phi_b = np.radians(np.asarray(lats_b, dtype=np.float64))
+    dphi = phi_a - phi_b
+    dlmb = np.radians(np.asarray(lons_a, dtype=np.float64)) - np.radians(
+        np.asarray(lons_b, dtype=np.float64)
+    )
+    h = np.sin(dphi / 2.0) ** 2 + np.cos(phi_a) * np.cos(phi_b) * np.sin(dlmb / 2.0) ** 2
+    np.clip(h, 0.0, 1.0, out=h)
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))

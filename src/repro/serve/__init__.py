@@ -14,8 +14,10 @@ serves them with nothing beyond the standard library:
     The router, endpoint handlers, JSON error envelope, threaded server
     with graceful drain, and per-request access logging.
 ``ingest``
-    Lock-guarded live tweet ingest into a windowed
-    :class:`~repro.stream.monitor.MobilityMonitor` (anomaly flags).
+    Live tweet ingest into the summary store's minute tiles, and the
+    anomaly monitor (:class:`~repro.stream.monitor.MinuteMonitor`) that
+    follows them: sparse windows checked at whole-minute boundaries,
+    a read-only ``?check=1``, state re-derived from tiles on restart.
 ``metrics`` / ``cache``
     Per-endpoint counters + latency histograms, and the LRU response
     cache for idempotent GETs.

@@ -33,9 +33,12 @@ GET       ``/v1/population``     per-area census vs Twitter population;
 GET       ``/v1/flows``          OD flow matrix entries, filterable;
                                  ``?window=t0:t1`` served from summary tiles
 POST      ``/v1/predict``        batch OD predictions from fitted models
-POST      ``/v1/ingest``         push a tweet batch into the live monitor
-                                 (and the summary store's minute tiles)
-GET       ``/v1/anomalies``      flow anomalies raised by the monitor
+POST      ``/v1/ingest``         push a tweet batch into the summary
+                                 store's minute tiles
+GET       ``/v1/anomalies``      flow anomalies raised at whole-minute
+                                 check boundaries over the minute tiles;
+                                 ``?check=1`` adds a read-only check of
+                                 the open window
 POST      ``/v1/reload``         force a registry reload check
 ==========================================================================
 
@@ -52,8 +55,9 @@ The app also runs as one shard of a pre-fork cluster.  Two hooks keep
 the layering clean (``serve`` never imports ``cluster``):
 
 * ``shard_router`` — an object the cluster layer attaches after
-  construction.  When set, un-``forwarded`` ingest batches and windowed
-  reads are delegated to it (consistent-hash split / scatter-gather);
+  construction.  When set, un-``forwarded`` ingest batches, windowed
+  reads and anomaly reads are delegated to it (consistent-hash split /
+  scatter-gather);
   requests carrying ``forwarded=1`` are always handled locally, which
   is what makes forwarding loop-free.
 * ``cache_shard_key`` — folded into every response-cache key so two
@@ -95,13 +99,12 @@ from urllib.parse import parse_qsl, urlsplit
 import numpy as np
 
 from repro import obs
-from repro.core.label import label_tweet_batch
 from repro.core.world import World
 from repro.data.gazetteer import Scale, gazetteer_from_spec
 from repro.data.schema import SchemaError
 from repro.pipeline.store import ArtifactStore
 from repro.serve.cache import LRUCache
-from repro.serve.ingest import IngestService
+from repro.serve.ingest import IngestService, minute_cells
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.registry import (
     MODEL_KEYS,
@@ -109,6 +112,7 @@ from repro.serve.registry import (
     ScaleSnapshot,
     Snapshot,
 )
+from repro.stream.monitor import FlowAnomaly
 from repro.summary.store import SummaryStore
 
 #: Endpoints whose responses are pure functions of (URL, snapshot,
@@ -186,6 +190,40 @@ def render_flows(
     ]
 
 
+def wants_check(query: dict) -> bool:
+    """Whether an anomalies read asks for the provisional open-window check."""
+    return query.get("check") in ("1", "true")
+
+
+def _anomaly_records(anomalies: Sequence[FlowAnomaly]) -> list[dict]:
+    return [
+        {
+            "source": a.source,
+            "dest": a.dest,
+            "observed": a.observed,
+            "baseline": round(a.baseline, 3),
+            "ratio": round(a.ratio, 3),
+            "timestamp": a.timestamp,
+        }
+        for a in anomalies
+    ]
+
+
+def anomalies_payload(anomalies: Sequence[FlowAnomaly], stats: dict) -> dict:
+    """The ``/v1/anomalies`` body for a list of raised anomalies."""
+    return {
+        "count": len(anomalies),
+        "anomalies": _anomaly_records(anomalies),
+        "stats": stats,
+    }
+
+
+def check_payload(edge: int | None, flags: Sequence[FlowAnomaly]) -> dict:
+    """The ``check`` block of ``/v1/anomalies?check=1``: the open window
+    ``[edge − W, edge)`` flagged against the current baseline."""
+    return {"edge": edge, "count": len(flags), "anomalies": _anomaly_records(flags)}
+
+
 class EstimationApp:
     """Routing and endpoint logic, independent of the HTTP transport."""
 
@@ -197,16 +235,14 @@ class EstimationApp:
         cache_capacity: int = 256,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         profile_requests: bool = False,
-        summary: SummaryStore | None = None,
+        windowed_reads: bool = True,
         summary_scale: Scale = Scale.NATIONAL,
     ) -> None:
-        if summary is not None and summary.world != ingest.world:
-            # One label set feeds both consumers, so they must share
-            # the area system it indexes.
-            raise ValueError("summary store and ingest service monitor different worlds")
         self.registry = registry
         self.ingest = ingest
-        self.summary = summary
+        #: The store windowed reads answer from: the ingest service's
+        #: own (None when windowed reads are off).
+        self.summary = ingest.summary if windowed_reads else None
         self.summary_scale = summary_scale
         #: Cluster hook (duck-typed; see repro.cluster.router.ShardRouter).
         #: The cluster layer assigns it after construction — ``serve``
@@ -385,9 +421,7 @@ class EstimationApp:
         Called by :meth:`EstimationServer.server_close` after in-flight
         requests finish.
         """
-        flushed = 0
-        if self.summary is not None:
-            flushed = self.summary.flush()
+        flushed = self.ingest.summary.flush()
         self.cache.clear()
         obs.counter("serve.drains")
         return {"summary_tiles_flushed": flushed}
@@ -644,48 +678,45 @@ class EstimationApp:
     def ingest_apply(self, tweets: list) -> dict:
         """Apply a parsed tweet batch to this process's own state.
 
-        The post-routing half of ingest: the monitor plus (when wired)
-        the summary store's minute tiles.  The batch is sorted and
-        labelled once (:func:`~repro.core.label.label_tweet_batch`) and
-        that one result feeds both consumers; each drops its own stale
-        prefix.  The shard router calls this directly for the
-        locally-owned slice of a split batch.
+        The post-routing half of ingest: the batch is sorted and
+        labelled once (:func:`~repro.core.label.label_tweet_batch`),
+        then the summary store builds its minute tiles, dropping the
+        stale prefix; minutes the batch finalizes run the anomaly
+        monitor's due checks.  The shard router calls this directly for
+        the locally-owned slice of a split batch.
         """
-        ordered, labelled = label_tweet_batch(self.ingest.world, tweets)
-        result = self.ingest.ingest_labelled(ordered, labelled)
+        result = self.ingest.ingest(tweets)
         payload = {
             "accepted": result.accepted,
             "dropped_stale": result.dropped_stale,
             "anomalies_raised": result.anomalies_raised,
         }
         if self.summary is not None:
-            outcome = self.summary.ingest_labelled(ordered, labelled)
             payload["summary"] = {
-                "accepted": outcome.accepted,
-                "dropped_late": outcome.dropped_late,
-                "version": outcome.version,
+                "accepted": result.summary.accepted,
+                "dropped_late": result.summary.dropped_late,
+                "version": result.summary.version,
             }
         return payload
 
     def _handle_anomalies(self, query: dict, body: dict | None) -> tuple[int, dict]:
-        if query.get("check") in ("1", "true"):
-            self.ingest.check_now()
-        anomalies = self.ingest.anomalies()
-        return 200, {
-            "count": len(anomalies),
-            "anomalies": [
-                {
-                    "source": a.source,
-                    "dest": a.dest,
-                    "observed": a.observed,
-                    "baseline": round(a.baseline, 3),
-                    "ratio": round(a.ratio, 3),
-                    "timestamp": a.timestamp,
-                }
-                for a in anomalies
-            ],
-            "stats": self.ingest.stats(),
-        }
+        if self._shard_routed(query):
+            return self.shard_router.gather_anomalies(query)
+        payload = anomalies_payload(self.ingest.anomalies(), self.ingest.stats())
+        if wants_check(query):
+            payload["check"] = check_payload(*self.ingest.provisional_check())
+        if query.get("cells") == "1":
+            # A gather leg: the shard router sums these across shards.
+            listing = self.ingest.summary.minutes()
+            payload["minutes"] = {
+                "frontier": listing.frontier,
+                "edge": listing.edge,
+                "cells": [
+                    [start, keys.tolist(), counts.tolist()]
+                    for start, keys, counts in map(minute_cells, listing.tiles)
+                ],
+            }
+        return 200, payload
 
     def _handle_reload(self, query: dict, body: dict | None) -> tuple[int, dict]:
         reloaded = self.registry.maybe_reload(force=True)
@@ -899,6 +930,7 @@ def create_app(
     store: ArtifactStore,
     monitor_scale: Scale = Scale.NATIONAL,
     window_seconds: float = 3600.0,
+    check_interval_seconds: float | None = None,
     poll_interval: float = 2.0,
     cache_capacity: int = 256,
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
@@ -912,10 +944,13 @@ def create_app(
 
     With ``preload`` (the default) the initial snapshot is built before
     the first request, so a misconfigured cache dir fails fast at boot.
-    With ``with_summary`` (the default) a :class:`SummaryStore` over the
-    monitor scale is attached, persisted through the same artifact
-    store, and its tiles recovered — so windowed queries survive a
-    restart without corpus replay.  ``summary_namespace`` overrides the
+    Ingest always lands in a :class:`SummaryStore` over the monitor
+    scale, which the anomaly monitor follows (``window_seconds`` and
+    ``check_interval_seconds`` set its schedule).  With
+    ``with_summary`` (the default) that store persists through the same
+    artifact store and is recovered at boot — so windowed queries and
+    the anomaly state survive a restart without corpus replay; without
+    it the store is in-memory and windowed reads answer 503.  ``summary_namespace`` overrides the
     store's tile namespace (cluster workers use
     ``"<scale>-s<shard>of<n>"`` so shards persist disjoint tile sets
     through one artifact store).  ``gazetteer`` picks the monitored area
@@ -927,13 +962,7 @@ def create_app(
     if preload:
         registry.load()
     resolved = gazetteer_from_spec(gazetteer)
-    # One world for both live consumers: a batch labelled once is valid
-    # for the monitor and the summary store by construction.
     world = World.from_scale(monitor_scale, gazetteer=resolved)
-    ingest = IngestService(
-        world, radius_km=world.radius_km, window_seconds=window_seconds
-    )
-    summary = None
     if with_summary:
         if resolved.is_legacy:
             default_namespace = monitor_scale.value
@@ -945,13 +974,20 @@ def create_app(
             namespace=summary_namespace or default_namespace,
         )
         summary.recover()
+    else:
+        summary = SummaryStore(world)
+    ingest = IngestService(
+        summary,
+        window_seconds=window_seconds,
+        check_interval_seconds=check_interval_seconds,
+    )
     return EstimationApp(
         registry,
         ingest,
         cache_capacity=cache_capacity,
         max_body_bytes=max_body_bytes,
         profile_requests=profile_requests,
-        summary=summary,
+        windowed_reads=with_summary,
         summary_scale=monitor_scale,
     )
 

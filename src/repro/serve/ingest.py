@@ -1,34 +1,44 @@
-"""Live tweet ingest: a lock-guarded :class:`MobilityMonitor`.
+"""Live tweet ingest into the summary store, and the anomaly monitor
+that reads the store's minute tiles.
 
-``POST /v1/ingest`` delivers tweet batches from arbitrary HTTP client
-threads, but the monitor (and the sliding-window counters under it) is
-a strictly single-writer, time-ordered structure.  :class:`IngestService`
-is the adapter: one mutex serialises all monitor access, each batch is
-sorted by timestamp before pushing, and tweets older than the stream's
-high-water mark are *dropped and counted* rather than raising — an HTTP
-client cannot be trusted to deliver globally ordered batches.
+There is one OD pipeline per serving process: the
+:class:`~repro.summary.store.SummaryStore`'s minute tiles.
+:class:`IngestService` owns the store writes (``POST /v1/ingest``) and a
+:class:`~repro.stream.monitor.MinuteMonitor` that follows the store: as
+each minute finalizes, its sparse OD cells join the running flow window,
+and checks fire at whole-minute boundaries ``B`` over the transitions
+whose arriving tweet lies in ``[B − W, B)`` (window and interval rounded
+up to whole minutes).  A check therefore costs O(window cells), never
+O(areas²), and never stitches tiles.
 
 Sorting and labelling happen once per batch, outside the service:
 :func:`repro.core.label.label_tweet_batch` produces the time-ascending
-batch and its labels, which the serving app hands to both this service
-and the summary store (:meth:`IngestService.ingest_labelled`).
+batch and its labels.  Tweets behind the store's watermark are dropped
+and counted, not an error — an HTTP client cannot be trusted to deliver
+globally ordered batches.
 
-Reads (``/v1/anomalies``) take the same lock, so anomaly listings are
-consistent with completed batches — a deliberate single-writer design,
-documented in DESIGN.md.
+Concurrency: the store's lock serialises ingest, and the monitor runs
+inside it (the store calls its follower under the lock), so the service
+needs no lock of its own.  Readers take the monitor's published
+:class:`~repro.stream.monitor.MonitorView`, an immutable state as of the
+last completed advance.
+
+Anomaly state is a pure function of the minute tiles: a restarted
+process re-derives it when the monitor first follows the recovered
+store, and nothing beyond the tiles is persisted.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.label import PointLabels, label_tweet_batch
-from repro.core.world import World
-from repro.data.gazetteer import Area
 from repro.data.schema import Tweet, parse_tweet_record
-from repro.stream.monitor import FlowAnomaly, MobilityMonitor
+from repro.stream.monitor import FlowAnomaly, MinuteCells, MinuteMonitor
+from repro.summary.store import IngestOutcome, SummaryStore
+from repro.summary.tiers import SummaryBucket
 
 
 @dataclass(frozen=True)
@@ -38,33 +48,38 @@ class IngestResult:
     accepted: int
     dropped_stale: int
     anomalies_raised: int
+    summary: IngestOutcome
+
+
+def minute_cells(tile: SummaryBucket) -> MinuteCells:
+    """A minute tile's OD cells as the monitor consumes them."""
+    return tile.start, tile.sources * tile.n_areas + tile.dests, tile.counts
 
 
 class IngestService:
-    """Thread-safe facade over a windowed mobility monitor.
+    """Ingest into one summary store plus the anomaly monitor over it.
 
-    ``world`` (the monitor's area system) is the world every batch is
-    labelled against.  :meth:`ingest_labelled` is the one ingest path:
-    it takes a time-ascending batch with the :class:`PointLabels` the
-    kernel computed for it, drops the stale prefix and pushes the rest
-    with its label slice — no re-sort, no re-label.  :meth:`ingest` is
-    the thin wrapper that sorts and labels first.
+    ``monitor_kwargs`` configure the :class:`MinuteMonitor`
+    (``check_interval_seconds``, ``baseline_alpha``, ``anomaly_ratio``,
+    ``min_flow``, ``warmup_checks``).  Constructing the service attaches
+    the monitor as the store's follower, which replays every minute the
+    store already holds — after :meth:`SummaryStore.recover` that is
+    the restart re-derivation.
     """
 
     def __init__(
         self,
-        areas: Sequence[Area] | World,
-        radius_km: float,
+        summary: SummaryStore,
         window_seconds: float = 3600.0,
         **monitor_kwargs,
     ) -> None:
-        self._lock = threading.Lock()
-        self._monitor = MobilityMonitor(
-            areas, radius_km, window_seconds, **monitor_kwargs
-        )
-        self.world = self._monitor.world
-        self._accepted = 0
-        self._dropped_stale = 0
+        self.summary = summary
+        self.world = summary.world
+        self.monitor = MinuteMonitor(self.world, window_seconds, **monitor_kwargs)
+        summary.follow(self._follow)
+
+    def _follow(self, tiles: Sequence[SummaryBucket], frontier: int | None) -> int:
+        return self.monitor.advance(map(minute_cells, tiles), frontier)
 
     @staticmethod
     def parse_tweet(record: dict) -> Tweet:
@@ -85,52 +100,68 @@ class IngestService:
     def ingest_labelled(
         self, ordered: Sequence[Tweet], labelled: PointLabels
     ) -> IngestResult:
-        """Push a time-ascending, already-labelled batch through the monitor.
+        """Apply a time-ascending, already-labelled batch.
 
         ``labelled`` must come from the kernel over exactly these rows
-        and this service's :attr:`world`.  Tweets behind the monitor's
-        high-water mark are dropped (counted, not an error); the rest
-        go to :meth:`MobilityMonitor.push_batch` with their label slice.
+        and this service's :attr:`world`.  The store drops the stale
+        prefix behind its watermark; minutes the batch finalizes run
+        the monitor's due checks before this returns.
         """
-        if len(labelled) != len(ordered):
-            raise ValueError(f"{len(labelled)} labels for {len(ordered)} tweets")
-        with self._lock:
-            # The batch is ascending, so only a prefix can sit behind
-            # the monitor's high-water mark.
-            watermark = self._monitor.counter._latest
-            keep = 0
-            while keep < len(ordered) and ordered[keep].timestamp < watermark:
-                keep += 1
-            dropped = keep
-            accepted = len(ordered) - dropped
-            anomalies = len(
-                self._monitor.push_batch(ordered[keep:], labelled.labels[keep:])
-            )
-            self._accepted += accepted
-            self._dropped_stale += dropped
+        outcome = self.summary.ingest_labelled(ordered, labelled)
         return IngestResult(
-            accepted=accepted, dropped_stale=dropped, anomalies_raised=anomalies
+            accepted=outcome.accepted,
+            dropped_stale=outcome.dropped_late,
+            anomalies_raised=outcome.raised,
+            summary=outcome,
         )
 
     def anomalies(self) -> list[FlowAnomaly]:
-        """Every anomaly raised so far (consistent with complete batches)."""
-        with self._lock:
-            return self._monitor.anomalies
+        """Every anomaly raised up to the monitor's frontier."""
+        return list(self.monitor.view.anomalies)
 
-    def check_now(self) -> list[FlowAnomaly]:
-        """Force an anomaly check at the current stream time."""
-        with self._lock:
-            return self._monitor.check_now()
+    def _open_window(self) -> tuple[int | None, list[SummaryBucket]]:
+        """The open window's edge ``E`` and its minute tiles, ``[E − W, E)``.
+
+        ``E`` is the end of the newest minute holding data, so open
+        minutes count.
+        """
+        watermark = self.summary.watermark
+        if not math.isfinite(watermark):
+            return None, []
+        listing = self.summary.minutes(math.floor(watermark) - self.monitor.window)
+        if listing.edge is None:
+            return None, []
+        cutoff = listing.edge - self.monitor.window
+        return listing.edge, [tile for tile in listing.tiles if tile.start >= cutoff]
+
+    def provisional_check(self) -> tuple[int | None, list[FlowAnomaly]]:
+        """Evaluate the open window against the current baseline.
+
+        Read-only: nothing folds into the baseline and no check is
+        scheduled, so polling never changes later answers.  Returns
+        ``(E, flags)`` for the open window ``[E − W, E)``.
+        """
+        view = self.monitor.view
+        edge, tiles = self._open_window()
+        if edge is None:
+            return None, []
+        return edge, self.monitor.provisional(map(minute_cells, tiles), edge, view)
 
     def stats(self) -> dict:
-        """Ingest counters plus current window state."""
-        with self._lock:
-            monitor = self._monitor
-            return {
-                "accepted": self._accepted,
-                "dropped_stale": self._dropped_stale,
-                "window_transitions": monitor.counter.total_transitions,
-                "checks_done": monitor._checks_done,
-                "anomalies_total": len(monitor._anomalies),
-                "has_windowed_fit": monitor.latest_fit is not None,
-            }
+        """Ingest counters plus the monitor's state.
+
+        ``window_transitions`` counts the open window's transitions;
+        ``frontier`` is the minute edge the monitor has checked up to.
+        """
+        view = self.monitor.view
+        summary = self.summary.stats()
+        _edge, tiles = self._open_window()
+        return {
+            "accepted": summary["accepted"],
+            "dropped_stale": summary["dropped_late"],
+            "window_transitions": sum(tile.n_transitions for tile in tiles),
+            "checks_done": view.checks_done,
+            "anomalies_total": len(view.anomalies),
+            "has_windowed_fit": view.latest_fit is not None,
+            "frontier": view.frontier,
+        }

@@ -13,18 +13,21 @@ This subpackage provides the online counterpart of every batch pipeline:
     incremental OD flow counting via per-user last-position tracking.
     Windowed results match the batch pipelines exactly (tested).
 ``monitor``
-    A rolling monitor that refits the gravity model on each window and
-    flags flow anomalies — the skeleton of the paper's proposed
-    "responsive prediction method ... for disease spread".
+    One sparse anomaly-check kernel that refits the gravity model on
+    each window and flags flow anomalies — the skeleton of the paper's
+    proposed "responsive prediction method ... for disease spread" —
+    driven per tweet (``MobilityMonitor``) or per finalized minute
+    (``MinuteMonitor``, the server's).
 """
 
-from repro.stream.monitor import FlowAnomaly, MobilityMonitor
+from repro.stream.monitor import FlowAnomaly, MinuteMonitor, MobilityMonitor
 from repro.stream.online import OnlineMobilityCounter, OnlinePopulationCounter
 from repro.stream.replay import corpus_stream, merge_streams, stream_in_windows
 from repro.stream.window import SlidingWindow
 
 __all__ = [
     "FlowAnomaly",
+    "MinuteMonitor",
     "MobilityMonitor",
     "OnlineMobilityCounter",
     "OnlinePopulationCounter",

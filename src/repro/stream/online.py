@@ -16,9 +16,8 @@ the equivalences are structural: the stream runs the same vectorised
 arithmetic as the batch extractors (the old scalar per-tweet linear
 scan, whose float sequence could drift from the batch path at disc
 boundaries, is gone).  ``push`` ingests one tweet; ``push_batch``
-ingests a time-ordered batch, labelled in one kernel pass — or, on the
-ingest endpoint's hot path, with the labels the endpoint already
-computed for the whole batch.
+ingests a time-ordered batch, labelled in one kernel pass — or with
+labels the caller already computed for the batch.
 The equivalences are asserted in the test suite by replaying corpora
 through the counters with an infinite window.
 """
@@ -157,10 +156,10 @@ class OnlineMobilityCounter:
         """Ingest a time-ordered batch, labelled in one vectorised pass.
 
         ``labels`` are the batch's precomputed nearest-area labels, row
-        for row — the live ingest path labels each batch once (see
-        :func:`repro.core.label.label_tweet_batch`) and passes slices
-        here; without them the batch is labelled by
-        :meth:`label_batch`.  Labels depend only on coordinates, so they
+        for row — :meth:`MobilityMonitor.push_batch
+        <repro.stream.monitor.MobilityMonitor.push_batch>` labels a
+        batch once and passes slices here; without them the batch is
+        labelled by :meth:`label_batch`.  Labels depend only on coordinates, so they
         are applied sequentially and ordering checks, transition
         recording and window expiry behave exactly as a ``push`` per
         tweet.

@@ -27,6 +27,15 @@ the coarsest aligned tile available and falls through to finer tiers
 and query stitching are the same array merge: concatenate the tiles'
 columns, then group equal keys.
 
+Minute follower
+---------------
+One consumer may follow the finalized minutes (:meth:`SummaryStore.follow`):
+the serving anomaly monitor.  It is called under the store's lock with
+the minute tiles each ingest, flush, backfill install or recovery
+finalized, in start order, and the *frontier* — the minute edge before
+which every minute is final — so it sees exactly what a restart would
+recover, in the order a live stream finalized it.
+
 Consistency and staleness
 -------------------------
 Every mutation bumps a monotonic ``version`` — the serving layer keys
@@ -71,7 +80,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -106,11 +115,37 @@ _MINUTE_SPAN = TimeTier.MINUTE.span_seconds
 
 @dataclass(frozen=True)
 class IngestOutcome:
-    """Result of one summary ingest batch."""
+    """Result of one summary ingest batch.
+
+    ``raised`` is what the minute follower (see
+    :meth:`SummaryStore.follow`) reported for the minutes this batch
+    finalized — the serving anomaly monitor reports the anomalies it
+    raised.
+    """
 
     accepted: int
     dropped_late: int
     version: int
+    raised: int = 0
+
+
+#: ``follower(tiles, frontier) -> raised``: newly final minute tiles in
+#: start order, and the minute edge before which every minute is final.
+MinuteFollower = Callable[[Sequence[SummaryBucket], int | None], int]
+
+
+@dataclass(frozen=True)
+class MinuteListing:
+    """Minute tiles from some start on, finalized and open, in start order.
+
+    ``frontier`` is the minute edge before which every minute is final
+    and ``edge`` the end of the newest minute holding data (both None
+    before any data).
+    """
+
+    tiles: tuple[SummaryBucket, ...]
+    frontier: int | None
+    edge: int | None
 
 
 @dataclass(frozen=True)
@@ -170,8 +205,8 @@ class SummaryStore:
         Journal name separating summary families (typically the
         gazetteer scale name) within one artifact store.
 
-    All public methods are thread-safe (one internal mutex, the same
-    single-writer discipline as :class:`~repro.serve.ingest.IngestService`).
+    All public methods are thread-safe (one internal mutex; ingest is
+    single-writer).
     """
 
     def __init__(
@@ -198,6 +233,9 @@ class SummaryStore:
             tier: set() for tier in ROLLUP_SOURCE
         }
         self._last_label: dict[int, int] = {}
+        self._follower: MinuteFollower | None = None
+        # Minutes finalized since the follower last ran, in that order.
+        self._newly_final: list[SummaryBucket] = []
         self._watermark = float("-inf")
         self._version = 0
         self._accepted = 0
@@ -298,10 +336,10 @@ class SummaryStore:
                 self._watermark = float(timestamps[-1])
             self._accepted += accepted
             self._dropped_late += keep
-            self._advance()
+            raised = self._advance()
             if accepted:
                 self._version += 1
-            return IngestOutcome(accepted, keep, self._version)
+            return IngestOutcome(accepted, keep, self._version, raised)
 
     def _moves(
         self, starts: np.ndarray, users: np.ndarray, labels: np.ndarray
@@ -331,14 +369,67 @@ class SummaryStore:
 
     # -- finalization and rollup ---------------------------------------
 
-    def _advance(self) -> None:
-        """Finalize passed minutes and roll complete hours/days up."""
+    def _advance(self) -> int:
+        """Finalize passed minutes, roll complete hours/days up and hand
+        the newly final minutes to the follower; returns what it raised."""
         for start in sorted(self._minute_open):
             if start + TimeTier.MINUTE.span_seconds > self._watermark:
                 break
             self._finalize_minute(start, self._minute_open.pop(start))
         for tier in (TimeTier.HOUR, TimeTier.DAY):
             self._rollup_tier(tier)
+        final, self._newly_final = self._newly_final, []
+        if self._follower is None:
+            return 0
+        final.sort(key=lambda tile: tile.start)
+        return self._follower(final, self._frontier())
+
+    def _frontier(self) -> int | None:
+        """The minute edge before which every minute is final."""
+        if not np.isfinite(self._watermark):
+            return None
+        return bucket_start(self._watermark, TimeTier.MINUTE)
+
+    def follow(self, follower: MinuteFollower) -> None:
+        """Make ``follower`` the store's one consumer of final minutes.
+
+        It is called at once with every finalized minute tile and the
+        frontier, then after each ingest, flush, backfill install or
+        recovery with the minutes that became final (start order) and
+        the new frontier.  Calls run under the store's lock, so they are
+        serialised and see minutes exactly in finalization order; the
+        follower must not call back into the store.  The follower's
+        return value is summed into :attr:`IngestOutcome.raised`.
+        """
+        with self._lock:
+            if self._follower is not None:
+                raise ValueError("this summary store already has a follower")
+            self._follower = follower
+            minutes = self._tiles[TimeTier.MINUTE]
+            follower(
+                [minutes[start] for start in self._starts[TimeTier.MINUTE]],
+                self._frontier(),
+            )
+
+    def minutes(self, since: int | None = None) -> MinuteListing:
+        """Minute tiles starting at or after ``since`` (all by default),
+        finalized and open, with the frontier and the data edge."""
+        with self._lock:
+            starts = self._starts[TimeTier.MINUTE]
+            first = 0 if since is None else bisect.bisect_left(starts, since)
+            finalized = self._tiles[TimeTier.MINUTE]
+            tiles = [finalized[start] for start in starts[first:]]
+            tiles += [
+                self._minute_open[start]
+                for start in sorted(self._minute_open)
+                if since is None or start >= since
+            ]
+            newest = max(self._minute_open, default=starts[-1] if starts else None)
+            return MinuteListing(
+                tuple(tiles),
+                self._frontier(),
+                None if newest is None else newest + _MINUTE_SPAN,
+            )
 
     def _install_tile(self, tile: SummaryBucket) -> None:
         self._tiles[tile.tier][tile.start] = tile
@@ -346,6 +437,7 @@ class SummaryStore:
 
     def _finalize_minute(self, start: int, bucket: SummaryBucket) -> None:
         self._install_tile(bucket)
+        self._newly_final.append(bucket)
         self._persist(bucket)
         self._pending_rollup[TimeTier.HOUR].add(
             bucket_start(start, TimeTier.HOUR)
@@ -394,6 +486,7 @@ class SummaryStore:
         already in memory (recovery after partial operation is
         additive), advances the watermark to the newest recovered tile
         end and re-derives the rollup schedule — no corpus replay.
+        Recovered minute tiles reach the follower as finalized ones do.
         """
         if self._journal is None:
             return 0
@@ -415,6 +508,8 @@ class SummaryStore:
                 if tile.start in self._tiles[tile.tier]:
                     continue
                 self._install_tile(tile)
+                if tile.tier is TimeTier.MINUTE:
+                    self._newly_final.append(tile)
                 recovered += 1
                 self._watermark = max(self._watermark, float(tile.end))
                 if tile.tier in ROLLUP_SOURCE.values() or tile.tier is TimeTier.MINUTE:

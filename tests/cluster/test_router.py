@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster import HashRing, ShardRouter
 from repro.data.gazetteer import Scale, areas_for_scale
+from repro.pipeline.store import ArtifactStore
 from repro.serve import create_app
 from repro.summary.store import SummaryStore
 
@@ -58,17 +59,17 @@ class FakeTransport:
         return status, payload
 
 
-@pytest.fixture()
-def cluster(warm_store):
-    """Two shard apps wired through one FakeTransport."""
+def _shard_apps(store, namespace: str, **app_kwargs):
+    """Two shard apps wired through one FakeTransport; closes on exit."""
     transport = FakeTransport()
     peers = {k: f"http://shard{k}" for k in range(N_SHARDS)}
     apps = []
     for shard in range(N_SHARDS):
         app = create_app(
-            warm_store,
+            store,
             poll_interval=0.0,
-            summary_namespace=f"{Scale.NATIONAL.value}-s{shard}of{N_SHARDS}-t",
+            summary_namespace=f"{namespace}-s{shard}of{N_SHARDS}-t",
+            **app_kwargs,
         )
         router = ShardRouter(shard, RING, peers, app, transport=transport)
         app.shard_router = router
@@ -78,6 +79,34 @@ def cluster(warm_store):
     yield apps, transport
     for app in apps:
         app.shard_router.close()
+
+
+@pytest.fixture()
+def cluster(warm_store):
+    """Two shard apps wired through one FakeTransport."""
+    yield from _shard_apps(warm_store, Scale.NATIONAL.value)
+
+
+#: A 10-minute window checked every minute: a 40-minute stream warms up,
+#: settles and then flags a surge.
+FAST_MONITOR = dict(window_seconds=600.0, check_interval_seconds=60.0)
+
+
+@pytest.fixture()
+def monitored_cluster(tmp_path):
+    """Shard apps whose anomaly monitor checks every stream minute, over
+    a fresh store (no registry run is needed)."""
+    yield from _shard_apps(
+        ArtifactStore(tmp_path), "monitored", preload=False, **FAST_MONITOR
+    )
+
+
+def _single_process(tmp_path):
+    """One unsharded app with the monitored cluster's settings."""
+    return create_app(
+        ArtifactStore(tmp_path), poll_interval=0.0, preload=False,
+        summary_namespace="monitored-single", **FAST_MONITOR,
+    )
 
 
 def ingest(app, records, query=None):
@@ -237,3 +266,68 @@ class TestScatterGather:
         assert status == 200
         assert "cluster" not in payload
         assert len(transport.calls) == calls_before
+
+
+class TestGatheredAnomalies:
+    @staticmethod
+    def commuting_stream() -> list[list[dict]]:
+        """One batch per minute: users cycling areas 0 → 1 → 2, joined by
+        a crowd making the same moves from minute 30 on."""
+        batches = []
+        for minute in range(40):
+            crowd = 12 if minute < 30 else 400
+            batches.append(
+                [
+                    tweet_record(user, minute * 60.0 + user * 50.0 / crowd, (user + minute) % 3)
+                    for user in range(crowd)
+                ]
+            )
+        return batches
+
+    def test_fleet_answer_equals_single_process_via_either_worker(
+        self, monitored_cluster, tmp_path
+    ):
+        apps, _ = monitored_cluster
+        single = _single_process(tmp_path)
+        for batch in self.commuting_stream():
+            assert ingest(apps[0], batch)[0] == 200
+            assert ingest(single, batch)[0] == 200
+
+        _, expected, _ = single.handle("GET", "/v1/anomalies", {}, None)
+        assert expected["count"] > 0
+        for app in apps:
+            status, gathered, _ = app.handle("GET", "/v1/anomalies", {}, None)
+            assert status == 200
+            assert gathered["cluster"]["shards"] == N_SHARDS
+            assert gathered["anomalies"] == expected["anomalies"]
+            for key in ("checks_done", "has_windowed_fit", "frontier", "accepted"):
+                assert gathered["stats"][key] == expected["stats"][key], key
+        # Each worker alone sees only its shard's users.
+        local = [
+            app.handle("GET", "/v1/anomalies", {"forwarded": "1"}, None)[1]
+            for app in apps
+        ]
+        assert all(p["stats"]["accepted"] < expected["stats"]["accepted"] for p in local)
+
+    def test_fleet_check_poll_matches_single_process(self, monitored_cluster, tmp_path):
+        apps, _ = monitored_cluster
+        single = _single_process(tmp_path)
+        for batch in self.commuting_stream()[:33]:
+            ingest(apps[1], batch)
+            ingest(single, batch)
+        _, expected, _ = single.handle("GET", "/v1/anomalies", {"check": "1"}, None)
+        _, gathered, _ = apps[1].handle("GET", "/v1/anomalies", {"check": "1"}, None)
+        assert expected["check"]["count"] > 0
+        assert gathered["check"] == expected["check"]
+        assert gathered["anomalies"] == expected["anomalies"]
+
+    def test_boundary_waits_for_every_shard(self, monitored_cluster):
+        apps, _ = monitored_cluster
+        u0, u1 = user_owned_by(0), user_owned_by(1)
+        ingest(apps[0], [tweet_record(u0, 10.0), tweet_record(u1, 20.0)])
+        # Only shard 0 moves on: the fleet frontier stays at shard 1's.
+        ingest(apps[0], [tweet_record(u0, 400.0, 1)])
+        _, gathered, _ = apps[0].handle("GET", "/v1/anomalies", {}, None)
+        assert gathered["cluster"]["frontiers"] == [360, 0]
+        assert gathered["stats"]["frontier"] == 0
+        assert gathered["stats"]["checks_done"] == 0

@@ -46,11 +46,12 @@ def registry(warm_store) -> ModelRegistry:
 @pytest.fixture()
 def app(registry) -> EstimationApp:
     """A fresh app (fresh metrics/cache/monitor) over the shared registry."""
+    from repro.core.world import World
     from repro.data.gazetteer import Scale, areas_for_scale, search_radius_km
+    from repro.summary.store import SummaryStore
 
-    ingest = IngestService(
-        areas_for_scale(Scale.NATIONAL),
-        radius_km=search_radius_km(Scale.NATIONAL),
-        window_seconds=3600.0,
+    world = World.from_areas(
+        areas_for_scale(Scale.NATIONAL), search_radius_km(Scale.NATIONAL)
     )
-    return EstimationApp(registry, ingest)
+    ingest = IngestService(SummaryStore(world), window_seconds=3600.0)
+    return EstimationApp(registry, ingest, windowed_reads=False)

@@ -40,14 +40,17 @@ class TestHealthAndRouting:
         assert "GET" in payload["error"]["message"]
 
     def test_empty_store_is_503(self, tmp_path):
+        from repro.core.world import World
         from repro.data.gazetteer import Scale, areas_for_scale, search_radius_km
         from repro.pipeline import ArtifactStore
+        from repro.summary.store import SummaryStore
 
         registry = ModelRegistry(ArtifactStore(tmp_path), poll_interval=0.0)
-        ingest = IngestService(
+        world = World.from_areas(
             areas_for_scale(Scale.NATIONAL), search_radius_km(Scale.NATIONAL)
         )
-        app = EstimationApp(registry, ingest)
+        ingest = IngestService(SummaryStore(world))
+        app = EstimationApp(registry, ingest, windowed_reads=False)
         status, payload, _ = get(app, "/healthz")
         assert status == 503
         assert "pipeline run" in payload["error"]["message"]

@@ -22,8 +22,7 @@ SYDNEY = {"lat": -33.8688, "lon": 151.2093}
 @pytest.fixture()
 def summary_app(registry) -> EstimationApp:
     world = World.from_scale(Scale.NATIONAL)
-    ingest = IngestService(world, radius_km=world.radius_km)
-    return EstimationApp(registry, ingest, summary=SummaryStore(world))
+    return EstimationApp(registry, IngestService(SummaryStore(world)))
 
 
 def ingest(app: EstimationApp, *user_ids: int):

@@ -138,9 +138,8 @@ def _index(names, query, key):
 @pytest.fixture()
 def busy_summary_app(registry) -> EstimationApp:
     """A windowed app whose store holds flows between most area pairs."""
-    ingest = IngestService(WORLD, radius_km=WORLD.radius_km, window_seconds=3600.0)
-    summary = SummaryStore(WORLD, namespace="national")
-    app = EstimationApp(registry, ingest, summary=summary, summary_scale=Scale.NATIONAL)
+    ingest = IngestService(SummaryStore(WORLD, namespace="national"), window_seconds=3600.0)
+    app = EstimationApp(registry, ingest, summary_scale=Scale.NATIONAL)
     rng = random.Random(11)
     tweets = []
     for k in range(600):

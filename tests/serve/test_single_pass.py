@@ -2,12 +2,11 @@
 
 ``EstimationApp.ingest_apply`` sorts a batch, labels it with
 :func:`repro.core.label.label_and_contain` and hands the one result to
-the monitor (``IngestService``) and the summary store.  These tests pin
-that contract:
+the summary store, whose finalized minutes feed the anomaly monitor
+(``IngestService``).  These tests pin that contract:
 
 * one ``POST /v1/ingest`` of n tweets labels exactly n points;
-* ``create_app`` wires one shared :class:`World` into both consumers,
-  and an app whose consumers disagree on the world is refused;
+* ``create_app`` wires one :class:`World` into the store and the monitor;
 * a shuffled, partly stale batch stream through ``ingest_apply`` gives
   the same monitor stats, anomalies, windowed answers and persisted
   tile journal (byte for byte) as consumers fed labels from the
@@ -71,14 +70,6 @@ class TestLabelledOnce:
         app = create_app(ArtifactStore(tmp_path), preload=False, gazetteer="synth:300")
         assert app.summary.world is app.ingest.world
 
-    def test_app_refuses_consumers_on_different_worlds(self, tmp_path):
-        registry = ModelRegistry(ArtifactStore(tmp_path), poll_interval=0.0)
-        national = World.from_scale(Scale.NATIONAL)
-        ingest = IngestService(national, radius_km=national.radius_km)
-        summary = SummaryStore(national.with_radius(10.0))
-        with pytest.raises(ValueError, match="different worlds"):
-            EstimationApp(registry, ingest, summary=summary)
-
 
 def _reference_labels(world: World, ordered) -> PointLabels:
     """The batch labelled by the reference kernels, in CSR form."""
@@ -127,12 +118,11 @@ def test_single_pass_equals_reference_kernels(tmp_path, gazetteer, scale):
     live_store = ArtifactStore(tmp_path / "live")
     app = EstimationApp(
         registry,
-        IngestService(world, radius_km=world.radius_km, **MONITOR),
-        summary=SummaryStore(world, artifacts=live_store, namespace="t"),
+        IngestService(SummaryStore(world, artifacts=live_store, namespace="t"), **MONITOR),
     )
     ref_store = ArtifactStore(tmp_path / "reference")
-    ref_ingest = IngestService(world, radius_km=world.radius_km, **MONITOR)
     ref_summary = SummaryStore(world, artifacts=ref_store, namespace="t")
+    ref_ingest = IngestService(ref_summary, **MONITOR)
 
     for batch in batches:
         # Through the service's own door: parse → route-free apply.
@@ -141,7 +131,7 @@ def test_single_pass_equals_reference_kernels(tmp_path, gazetteer, scale):
         ordered = sorted(parsed, key=lambda t: t.timestamp)
         reference = _reference_labels(world, ordered)
         expected = ref_ingest.ingest_labelled(ordered, reference)
-        outcome = ref_summary.ingest_labelled(ordered, reference)
+        outcome = expected.summary
         assert payload["accepted"] == expected.accepted
         assert payload["dropped_stale"] == expected.dropped_stale
         assert payload["anomalies_raised"] == expected.anomalies_raised

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.world import World
-from repro.data.gazetteer import Scale, areas_for_scale, search_radius_km
+from repro.data.gazetteer import Scale
 from repro.pipeline.store import ArtifactStore
 from repro.serve import EstimationApp, IngestService
 from repro.summary.store import SummaryStore
@@ -18,17 +18,11 @@ def _tweet(user, ts, area=0):
 
 
 def make_app(registry, artifacts=None) -> EstimationApp:
-    ingest = IngestService(
-        areas_for_scale(Scale.NATIONAL),
-        radius_km=search_radius_km(Scale.NATIONAL),
-        window_seconds=3600.0,
-    )
     summary = SummaryStore(WORLD, artifacts=artifacts, namespace="national")
     if artifacts is not None:
         summary.recover()
-    return EstimationApp(
-        registry, ingest, summary=summary, summary_scale=Scale.NATIONAL
-    )
+    ingest = IngestService(summary, window_seconds=3600.0)
+    return EstimationApp(registry, ingest, summary_scale=Scale.NATIONAL)
 
 
 @pytest.fixture()

@@ -214,8 +214,7 @@ class TestStaleFrames:
         assert recovered == len(bounds)
         assert tile_bytes(store) == tiles
         assert store.stats()["stale_frames"] == 1
-        world_ingest = IngestService(WORLD, radius_km=WORLD.radius_km)
-        app = EstimationApp(None, world_ingest, summary=store)
+        app = EstimationApp(None, IngestService(store))
         status, metrics, _ = app.handle("GET", "/metrics", {}, None)
         assert status == 200
         assert metrics["summary"]["stale_frames"] == 1

@@ -183,11 +183,13 @@ class TestPushBatchEquivalence:
         for start in range(0, len(ordered), 211):
             batched_anomalies.extend(batched.push_batch(ordered[start : start + 211]))
         assert scalar_anomalies == batched_anomalies
-        assert scalar._checks_done == batched._checks_done
+        assert scalar.checks_done == batched.checks_done
         assert np.array_equal(
             scalar.counter.flow_matrix(), batched.counter.flow_matrix()
         )
-        assert np.array_equal(scalar._baseline, batched._baseline)
+        assert scalar.kernel.baseline.checks == batched.kernel.baseline.checks
+        assert np.array_equal(scalar.kernel.baseline.keys, batched.kernel.baseline.keys)
+        assert np.array_equal(scalar.kernel.baseline.values, batched.kernel.baseline.values)
         assert scalar.gamma_history() == batched.gamma_history()
 
 
