@@ -6,151 +6,59 @@ fork-safety rules rebuild the call graph per run, which is the cost
 worth watching), and the full :func:`repro.check.runner.run_check`
 pipeline::
 
-    python benchmarks/bench_check.py --out BENCH_check.json
+    python benchmarks/bench_check.py --out bench-check.json
 
-Numbers are **machine-normalized** exactly like ``bench_world.py``: a
-fixed single-threaded hashing calibration loop is timed first and every
-measurement is also reported as a ratio against it, so the committed
-baseline stays comparable across hosts.  ``--check-against`` turns the
-committed baseline into a regression gate: the normalized full-check
-ratio may not exceed the baseline's by more than ``--slack`` (the first
-step on the ROADMAP's perf-trajectory ratchet).
+The full-check time is normalized (``_ratchet``) and gated against the
+committed ``BENCH_check.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
-import sys
-import time
-from pathlib import Path
+
+import _ratchet
+from _ratchet import best_of
 
 from repro.check.rules import RULE_FACTORIES
 from repro.check.runner import run_check
 from repro.check.walker import iter_source_files
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+#: CLI defaults; ``root`` resolves against the repository root.
+WORKLOAD = {"root": "."}
 
-#: Calibration loop: single-threaded blake2b over this many blocks.
-CALIBRATION_BLOCKS = 50_000
-
-#: Timing repetitions; the minimum is reported (noise resistant).
-REPEATS = 3
-
-#: Default headroom multiplier for the --check-against gate.
-DEFAULT_SLACK = 2.0
+GATED = {"full_check.seconds": "lower"}
 
 
-def calibrate() -> float:
-    """Seconds for a fixed single-threaded hash loop on this machine."""
-    payload = b"x" * 4096
-    start = time.perf_counter()
-    digest = b""
-    for _ in range(CALIBRATION_BLOCKS):
-        digest = hashlib.blake2b(payload + digest, digest_size=16).digest()
-    return time.perf_counter() - start
+def run_benchmark(root: str) -> dict:
+    """Time parse, every rule, and the full pipeline over ``root``."""
+    root_path = _ratchet.REPO_ROOT / root
+    package_root = root_path / "src" / "repro"
 
-
-def _time(fn) -> float:
-    """Minimum wall time over :data:`REPEATS` runs."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def run_benchmark(root: Path) -> dict:
-    """Calibrate, then time parse, every rule, and the full pipeline."""
-    calibration_seconds = calibrate()
-    package_root = root / "src" / "repro"
+    def timing(fn) -> dict:
+        return {"seconds": round(best_of(fn)[0], 4)}
 
     sources = list(iter_source_files(package_root))
-    parse_seconds = _time(lambda: list(iter_source_files(package_root)))
-
-    rules = []
-    for name in sorted(RULE_FACTORIES):
-        factory = RULE_FACTORIES[name]
-        seconds = _time(lambda: factory().run(sources))
-        rules.append(
-            {
-                "rule": name,
-                "seconds": round(seconds, 4),
-                "normalized": round(seconds / calibration_seconds, 3),
-            }
-        )
-
-    result = run_check(root=root)
-    full_seconds = _time(lambda: run_check(root=root))
+    rules = [
+        {"rule": name, **timing(lambda: RULE_FACTORIES[name]().run(sources))}
+        for name in sorted(RULE_FACTORIES)
+    ]
+    full_seconds, result = best_of(lambda: run_check(root=root_path))
 
     return {
-        "machine": {"calibration_seconds": round(calibration_seconds, 4)},
         "repo": {
             "files_scanned": len(sources),
             "check_ok": result.ok,
             "new_violations": len(result.new),
         },
-        "parse": {
-            "seconds": round(parse_seconds, 4),
-            "normalized": round(parse_seconds / calibration_seconds, 3),
-        },
+        "parse": timing(lambda: list(iter_source_files(package_root))),
         "rules": rules,
-        "full_check": {
-            "seconds": round(full_seconds, 4),
-            "normalized": round(full_seconds / calibration_seconds, 3),
-        },
+        "full_check": {"seconds": round(full_seconds, 4)},
     }
-
-
-def enforce_gate(summary: dict, baseline_path: Path, slack: float) -> None:
-    """Fail if the normalized full-check time regressed past the slack."""
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    allowed = baseline["full_check"]["normalized"] * slack
-    measured = summary["full_check"]["normalized"]
-    summary["gate"] = {
-        "baseline_normalized": baseline["full_check"]["normalized"],
-        "measured_normalized": measured,
-        "slack": slack,
-        "allowed": round(allowed, 3),
-    }
-    assert measured <= allowed, (
-        f"normalized full-check time {measured} exceeds the committed "
-        f"baseline {baseline['full_check']['normalized']} x {slack} slack "
-        f"({allowed:.3f}) — the static-analysis pass regressed"
-    )
-    summary["gate"]["status"] = "passed"
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=REPO_ROOT)
-    parser.add_argument("--out", help="write the JSON summary here (else stdout)")
-    parser.add_argument(
-        "--check-against",
-        type=Path,
-        help="committed BENCH_check.json to gate the normalized time against",
-    )
-    parser.add_argument("--slack", type=float, default=DEFAULT_SLACK)
-    args = parser.parse_args(argv)
-
-    summary = run_benchmark(args.root)
-    if args.check_against:
-        enforce_gate(summary, args.check_against, args.slack)
-    text = json.dumps(summary, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
 
 
 def test_check_benchmark():
     """Harness entry: the full-repo pass must be clean and benchmarkable."""
-    summary = run_benchmark(REPO_ROOT)
+    summary = run_benchmark(**WORKLOAD)
     print()
     print(json.dumps(summary, indent=2))
     assert summary["repo"]["check_ok"]
@@ -164,4 +72,4 @@ def test_check_benchmark():
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(_ratchet.main("check", run_benchmark, WORKLOAD, GATED))

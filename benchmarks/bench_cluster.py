@@ -5,12 +5,11 @@ freshly piped artifact store, drives the shared listening socket with a
 mixed ingest/windowed-read workload from client threads, and reports
 aggregate throughput at 1 worker and N workers as JSON::
 
-    python benchmarks/bench_cluster.py --workers 4 --requests 400
+    python benchmarks/bench_cluster.py --out bench-cluster.json
 
-Numbers are **machine-normalized**: a fixed single-threaded hashing
-calibration loop is timed first, and every throughput figure is also
-reported as a ratio against it (``requests per calibration unit``), so
-baselines committed from different hosts stay comparable.
+Both throughputs are normalized (requests per calibration unit,
+``_ratchet``) and gated against the committed ``BENCH_cluster.json``,
+which records the cores of its host.
 
 The script asserts correctness while measuring: every request answers
 200, and a windowed scatter-gather answer from the sharded fleet is
@@ -22,15 +21,11 @@ only when the host actually has that many cores to scale onto.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
-import os
-import sys
-import tempfile
-import threading
-import time
 import urllib.request
+
+import _ratchet
+from _ratchet import cores, drive, percentile
 
 from repro.cluster import ClusterConfig, ClusterSupervisor, HashRing
 from repro.data.gazetteer import Scale, areas_for_scale
@@ -38,17 +33,12 @@ from repro.pipeline import ArtifactStore, run_suite
 from repro.serve import create_app
 from repro.synth import SynthConfig
 
-DEFAULT_USERS = 1_000
-DEFAULT_SEED = 20150413
-DEFAULT_WORKERS = 4
-DEFAULT_CLIENTS = 8
-DEFAULT_REQUESTS = 400
+WORKLOAD = {"users": 1_000, "seed": 20150413, "workers": 4, "clients": 8, "requests": 400}
+
+GATED = {"single.requests_per_second": "higher", "fleet.requests_per_second": "higher"}
 
 #: Per-ingest-request batch size (tweets).
 BATCH = 20
-
-#: Calibration loop: single-threaded blake2b over this many blocks.
-CALIBRATION_BLOCKS = 50_000
 
 #: Minimum fraction of ideal (linear) scaling demanded at N workers.
 MIN_SCALING_FRACTION = 0.7
@@ -56,29 +46,8 @@ MIN_SCALING_FRACTION = 0.7
 #: Absolute aggregate speedup demanded at 4 workers (acceptance bar).
 MIN_SPEEDUP_AT_4 = 2.5
 
-#: p99 latency bound under load, engaged with the scaling gate.
+#: p99 latency bound under load, engaged with the scaling floors.
 MAX_P99_MS = 500.0
-
-
-def cores() -> int:
-    return len(os.sched_getaffinity(0))
-
-
-def calibrate() -> float:
-    """Seconds for a fixed single-threaded hash loop on this machine."""
-    payload = b"x" * 4096
-    start = time.perf_counter()
-    digest = b""
-    for _ in range(CALIBRATION_BLOCKS):
-        digest = hashlib.blake2b(payload + digest, digest_size=16).digest()
-    return time.perf_counter() - start
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(int(q * len(sorted_values)), len(sorted_values) - 1)
-    return sorted_values[index]
 
 
 def _http(method: str, url: str, body: dict | None = None, timeout: float = 30.0):
@@ -122,10 +91,9 @@ def _batch(index: int, anchors: list[int]) -> list[dict]:
     return records
 
 
-def _request(base: str, index: int, anchors: list[int]) -> float:
-    """Issue one request from the mix; returns client latency in ms."""
+def _request(base: str, index: int, anchors: list[int]) -> None:
+    """Issue one request from the mix."""
     kind = index % 4
-    start = time.perf_counter()
     if kind in (0, 1):
         status, _ = _http("POST", base + "/v1/ingest", {"tweets": _batch(index, anchors)})
     elif kind == 2:
@@ -134,42 +102,6 @@ def _request(base: str, index: int, anchors: list[int]) -> float:
         status, _ = _http("GET", base + "/v1/flows?window=0:60")
     if status != 200:
         raise AssertionError(f"request {index} answered {status}")
-    return (time.perf_counter() - start) * 1000.0
-
-
-def _drive(base: str, clients: int, requests: int, anchors: list[int]) -> tuple[list[float], float]:
-    latencies: list[float] = []
-    errors: list[BaseException] = []
-    lock = threading.Lock()
-    counter = iter(range(requests))
-
-    def worker() -> None:
-        local: list[float] = []
-        while True:
-            with lock:
-                index = next(counter, None)
-            if index is None:
-                break
-            try:
-                local.append(_request(base, index, anchors))
-            except BaseException as exc:  # noqa: BLE001 - report, don't hang
-                with lock:
-                    errors.append(exc)
-                break
-        with lock:
-            latencies.extend(local)
-
-    start = time.perf_counter()
-    threads = [threading.Thread(target=worker) for _ in range(clients)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    seconds = time.perf_counter() - start
-    if errors:
-        raise AssertionError(f"{len(errors)} requests failed; first: {errors[0]!r}")
-    assert len(latencies) == requests, "lost requests"
-    return sorted(latencies), seconds
 
 
 def _check_consistency(base: str, store: ArtifactStore, n_shards: int) -> None:
@@ -239,7 +171,9 @@ def run_fleet(
         assert supervisor.wait_ready(timeout=120), "fleet never warmed up"
         base = f"http://127.0.0.1:{supervisor.port}"
         anchors = _anchors(workers) if workers > 1 else [0, 1]
-        latencies, seconds = _drive(base, clients, requests, anchors)
+        latencies, seconds = drive(
+            lambda index: _request(base, index, anchors), clients, requests
+        )
         if check_consistency:
             _check_consistency(base, ArtifactStore(cache_dir), workers)
     finally:
@@ -250,18 +184,22 @@ def run_fleet(
         "requests": requests,
         "load_seconds": round(seconds, 3),
         "requests_per_second": round(requests / max(seconds, 1e-9), 1),
-        "p50_ms": round(_percentile(latencies, 0.50), 3),
-        "p95_ms": round(_percentile(latencies, 0.95), 3),
-        "p99_ms": round(_percentile(latencies, 0.99), 3),
+        "p50_ms": round(percentile(latencies, 0.50), 3),
+        "p95_ms": round(percentile(latencies, 0.95), 3),
+        "p99_ms": round(percentile(latencies, 0.99), 3),
         "max_ms": round(latencies[-1], 3),
     }
 
 
 def run_benchmark(
-    users: int, seed: int, workers: int, clients: int, requests: int, cache_dir: str
+    users: int,
+    seed: int,
+    workers: int,
+    clients: int,
+    requests: int,
+    cache_dir: str,
 ) -> dict:
-    """Calibrate, pipe a corpus, then measure 1 worker vs N workers."""
-    calibration_seconds = calibrate()
+    """Pipe a corpus, then measure 1 worker vs N workers."""
     store = ArtifactStore(cache_dir)
     store.clear()
     run_suite(
@@ -276,31 +214,18 @@ def run_benchmark(
     speedup = fleet["requests_per_second"] / max(single["requests_per_second"], 1e-9)
     scaling_fraction = speedup / workers
     summary = {
-        "machine": {
-            "cores": cores(),
-            "calibration_seconds": round(calibration_seconds, 4),
-        },
-        "corpus": {"users": users, "seed": seed},
         "single": single,
         "fleet": fleet,
         "scaling": {
             "speedup": round(speedup, 3),
             "fraction_of_ideal": round(scaling_fraction, 3),
-            # requests per calibration unit: divide rps by the
-            # machine's hash rate so cross-host baselines compare.
-            "normalized_single_rps": round(
-                single["requests_per_second"] * calibration_seconds, 3
-            ),
-            "normalized_fleet_rps": round(
-                fleet["requests_per_second"] * calibration_seconds, 3
-            ),
         },
         "consistency": {"scatter_gather_bit_identical": True},
     }
 
     # Scaling is only a promise the hardware can keep: with fewer
     # cores than workers the fleet time-slices one core and the ratio
-    # is meaningless, so the gate arms on capable hosts only.
+    # is meaningless, so the floors arm on capable hosts only.
     if cores() >= workers >= 4:
         assert scaling_fraction >= MIN_SCALING_FRACTION, (
             f"scaling {speedup:.2f}x at {workers} workers is below "
@@ -313,51 +238,16 @@ def run_benchmark(
         assert fleet["p99_ms"] <= MAX_P99_MS, (
             f"p99 {fleet['p99_ms']}ms under load exceeds {MAX_P99_MS}ms"
         )
-        summary["scaling"]["gate"] = "enforced"
+        summary["scaling"]["floors"] = "enforced"
     else:
-        summary["scaling"]["gate"] = f"skipped ({cores()} core(s) for {workers} workers)"
+        summary["scaling"]["floors"] = f"skipped ({cores()} core(s) for {workers} workers)"
     return summary
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--users", type=int, default=DEFAULT_USERS)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
-    parser.add_argument("--clients", type=int, default=DEFAULT_CLIENTS)
-    parser.add_argument("--requests", type=int, default=DEFAULT_REQUESTS)
-    parser.add_argument("--cache-dir", help="benchmark cache root (default: a temp dir)")
-    parser.add_argument("--out", help="write the JSON summary here (else stdout)")
-    args = parser.parse_args(argv)
-
-    if args.cache_dir:
-        summary = run_benchmark(
-            args.users, args.seed, args.workers, args.clients, args.requests, args.cache_dir
-        )
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-cluster-") as cache_dir:
-            summary = run_benchmark(
-                args.users, args.seed, args.workers, args.clients, args.requests, cache_dir
-            )
-
-    text = json.dumps(summary, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
 
 
 def test_cluster_load(tmp_path):
     """Harness entry: small 2-worker fleet benchmark under pytest."""
     summary = run_benchmark(
-        users=400,
-        seed=DEFAULT_SEED,
-        workers=2,
-        clients=4,
-        requests=80,
+        **(WORKLOAD | {"users": 400, "workers": 2, "clients": 4, "requests": 80}),
         cache_dir=str(tmp_path),
     )
     print()
@@ -369,4 +259,6 @@ def test_cluster_load(tmp_path):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        _ratchet.main("cluster", run_benchmark, WORKLOAD, GATED, cache_dir=True)
+    )

@@ -11,7 +11,10 @@ Measures three full experiment-suite runs over one configuration:
 
 Emits a JSON summary (stdout or ``--out``), e.g.::
 
-    python benchmarks/bench_pipeline.py --users 25000 --jobs 4 --out p1.json
+    python benchmarks/bench_pipeline.py --out bench-pipeline.json
+
+The cold-run time is normalized (``_ratchet``) and gated against the
+committed ``BENCH_pipeline.json``.
 
 The script asserts the acceptance guarantees while measuring: the warm
 run executes zero task bodies and is faster than the cold run, the
@@ -22,18 +25,18 @@ cold run when tracing is disabled (``disabled_overhead_pct``).
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
-import tempfile
 import time
+
+import _ratchet
 
 from repro import obs
 from repro.pipeline import ArtifactStore, run_suite
 from repro.synth import SynthConfig
 
-DEFAULT_USERS = 25_000
-DEFAULT_SEED = 20150413
+WORKLOAD = {"users": 25_000, "seed": 20150413, "jobs": 4}
+
+GATED = {"cold_seconds": "lower"}
 
 #: Acceptance ceiling for the cost of disabled observability hooks.
 MAX_DISABLED_OVERHEAD_PCT = 2.0
@@ -125,9 +128,6 @@ def run_benchmark(users: int, seed: int, jobs: int, cache_dir: str) -> dict:
     )
 
     return {
-        "users": users,
-        "seed": seed,
-        "jobs": jobs,
         "cold_seconds": round(cold_seconds, 3),
         "warm_seconds": round(warm_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
@@ -145,33 +145,6 @@ def run_benchmark(users: int, seed: int, jobs: int, cache_dir: str) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--users", type=int, default=DEFAULT_USERS)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--jobs", type=int, default=4, help="parallel-run workers")
-    parser.add_argument(
-        "--cache-dir", help="benchmark cache root (default: a temp dir)"
-    )
-    parser.add_argument("--out", help="write the JSON summary here (else stdout)")
-    args = parser.parse_args(argv)
-
-    if args.cache_dir:
-        summary = run_benchmark(args.users, args.seed, args.jobs, args.cache_dir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-") as cache_dir:
-            summary = run_benchmark(args.users, args.seed, args.jobs, cache_dir)
-
-    text = json.dumps(summary, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
-
-
 def test_pipeline_cold_warm_parallel(tmp_path):
     """Harness entry: small-scale cold/warm/parallel benchmark.
 
@@ -179,7 +152,7 @@ def test_pipeline_cold_warm_parallel(tmp_path):
     whole check stays in the seconds range under pytest.
     """
     summary = run_benchmark(
-        users=3_000, seed=DEFAULT_SEED, jobs=2, cache_dir=str(tmp_path)
+        **(WORKLOAD | {"users": 3_000, "jobs": 2}), cache_dir=str(tmp_path)
     )
     print()
     print(json.dumps(summary, indent=2))
@@ -191,4 +164,6 @@ def test_pipeline_cold_warm_parallel(tmp_path):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        _ratchet.main("pipeline", run_benchmark, WORKLOAD, GATED, cache_dir=True)
+    )

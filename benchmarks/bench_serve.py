@@ -4,10 +4,12 @@ Boots the HTTP service in-process over a freshly piped artifact store,
 then drives it with a pool of client threads issuing a fixed request
 mix (population reads, flow reads, batch predictions, health checks)
 and reports throughput plus client-observed p50/p95/p99 latency as
-JSON (stdout or ``--out``), the same shape as ``bench_pipeline.py``::
+JSON (stdout or ``--out``)::
 
-    python benchmarks/bench_serve.py --users 2000 --workers 8 --requests 2000
+    python benchmarks/bench_serve.py --out bench-serve.json
 
+The throughput is normalized (requests per calibration unit,
+``_ratchet``) and gated against the committed ``BENCH_serve.json``.
 The script asserts the serving guarantees while measuring: every
 request answers 200, the server's own request counters agree with the
 number of requests sent, and the GET response cache absorbs repeated
@@ -16,22 +18,21 @@ reads.
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
-import tempfile
 import threading
 import time
 import urllib.request
+
+import _ratchet
+from _ratchet import drive, percentile
 
 from repro.pipeline import ArtifactStore, run_suite
 from repro.serve import create_app, create_server
 from repro.synth import SynthConfig
 
-DEFAULT_USERS = 2_000
-DEFAULT_SEED = 20150413
-DEFAULT_WORKERS = 8
-DEFAULT_REQUESTS = 2_000
+WORKLOAD = {"users": 1_000, "seed": 20150413, "workers": 4, "requests": 400}
+
+GATED = {"requests_per_second": "higher"}
 
 #: The request mix, cycled per request index.
 PREDICT_BODY = json.dumps(
@@ -48,17 +49,9 @@ PREDICT_BODY = json.dumps(
 ).encode("utf-8")
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(int(q * len(sorted_values)), len(sorted_values) - 1)
-    return sorted_values[index]
-
-
-def _request(base: str, index: int) -> float:
-    """Issue one request from the mix; returns client latency in ms."""
+def _request(base: str, index: int) -> None:
+    """Issue one request from the mix."""
     kind = index % 4
-    start = time.perf_counter()
     if kind == 0:
         request = urllib.request.Request(base + "/v1/population?scale=national")
     elif kind == 1:
@@ -75,11 +68,14 @@ def _request(base: str, index: int) -> float:
         response.read()
         if response.status != 200:
             raise AssertionError(f"request {index} answered {response.status}")
-    return (time.perf_counter() - start) * 1000.0
 
 
 def run_benchmark(
-    users: int, seed: int, workers: int, requests: int, cache_dir: str
+    users: int,
+    seed: int,
+    workers: int,
+    requests: int,
+    cache_dir: str,
 ) -> dict:
     """Pipe a corpus, boot the service, hammer it, report latencies."""
     store = ArtifactStore(cache_dir)
@@ -97,65 +93,33 @@ def run_benchmark(
     server = create_server("127.0.0.1", 0, app, access_log_file=None)
     boot_seconds = time.perf_counter() - boot_start
     base = f"http://127.0.0.1:{server.port}"
-    server_thread = threading.Thread(target=server.serve_forever, daemon=True)
-    server_thread.start()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
 
-    latencies: list[float] = []
-    errors: list[BaseException] = []
-    lock = threading.Lock()
-    counter = iter(range(requests))
-
-    def worker() -> None:
-        local: list[float] = []
-        while True:
-            with lock:
-                index = next(counter, None)
-            if index is None:
-                break
-            try:
-                local.append(_request(base, index))
-            except BaseException as exc:  # noqa: BLE001 - report, don't hang
-                with lock:
-                    errors.append(exc)
-                break
-        with lock:
-            latencies.extend(local)
-
-    load_start = time.perf_counter()
-    threads = [threading.Thread(target=worker) for _ in range(workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    load_seconds = time.perf_counter() - load_start
-
-    # Drain handler threads before reading counters: a handler records
-    # its observation after writing the response bytes the client saw.
-    server.shutdown()
-    server.server_close()
+    try:
+        latencies, load_seconds = drive(
+            lambda index: _request(base, index), workers, requests
+        )
+    finally:
+        # Drain handler threads before reading counters: a handler
+        # records its observation after writing the response bytes the
+        # client saw.
+        server.shutdown()
+        server.server_close()
     metrics = app.metrics.snapshot()
 
-    if errors:
-        raise AssertionError(f"{len(errors)} requests failed; first: {errors[0]!r}")
-    assert len(latencies) == requests, "lost requests"
     served = sum(e["requests"] for e in metrics["endpoints"].values())
     assert served == requests, f"server counted {served} of {requests} requests"
     cache = metrics["endpoints"]["GET /v1/population"]
     assert cache["cache_hits"] > 0, "response cache never hit"
 
-    latencies.sort()
     return {
-        "users": users,
-        "seed": seed,
-        "workers": workers,
-        "requests": requests,
         "pipeline_seconds": round(pipe_seconds, 3),
         "boot_seconds": round(boot_seconds, 3),
         "load_seconds": round(load_seconds, 3),
         "requests_per_second": round(requests / max(load_seconds, 1e-9), 1),
-        "p50_ms": round(_percentile(latencies, 0.50), 3),
-        "p95_ms": round(_percentile(latencies, 0.95), 3),
-        "p99_ms": round(_percentile(latencies, 0.99), 3),
+        "p50_ms": round(percentile(latencies, 0.50), 3),
+        "p95_ms": round(percentile(latencies, 0.95), 3),
+        "p99_ms": round(percentile(latencies, 0.99), 3),
         "max_ms": round(latencies[-1], 3),
         "response_cache_hits": sum(
             e["cache_hits"] for e in metrics["endpoints"].values()
@@ -166,42 +130,10 @@ def run_benchmark(
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--users", type=int, default=DEFAULT_USERS)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
-    parser.add_argument("--requests", type=int, default=DEFAULT_REQUESTS)
-    parser.add_argument(
-        "--cache-dir", help="benchmark cache root (default: a temp dir)"
-    )
-    parser.add_argument("--out", help="write the JSON summary here (else stdout)")
-    args = parser.parse_args(argv)
-
-    if args.cache_dir:
-        summary = run_benchmark(
-            args.users, args.seed, args.workers, args.requests, args.cache_dir
-        )
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as cache_dir:
-            summary = run_benchmark(
-                args.users, args.seed, args.workers, args.requests, cache_dir
-            )
-
-    text = json.dumps(summary, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
-
-
 def test_serve_load(tmp_path):
     """Harness entry: small-scale load benchmark under pytest."""
     summary = run_benchmark(
-        users=800, seed=DEFAULT_SEED, workers=4, requests=200, cache_dir=str(tmp_path)
+        **(WORKLOAD | {"users": 800, "requests": 200}), cache_dir=str(tmp_path)
     )
     print()
     print(json.dumps(summary, indent=2))
@@ -211,4 +143,6 @@ def test_serve_load(tmp_path):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        _ratchet.main("serve", run_benchmark, WORKLOAD, GATED, cache_dir=True)
+    )

@@ -13,22 +13,22 @@ two ways:
 
 Emits a JSON summary (stdout or ``--out``), e.g.::
 
-    python benchmarks/bench_summary.py --users 10000 --out p6.json
+    python benchmarks/bench_summary.py --out bench-summary.json
 
 The script asserts the acceptance guarantees while measuring: both
 paths agree bit-identically on every window (population and flows —
 flows via the store's arriving-tweet contract), and the tiled path is
-at least :data:`MIN_SPEEDUP`× faster over the query batch.
+at least :data:`MIN_SPEEDUP`× faster over the query batch.  The tile
+build and both query batches are timed min-of-repeats; the build and
+tiled times are normalized (``_ratchet``) and gated against the
+committed ``BENCH_summary.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-
+import _ratchet
 import numpy as np
+from _ratchet import best_of
 
 from repro.core.accumulate import od_matrix_from_labels
 from repro.core.label import label_corpus, label_points, membership_points
@@ -39,9 +39,9 @@ from repro.summary.store import SummaryStore
 from repro.summary.tiers import TimeTier, bucket_start
 from repro.synth import SynthConfig, generate_corpus
 
-DEFAULT_USERS = 10_000
-DEFAULT_SEED = 20150413
-DEFAULT_QUERIES = 50
+WORKLOAD = {"users": 10_000, "seed": 20150413, "queries": 50}
+
+GATED = {"build_seconds": "lower", "tiled_seconds": "lower"}
 
 #: Acceptance floor: windowed queries from tiles must beat a per-window
 #: batch recompute by at least this factor over the query batch.
@@ -97,14 +97,12 @@ def _reference_flows(
     return matrix
 
 
-def run_benchmark(users: int, seed: int, n_queries: int) -> dict:
+def run_benchmark(users: int, seed: int, queries: int) -> dict:
     """Tile-stitched vs recomputed windowed queries over one corpus."""
     world = World.from_scale(Scale.NATIONAL)
     corpus = generate_corpus(SynthConfig(n_users=users, seed=seed)).corpus
 
-    start = time.perf_counter()
-    tiles = build_minute_buckets(world, corpus)
-    build_seconds = time.perf_counter() - start
+    build_seconds, tiles = best_of(lambda: build_minute_buckets(world, corpus))
     store = SummaryStore(world)
     # A sentinel past the last tile finalizes (and rolls up) everything.
     store.install_minutes(tiles.minutes, watermark=tiles.minutes[-1].end)
@@ -113,16 +111,13 @@ def run_benchmark(users: int, seed: int, n_queries: int) -> dict:
     first = bucket_start(float(corpus.timestamps.min()), TimeTier.DAY) + span
     last = bucket_start(float(corpus.timestamps.max()), TimeTier.DAY) - span
     rng = np.random.default_rng(seed)
-    starts = rng.integers(first // span, last // span, size=n_queries) * span
+    starts = rng.integers(first // span, last // span, size=queries) * span
     windows = [(int(s), int(s) + span) for s in starts]
 
-    start = time.perf_counter()
-    tiled = [store.query(q0, q1) for q0, q1 in windows]
-    tiled_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    recomputed = [_recompute_window(world, corpus, q0, q1) for q0, q1 in windows]
-    recompute_seconds = time.perf_counter() - start
+    tiled_seconds, tiled = best_of(lambda: [store.query(q0, q1) for q0, q1 in windows])
+    recompute_seconds, recomputed = best_of(
+        lambda: [_recompute_window(world, corpus, q0, q1) for q0, q1 in windows]
+    )
 
     labels = label_corpus(world, corpus.lats, corpus.lons)
     mismatches = 0
@@ -146,8 +141,6 @@ def run_benchmark(users: int, seed: int, n_queries: int) -> dict:
     )
 
     return {
-        "users": users,
-        "seed": seed,
         "corpus_tweets": len(corpus),
         "corpus_span_days": round(
             float(corpus.timestamps.max() - corpus.timestamps.min()) / 86400, 1
@@ -155,47 +148,24 @@ def run_benchmark(users: int, seed: int, n_queries: int) -> dict:
         "areas": world.n_areas,
         "minute_tiles": len(tiles.minutes),
         "tile_inventory": store.stats()["tiles"],
-        "build_seconds": round(build_seconds, 3),
-        "queries": n_queries,
+        "build_seconds": round(build_seconds, 4),
         "window_seconds": span,
         "mean_buckets_touched": round(float(np.mean(buckets)), 1),
-        "tiled_seconds": round(tiled_seconds, 4),
+        "tiled_seconds": round(tiled_seconds, 5),
         "recompute_seconds": round(recompute_seconds, 4),
-        "tiled_queries_per_sec": round(n_queries / max(tiled_seconds, 1e-9)),
-        "recompute_queries_per_sec": round(
-            n_queries / max(recompute_seconds, 1e-9)
-        ),
+        "tiled_queries_per_sec": round(queries / max(tiled_seconds, 1e-9)),
+        "recompute_queries_per_sec": round(queries / max(recompute_seconds, 1e-9)),
         "speedup": round(speedup, 1),
         "window_mismatches": mismatches,
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--users", type=int, default=DEFAULT_USERS)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--queries", type=int, default=DEFAULT_QUERIES)
-    parser.add_argument("--out", help="write the JSON summary here (else stdout)")
-    args = parser.parse_args(argv)
-
-    summary = run_benchmark(args.users, args.seed, args.queries)
-
-    text = json.dumps(summary, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
-
-
 def test_summary_query_speedup():
     """Harness entry: small-scale tiles vs recompute comparison."""
-    summary = run_benchmark(users=3_000, seed=DEFAULT_SEED, n_queries=30)
+    summary = run_benchmark(**(WORKLOAD | {"users": 3_000, "queries": 30}))
     assert summary["speedup"] >= MIN_SPEEDUP
     assert summary["window_mismatches"] == 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(_ratchet.main("summary", run_benchmark, WORKLOAD, GATED))

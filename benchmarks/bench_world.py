@@ -6,12 +6,10 @@ at three world sizes — the paper's 60 legacy areas, a 1k-area and a
 reference (:func:`repro.core.label.label_points_dense`) against the
 grid-bucketed :class:`repro.geo.index.CenterGridIndex`::
 
-    python benchmarks/bench_world.py --points 100000
+    python benchmarks/bench_world.py --out bench-world.json
 
-Numbers are **machine-normalized**: a fixed single-threaded hashing
-calibration loop is timed first and every labelling time is also
-reported as a ratio against it, so baselines committed from different
-hosts stay comparable.  Speedups (grid vs dense at the same world) are
+The grid time at 5k areas is normalized (``_ratchet``) and gated
+against the committed ``BENCH_world.json``.  Speedups (grid vs dense at the same world) are
 machine-independent by construction.
 
 The script asserts correctness while measuring — grid labels must match
@@ -22,20 +20,20 @@ acceptance bar: the grid index must beat the dense kernel by ≥5× at
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
-import sys
 import time
 
+import _ratchet
 import numpy as np
+from _ratchet import best_of
 
 from repro.core.label import label_points_dense
 from repro.core.world import World
 from repro.data.gazetteer import Scale, all_areas
 
-DEFAULT_POINTS = 100_000
-DEFAULT_SEED = 20150413
+WORKLOAD = {"points": 100_000, "seed": 20150413}
+
+GATED = {"worlds.synth-5k.grid_seconds": "lower"}
 
 #: (label, gazetteer spec) per measured world; metropolitan scale so the
 #: synthetic sizes are exactly the leaf counts.
@@ -45,24 +43,8 @@ WORLDS = (
     ("synth-5k", "synth:5000"),
 )
 
-#: Calibration loop: single-threaded blake2b over this many blocks.
-CALIBRATION_BLOCKS = 50_000
-
 #: Acceptance bar: grid speedup over dense at the 5k-area world.
 MIN_SPEEDUP_AT_5K = 5.0
-
-#: Timing repetitions; the minimum is reported (noise resistant).
-REPEATS = 3
-
-
-def calibrate() -> float:
-    """Seconds for a fixed single-threaded hash loop on this machine."""
-    payload = b"x" * 4096
-    start = time.perf_counter()
-    digest = b""
-    for _ in range(CALIBRATION_BLOCKS):
-        digest = hashlib.blake2b(payload + digest, digest_size=16).digest()
-    return time.perf_counter() - start
 
 
 def _point_cloud(n_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,20 +55,8 @@ def _point_cloud(n_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return lats, lons
 
 
-def _time(fn) -> tuple[float, np.ndarray]:
-    """Minimum wall time over :data:`REPEATS` runs, plus the result."""
-    best = float("inf")
-    result = None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def measure_world(
-    label: str, gazetteer: str | None, lats: np.ndarray, lons: np.ndarray,
-    calibration_seconds: float,
+    label: str, gazetteer: str | None, lats: np.ndarray, lons: np.ndarray
 ) -> dict:
     """Dense vs grid labelling on one world; asserts exact agreement."""
     if gazetteer is None:
@@ -99,81 +69,52 @@ def measure_world(
     grid = world.center_grid  # force candidate registration
     build_seconds = time.perf_counter() - build_start
 
-    dense_seconds, dense_labels = _time(lambda: label_points_dense(world, lats, lons))
-    grid_seconds, grid_labels = _time(lambda: grid.label_and_contain(lats, lons)[0])
+    dense_seconds, dense_labels = best_of(lambda: label_points_dense(world, lats, lons))
+    grid_seconds, grid_labels = best_of(lambda: grid.label_and_contain(lats, lons)[0])
 
     assert np.array_equal(grid_labels, dense_labels), (
         f"{label}: grid labels diverge from the dense kernel"
     )
-    speedup = dense_seconds / max(grid_seconds, 1e-12)
     return {
-        "world": label,
         "n_areas": world.n_areas,
         "radius_km": world.radius_km,
         "grid_build_seconds": round(build_seconds, 4),
         "dense_seconds": round(dense_seconds, 4),
         "grid_seconds": round(grid_seconds, 4),
-        "speedup": round(speedup, 2),
-        "normalized_dense": round(dense_seconds / calibration_seconds, 3),
-        "normalized_grid": round(grid_seconds / calibration_seconds, 3),
+        "speedup": round(dense_seconds / max(grid_seconds, 1e-12), 2),
         "labels_identical": True,
         "n_labelled": int((grid_labels >= 0).sum()),
     }
 
 
-def run_benchmark(n_points: int, seed: int) -> dict:
-    """Calibrate, then measure every world size over one point cloud."""
-    calibration_seconds = calibrate()
-    lats, lons = _point_cloud(n_points, seed)
-    rows = [
-        measure_world(label, gazetteer, lats, lons, calibration_seconds)
+def run_benchmark(points: int, seed: int) -> dict:
+    """Measure every world size over one point cloud."""
+    lats, lons = _point_cloud(points, seed)
+    worlds = {
+        label: measure_world(label, gazetteer, lats, lons)
         for label, gazetteer in WORLDS
-    ]
-    summary = {
-        "machine": {"calibration_seconds": round(calibration_seconds, 4)},
-        "points": {"n": n_points, "seed": seed},
-        "worlds": rows,
-        "scaling": {
-            "speedup_at_5k": rows[-1]["speedup"],
-            "min_required": MIN_SPEEDUP_AT_5K,
-        },
     }
-    assert rows[-1]["speedup"] >= MIN_SPEEDUP_AT_5K, (
-        f"grid speedup {rows[-1]['speedup']}x at 5k areas is below the "
+    speedup = worlds["synth-5k"]["speedup"]
+    assert speedup >= MIN_SPEEDUP_AT_5K, (
+        f"grid speedup {speedup}x at 5k areas is below the "
         f"{MIN_SPEEDUP_AT_5K}x acceptance bar"
     )
-    summary["scaling"]["gate"] = "enforced"
-    return summary
+    return {
+        "worlds": worlds,
+        "scaling": {"speedup_at_5k": speedup, "min_required": MIN_SPEEDUP_AT_5K},
+    }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--points", type=int, default=DEFAULT_POINTS)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--out", help="write the JSON summary here (else stdout)")
-    args = parser.parse_args(argv)
-
-    summary = run_benchmark(args.points, args.seed)
-    text = json.dumps(summary, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text)
-    return 0
-
-
-def test_world_labelling(tmp_path):
+def test_world_labelling():
     """Harness entry: small grid-vs-dense benchmark under pytest."""
-    summary = run_benchmark(n_points=20_000, seed=DEFAULT_SEED)
+    summary = run_benchmark(**(WORKLOAD | {"points": 20_000}))
     print()
     print(json.dumps(summary, indent=2))
-    for row in summary["worlds"]:
+    for row in summary["worlds"].values():
         assert row["labels_identical"]
         assert row["n_labelled"] > 0
     assert summary["scaling"]["speedup_at_5k"] >= MIN_SPEEDUP_AT_5K
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(_ratchet.main("world", run_benchmark, WORKLOAD, GATED))

@@ -126,8 +126,8 @@ def evaluate_vaccination(
         # Immunised individuals are removed up front: shrink the
         # susceptible pool by simulating with reduced populations, then
         # add the vaccinated back as recovered for accounting.
-        result = _simulate_with_immunity(
-            network, params, seed, doses, initial_cases, t_max_days
+        result = simulate_with_immunity(
+            network, params, {seed: initial_cases}, doses, t_max_days=t_max_days
         )
         arrivals = result.arrival_times(threshold=arrival_threshold)
         finite = np.isfinite(arrivals)
@@ -176,20 +176,6 @@ def simulate_with_immunity(
         )
     return simulate_seir(
         network, params, dict(initial_infected), t_max_days=t_max_days, dt_days=dt_days
-    )
-
-
-def _simulate_with_immunity(
-    network: MobilityNetwork,
-    params: SEIRParams,
-    seed: int,
-    doses: np.ndarray,
-    initial_cases: float,
-    t_max_days: float,
-):
-    """Back-compat shim over :func:`simulate_with_immunity`."""
-    return simulate_with_immunity(
-        network, params, {seed: initial_cases}, doses, t_max_days=t_max_days
     )
 
 

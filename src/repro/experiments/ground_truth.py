@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.accumulate import od_matrix_from_labels
 from repro.data.gazetteer import Area, Scale, areas_for_scale, search_radius_km
 from repro.experiments.scales import ExperimentContext
 from repro.extraction.mobility import ODFlows, ODPairs
@@ -69,15 +70,7 @@ def true_area_flows(
     """
     labels = _site_area_labels(result, areas, radius_km)
     site_areas = labels[result.site_indices]
-    corpus = result.corpus
-    n = len(areas)
-    matrix = np.zeros((n, n), dtype=np.int64)
-    if len(corpus) >= 2:
-        same_user = corpus.user_ids[1:] == corpus.user_ids[:-1]
-        src = site_areas[:-1]
-        dst = site_areas[1:]
-        valid = same_user & (src >= 0) & (dst >= 0) & (src != dst)
-        np.add.at(matrix, (src[valid], dst[valid]), 1)
+    matrix, _ = od_matrix_from_labels(result.corpus.user_ids, site_areas, len(areas))
     return ODFlows(areas=tuple(areas), matrix=matrix)
 
 
