@@ -11,6 +11,12 @@ two ways:
 * **tiles** — :meth:`repro.summary.store.SummaryStore.query`, stitching
   the O(buckets-touched) finalized tiles.
 
+It also times live ingest: the same corpus as one-minute
+``POST /v1/ingest`` batches through ``EstimationApp.handle`` into a
+fresh persisting app (parse, label, tiles, journal, anomaly monitor),
+and checks that the live store answers the whole span exactly as the
+backfilled tiles do.
+
 Emits a JSON summary (stdout or ``--out``), e.g.::
 
     python benchmarks/bench_summary.py --out bench-summary.json
@@ -19,12 +25,15 @@ The script asserts the acceptance guarantees while measuring: both
 paths agree bit-identically on every window (population and flows —
 flows via the store's arriving-tweet contract), and the tiled path is
 at least :data:`MIN_SPEEDUP`× faster over the query batch.  The tile
-build and both query batches are timed min-of-repeats; the build and
-tiled times are normalized (``_ratchet``) and gated against the
-committed ``BENCH_summary.json``.
+build, both query batches and the live ingest are timed
+min-of-repeats; the build, tiled and ingest times are normalized
+(``_ratchet``) and gated against the committed ``BENCH_summary.json``.
 """
 
 from __future__ import annotations
+
+import tempfile
+import time
 
 import _ratchet
 import numpy as np
@@ -34,14 +43,16 @@ from repro.core.accumulate import od_matrix_from_labels
 from repro.core.label import label_corpus, label_points, membership_points
 from repro.core.world import World
 from repro.data.gazetteer import Scale
+from repro.pipeline.store import ArtifactStore
+from repro.serve import create_app
 from repro.summary.backfill import build_minute_buckets
-from repro.summary.store import SummaryStore
-from repro.summary.tiers import TimeTier, bucket_start
+from repro.summary.store import SummaryStore, WindowSummary
+from repro.summary.tiers import TimeTier, bucket_start, bucket_starts
 from repro.synth import SynthConfig, generate_corpus
 
 WORKLOAD = {"users": 10_000, "seed": 20150413, "queries": 50}
 
-GATED = {"build_seconds": "lower", "tiled_seconds": "lower"}
+GATED = {"build_seconds": "lower", "tiled_seconds": "lower", "ingest_seconds": "lower"}
 
 #: Acceptance floor: windowed queries from tiles must beat a per-window
 #: batch recompute by at least this factor over the query batch.
@@ -97,6 +108,46 @@ def _reference_flows(
     return matrix
 
 
+def _ingest_bodies(corpus) -> list[dict]:
+    """The corpus as one-minute ``POST /v1/ingest`` bodies, in time order."""
+    order = np.argsort(corpus.timestamps, kind="stable")
+    timestamps = corpus.timestamps[order]
+    records = [
+        {"user_id": user, "timestamp": timestamp, "lat": lat, "lon": lon}
+        for user, timestamp, lat, lon in zip(
+            corpus.user_ids[order].tolist(),
+            timestamps.tolist(),
+            corpus.lats[order].tolist(),
+            corpus.lons[order].tolist(),
+        )
+    ]
+    cuts = np.flatnonzero(np.diff(bucket_starts(timestamps, TimeTier.MINUTE))) + 1
+    bounds = [0, *cuts.tolist(), len(records)]
+    return [{"tweets": records[a:b]} for a, b in zip(bounds, bounds[1:])]
+
+
+def _live_ingest(bodies: list[dict], t0: int, t1: int) -> tuple[float, WindowSummary]:
+    """Seconds to ingest every body into a fresh app, and its ``[t0, t1)``."""
+    with tempfile.TemporaryDirectory(prefix="repro-bench-ingest-") as root:
+        app = create_app(ArtifactStore(root), preload=False)
+        start = time.perf_counter()
+        for body in bodies:
+            status, payload, _ = app.handle("POST", "/v1/ingest", {}, body)
+            if status != 200 or payload["accepted"] != len(body["tweets"]):
+                raise AssertionError(f"ingest answered {status}: {str(payload)[:200]}")
+        seconds = time.perf_counter() - start
+        return seconds, app.summary.query(t0, t1)
+
+
+def _same_window(a: WindowSummary, b: WindowSummary) -> bool:
+    return (
+        np.array_equal(a.tweet_counts, b.tweet_counts)
+        and np.array_equal(a.user_counts, b.user_counts)
+        and np.array_equal(a.flow_matrix, b.flow_matrix)
+        and (a.n_tweets, a.n_transitions) == (b.n_tweets, b.n_transitions)
+    )
+
+
 def run_benchmark(users: int, seed: int, queries: int) -> dict:
     """Tile-stitched vs recomputed windowed queries over one corpus."""
     world = World.from_scale(Scale.NATIONAL)
@@ -134,7 +185,15 @@ def run_benchmark(users: int, seed: int, queries: int) -> dict:
     speedup = recompute_seconds / max(tiled_seconds, 1e-9)
     buckets = [t.buckets_touched for t in tiled]
 
+    bodies = _ingest_bodies(corpus)
+    t0, t1 = tiles.span
+    ingest_seconds, live = min(
+        (_live_ingest(bodies, t0, t1) for _ in range(_ratchet.REPEATS)),
+        key=lambda run: run[0],
+    )
+
     assert mismatches == 0, f"{mismatches} windows differ between paths"
+    assert _same_window(live, store.query(t0, t1)), "live ingest differs from backfill"
     assert speedup >= MIN_SPEEDUP, (
         f"tiled windowed-query speedup {speedup:.1f}x below the "
         f"{MIN_SPEEDUP}x floor"
@@ -157,6 +216,9 @@ def run_benchmark(users: int, seed: int, queries: int) -> dict:
         "recompute_queries_per_sec": round(queries / max(recompute_seconds, 1e-9)),
         "speedup": round(speedup, 1),
         "window_mismatches": mismatches,
+        "ingest_batches": len(bodies),
+        "ingest_seconds": round(ingest_seconds, 4),
+        "ingest_tweets_per_sec": round(len(corpus) / max(ingest_seconds, 1e-9)),
     }
 
 

@@ -42,7 +42,7 @@ import json
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 from urllib.parse import urlencode
 
 import numpy as np
@@ -50,7 +50,7 @@ import numpy as np
 from repro import obs
 from repro.cluster.hashring import HashRing
 from repro.cluster.merge import merge_flows_payloads, merge_population_payloads
-from repro.data.schema import Tweet
+from repro.data.schema import TweetBatch
 from repro.serve.app import (
     ApiError,
     EstimationApp,
@@ -86,14 +86,17 @@ def http_transport(method: str, url: str, body: dict | None) -> tuple[int, dict]
             return exc.code, {"error": {"code": exc.code, "message": str(exc)}}
 
 
-def _tweet_record(tweet: Tweet) -> dict:
-    """Re-serialise a parsed tweet for a peer's ingest endpoint."""
-    return {
-        "user_id": tweet.user_id,
-        "timestamp": tweet.timestamp,
-        "lat": tweet.lat,
-        "lon": tweet.lon,
-    }
+def _batch_records(batch: TweetBatch) -> list[dict]:
+    """Re-serialise a parsed batch for a peer's ingest endpoint."""
+    return [
+        {"user_id": user, "timestamp": timestamp, "lat": lat, "lon": lon}
+        for user, timestamp, lat, lon in zip(
+            batch.user_ids.tolist(),
+            batch.timestamps.tolist(),
+            batch.lats.tolist(),
+            batch.lons.tolist(),
+        )
+    ]
 
 
 class ShardRouter:
@@ -160,24 +163,30 @@ class ShardRouter:
 
     # -- ingest --------------------------------------------------------
 
-    def route_ingest(self, tweets: Sequence[Tweet]) -> tuple[int, dict]:
-        """Split a parsed batch by ring owner; apply/forward each slice."""
-        slices: dict[int, list[Tweet]] = {}
-        for tweet in tweets:
-            slices.setdefault(self.ring.owner(tweet.user_id), []).append(tweet)
-        if len(slices) == 1:
-            (owner,) = slices
-            if owner != self.shard:
-                # Wholly someone else's: tell the client where to go
-                # instead of proxying the whole body through this worker.
-                obs.counter("cluster.ingest_redirects")
-                return 307, {
-                    "redirect": {
-                        "location": f"{self.peers[owner]}/v1/ingest",
-                        "shard": owner,
-                    }
+    def route_ingest(self, batch: TweetBatch) -> tuple[int, dict]:
+        """Split a parsed batch by ring owner; apply/forward each slice.
+
+        The ring is consulted once per distinct user, and each slice is
+        a boolean mask over the batch, so it stays time-ascending.
+        """
+        users, inverse = np.unique(batch.user_ids, return_inverse=True)
+        owners = np.array(
+            [self.ring.owner(user) for user in users.tolist()], dtype=np.intp
+        )[inverse]
+        shards = np.unique(owners).tolist()
+        if len(shards) == 1 and shards[0] != self.shard:
+            # Wholly someone else's: tell the client where to go
+            # instead of proxying the whole body through this worker.
+            (owner,) = shards
+            obs.counter("cluster.ingest_redirects")
+            return 307, {
+                "redirect": {
+                    "location": f"{self.peers[owner]}/v1/ingest",
+                    "shard": owner,
                 }
-        local = slices.pop(self.shard, [])
+            }
+        slices = {shard: batch.select(owners == shard) for shard in shards}
+        local = slices.pop(self.shard, None)
         futures = {
             owner: self._pool.submit(
                 self._call,
@@ -185,15 +194,16 @@ class ShardRouter:
                 "POST",
                 "/v1/ingest",
                 {},
-                {"tweets": [_tweet_record(t) for t in slice_]},
+                {"tweets": _batch_records(slice_)},
             )
             for owner, slice_ in slices.items()
         }
         payload = (
             self.app.ingest_apply(local)
-            if local
+            if local is not None
             else {"accepted": 0, "dropped_stale": 0, "anomalies_raised": 0}
         )
+        n_local = 0 if local is None else len(local)
         forwarded: dict[str, int] = {}
         failed: list[int] = []
         for owner in sorted(futures):
@@ -219,11 +229,11 @@ class ShardRouter:
             raise ApiError(
                 502,
                 f"ingest forward to shard(s) {failed} failed; "
-                f"local slice of {len(local)} tweets was applied",
+                f"local slice of {n_local} tweets was applied",
             )
         payload["routing"] = {
             "shard": self.shard,
-            "local": len(local),
+            "local": n_local,
             "forwarded": forwarded,
         }
         obs.counter("cluster.ingest_routed")

@@ -26,8 +26,6 @@ of :func:`label_and_contain`, and :func:`label_point` /
 :func:`label_points_dense` and :func:`membership_points` are the dense
 reference the equivalence suites compare against; they share the dense
 arithmetic with :func:`label_and_contain`'s small-world branch.
-:func:`label_tweet_batch` is the ingest door that sorts a tweet batch
-and labels it once for every consumer.
 """
 
 from __future__ import annotations
@@ -211,20 +209,6 @@ def tweet_columns(tweets: Sequence[Tweet]) -> tuple[np.ndarray, np.ndarray]:
     lats = np.fromiter((t.lat for t in tweets), np.float64, count=n)
     lons = np.fromiter((t.lon for t in tweets), np.float64, count=n)
     return lats, lons
-
-
-def label_tweet_batch(
-    world: World, tweets: Sequence[Tweet]
-) -> tuple[list[Tweet], PointLabels]:
-    """Sort an ingest batch by timestamp and label it once.
-
-    Returns the time-ascending batch and its :class:`PointLabels`, row
-    for row.  Every live-ingest consumer (the monitor, the summary
-    store) takes this one result, so a batch is sorted once and goes
-    through the distance kernel once however many consumers it feeds.
-    """
-    ordered = sorted(tweets, key=lambda t: t.timestamp)
-    return ordered, label_and_contain(world, *tweet_columns(ordered))
 
 
 def _area_queries(

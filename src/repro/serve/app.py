@@ -101,7 +101,7 @@ import numpy as np
 from repro import obs
 from repro.core.world import World
 from repro.data.gazetteer import Scale, gazetteer_from_spec
-from repro.data.schema import SchemaError
+from repro.data.schema import BatchSchemaError, TweetBatch
 from repro.pipeline.store import ArtifactStore
 from repro.serve.cache import LRUCache
 from repro.serve.ingest import IngestService, minute_cells
@@ -665,27 +665,25 @@ class EstimationApp:
             raise ApiError(
                 413, f"at most {MAX_INGEST_TWEETS} tweets per batch, got {len(raw)}"
             )
-        tweets = []
-        for position, record in enumerate(raw):
-            try:
-                tweets.append(IngestService.parse_tweet(record))
-            except SchemaError as exc:
-                raise ApiError(400, f"tweets[{position}]: {exc}") from exc
+        try:
+            batch = TweetBatch.from_records(raw)
+        except BatchSchemaError as exc:
+            raise ApiError(400, f"tweets[{exc.position}]: {exc}") from exc
         if self._shard_routed(query):
-            return self.shard_router.route_ingest(tweets)
-        return 200, self.ingest_apply(tweets)
+            return self.shard_router.route_ingest(batch)
+        return 200, self.ingest_apply(batch)
 
-    def ingest_apply(self, tweets: list) -> dict:
-        """Apply a parsed tweet batch to this process's own state.
+    def ingest_apply(self, batch: TweetBatch) -> dict:
+        """Apply a parsed, time-ascending batch to this process's own state.
 
-        The post-routing half of ingest: the batch is sorted and
-        labelled once (:func:`~repro.core.label.label_tweet_batch`),
-        then the summary store builds its minute tiles, dropping the
-        stale prefix; minutes the batch finalizes run the anomaly
-        monitor's due checks.  The shard router calls this directly for
-        the locally-owned slice of a split batch.
+        The post-routing half of ingest: the batch is labelled once
+        (:func:`~repro.core.label.label_and_contain`), then the summary
+        store builds its minute tiles, dropping the stale prefix;
+        minutes the batch finalizes run the anomaly monitor's due
+        checks.  The shard router calls this directly for the
+        locally-owned slice of a split batch.
         """
-        result = self.ingest.ingest(tweets)
+        result = self.ingest.apply(batch)
         payload = {
             "accepted": result.accepted,
             "dropped_stale": result.dropped_stale,

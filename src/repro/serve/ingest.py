@@ -11,11 +11,12 @@ whose arriving tweet lies in ``[B − W, B)`` (window and interval rounded
 up to whole minutes).  A check therefore costs O(window cells), never
 O(areas²), and never stitches tiles.
 
-Sorting and labelling happen once per batch, outside the service:
-:func:`repro.core.label.label_tweet_batch` produces the time-ascending
-batch and its labels.  Tweets behind the store's watermark are dropped
-and counted, not an error — an HTTP client cannot be trusted to deliver
-globally ordered batches.
+A batch arrives as a time-ascending
+:class:`~repro.data.schema.TweetBatch` (the HTTP door parses its JSON
+records straight into sorted columns) and is labelled once
+(:meth:`IngestService.apply`).  Tweets behind the store's watermark are
+dropped and counted, not an error — an HTTP client cannot be trusted to
+deliver globally ordered batches.
 
 Concurrency: the store's lock serialises ingest, and the monitor runs
 inside it (the store calls its follower under the lock), so the service
@@ -34,8 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.label import PointLabels, label_tweet_batch
-from repro.data.schema import Tweet, parse_tweet_record
+from repro.core.label import PointLabels, label_and_contain
+from repro.data.schema import Tweet, TweetBatch, parse_tweet_record
 from repro.stream.monitor import FlowAnomaly, MinuteCells, MinuteMonitor
 from repro.summary.store import IngestOutcome, SummaryStore
 from repro.summary.tiers import SummaryBucket
@@ -85,20 +86,23 @@ class IngestService:
     def parse_tweet(record: dict) -> Tweet:
         """Build a validated :class:`Tweet` from one JSON object.
 
-        Delegates to the canonical
-        :func:`~repro.data.schema.parse_tweet_record`, so HTTP clients
-        see exactly the error messages the batch file loaders produce.
+        Delegates to the record parser,
+        :func:`~repro.data.schema.parse_tweet_record`, whose errors the
+        file loaders and the HTTP batch parser
+        (:meth:`~repro.data.schema.TweetBatch.from_records`) share.
         Raises :class:`~repro.data.schema.SchemaError` on missing or
         out-of-range fields.
         """
         return parse_tweet_record(record)
 
-    def ingest(self, tweets: Sequence[Tweet]) -> IngestResult:
-        """Sort and label one batch, then apply it (:meth:`ingest_labelled`)."""
-        return self.ingest_labelled(*label_tweet_batch(self.world, tweets))
+    def apply(self, batch: TweetBatch) -> IngestResult:
+        """Label a batch once, then apply it (:meth:`ingest_labelled`)."""
+        return self.ingest_labelled(
+            batch, label_and_contain(self.world, batch.lats, batch.lons)
+        )
 
     def ingest_labelled(
-        self, ordered: Sequence[Tweet], labelled: PointLabels
+        self, batch: TweetBatch, labelled: PointLabels
     ) -> IngestResult:
         """Apply a time-ascending, already-labelled batch.
 
@@ -107,7 +111,7 @@ class IngestService:
         prefix behind its watermark; minutes the batch finalizes run
         the monitor's due checks before this returns.
         """
-        outcome = self.summary.ingest_labelled(ordered, labelled)
+        outcome = self.summary.ingest_labelled(batch, labelled)
         return IngestResult(
             accepted=outcome.accepted,
             dropped_stale=outcome.dropped_late,

@@ -79,20 +79,19 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.label import PointLabels, label_tweet_batch
+from repro.core.label import PointLabels, label_and_contain
 
 # The retired per-consumer kernels stay importable under this module so
 # perfbench's layer probe, which wraps them where this module used to
 # look them up, keeps resolving; the live path no longer calls them.
 from repro.core.label import label_points, membership_points  # noqa: F401
 from repro.core.world import World
-from repro.data.schema import Tweet
+from repro.data.schema import Tweet, TweetBatch
 from repro.pipeline.store import ArtifactStore
 from repro.summary.tiers import (
     COARSE_FIRST,
@@ -285,15 +284,20 @@ class SummaryStore:
     # -- ingest --------------------------------------------------------
 
     def ingest(self, tweets: Sequence[Tweet]) -> IngestOutcome:
-        """Sort and label one batch, then ingest it (:meth:`ingest_labelled`).
+        """Ingest a batch of tweets in any order (:meth:`ingest_labelled`).
 
-        Tweets behind the watermark are dropped and counted, exactly as
-        at the serve ingest door — the stream contract is monotone time.
+        The tweets become a time-ascending :class:`TweetBatch`, labelled
+        once by :func:`~repro.core.label.label_and_contain`.  Tweets
+        behind the watermark are dropped and counted, exactly as at the
+        serve ingest door — the stream contract is monotone time.
         """
-        return self.ingest_labelled(*label_tweet_batch(self.world, tweets))
+        batch = TweetBatch.from_tweets(tweets)
+        return self.ingest_labelled(
+            batch, label_and_contain(self.world, batch.lats, batch.lons)
+        )
 
     def ingest_labelled(
-        self, ordered: Sequence[Tweet], labelled: PointLabels
+        self, batch: TweetBatch, labelled: PointLabels
     ) -> IngestOutcome:
         """Ingest a time-ascending batch whose labels are precomputed.
 
@@ -302,25 +306,21 @@ class SummaryStore:
         rows and this store's :attr:`world`: ``labelled.labels`` feed the
         OD transitions, and the CSR containment (``indptr``/``indices``)
         feeds each tweet's population areas.  The stale prefix behind
-        the watermark is skipped in place, not copied.  Each row's
+        the watermark is sliced off the columns, not copied.  Each row's
         previous label comes from the batch itself or, for a user's
         first row, from the store's per-user position; then one
         :func:`~repro.summary.tiers.build_tiles` call turns the rows
         into minute tiles, merged into the open minutes.
         """
-        n = len(ordered)
+        n = len(batch)
         if len(labelled) != n:
             raise ValueError(f"{len(labelled)} labels for {n} tweets")
         with self._lock, obs.span("summary.ingest", tweets=n):
-            timestamps = np.fromiter((t.timestamp for t in ordered), np.float64, count=n)
+            timestamps = batch.timestamps
             keep = int(np.searchsorted(timestamps, self._watermark))
             accepted = n - keep
             if accepted:
-                users = np.fromiter(
-                    (t.user_id for t in islice(ordered, keep, None)),
-                    np.int64,
-                    count=accepted,
-                )
+                users = batch.user_ids[keep:]
                 starts = bucket_starts(timestamps[keep:], TimeTier.MINUTE)
                 moves = self._moves(starts, users, labelled.labels[keep:])
                 for tile in build_tiles(

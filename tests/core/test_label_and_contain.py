@@ -32,13 +32,12 @@ from repro.core.label import (
     PointLabels,
     label_and_contain,
     label_points_dense,
-    label_tweet_batch,
     membership_points,
     point_area_distances,
 )
 from repro.core.world import World
 from repro.data.gazetteer import Area, Scale
-from repro.data.schema import Tweet
+from repro.data.schema import Tweet, TweetBatch
 from repro.geo.bbox import AUSTRALIA_BBOX
 from repro.geo.coords import Coordinate
 from repro.geo.distance import destination_point, points_to_point_km
@@ -254,10 +253,11 @@ class TestLabelTweetBatch:
                   lon=float(world.centers_lon[a]))
             for i, (ts, a) in enumerate([(30, 2), (10, 0), (20, 1), (10, 3)])
         ]
-        ordered, labelled = label_tweet_batch(world, tweets)
-        assert [t.timestamp for t in ordered] == [10.0, 10.0, 20.0, 30.0]
+        ordered = TweetBatch.from_tweets(tweets)
+        labelled = label_and_contain(world, ordered.lats, ordered.lons)
+        assert ordered.timestamps.tolist() == [10.0, 10.0, 20.0, 30.0]
         # Stable: equal timestamps keep arrival order.
-        assert [t.user_id for t in ordered] == [1, 3, 2, 0]
+        assert ordered.user_ids.tolist() == [1, 3, 2, 0]
         assert labelled.labels.tolist() == [0, 3, 1, 2]
 
 

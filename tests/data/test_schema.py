@@ -116,6 +116,41 @@ class TestParseTweetRecord:
             IngestService.parse_tweet({"user_id": 1, "timestamp": 0.0, "lon": 0.0})
 
 
+class TestIdAndNumberCoercion:
+    """Bools and fractional ids are rejected, never silently coerced:
+    ``int(3.7)`` would file the tweet under user 3, ``int(True)`` under
+    user 1, and both would invent OD transitions for that user."""
+
+    RECORD = TestParseTweetRecord.RECORD
+
+    @pytest.mark.parametrize("field", ["user_id", "timestamp", "lat", "lon", "tweet_id"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_rejected_naming_the_field(self, field, value):
+        with pytest.raises(SchemaError, match=f"field '{field}' is invalid"):
+            parse_tweet_record({**self.RECORD, field: value})
+
+    @pytest.mark.parametrize("field", ["user_id", "tweet_id"])
+    @pytest.mark.parametrize("value", [3.7, -0.5, float("nan"), float("inf")])
+    def test_fractional_or_non_finite_id_rejected_naming_the_field(self, field, value):
+        with pytest.raises(SchemaError, match=f"field '{field}' is invalid"):
+            parse_tweet_record({**self.RECORD, field: value})
+
+    @pytest.mark.parametrize("value", [7, 7.0, "7", " 7 "])
+    def test_integral_float_and_digit_string_ids_accepted(self, value):
+        tweet = parse_tweet_record({**self.RECORD, "user_id": value, "tweet_id": value})
+        assert (tweet.user_id, tweet.tweet_id) == (7, 7)
+        assert type(tweet.user_id) is int
+
+    def test_integral_float_id_beyond_int64_named_in_error(self):
+        with pytest.raises(SchemaError, match="user_id must fit int64"):
+            parse_tweet_record({**self.RECORD, "user_id": 1e19})
+
+    @pytest.mark.parametrize("field", ["timestamp", "lat", "lon"])
+    def test_int_too_large_for_a_float_is_a_schema_error(self, field):
+        with pytest.raises(SchemaError, match=f"field '{field}' is invalid"):
+            parse_tweet_record({**self.RECORD, field: 10**400})
+
+
 class TestUserSummary:
     def test_active_span(self):
         s = UserSummary(

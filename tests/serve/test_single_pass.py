@@ -1,6 +1,6 @@
 """Live ingest labels each batch once and feeds both consumers from it.
 
-``EstimationApp.ingest_apply`` sorts a batch, labels it with
+``EstimationApp.ingest_apply`` takes a sorted batch, labels it with
 :func:`repro.core.label.label_and_contain` and hands the one result to
 the summary store, whose finalized minutes feed the anomaly monitor
 (``IngestService``).  These tests pin that contract:
@@ -23,6 +23,7 @@ from repro import obs
 from repro.core.label import PointLabels, label_points_dense, membership_points
 from repro.core.world import World
 from repro.data.gazetteer import Scale
+from repro.data.schema import TweetBatch
 from repro.pipeline.store import ArtifactStore
 from repro.serve import EstimationApp, IngestService, ModelRegistry, create_app
 from repro.summary.store import SummaryStore
@@ -127,10 +128,10 @@ def test_single_pass_equals_reference_kernels(tmp_path, gazetteer, scale):
     for batch in batches:
         # Through the service's own door: parse → route-free apply.
         parsed = [IngestService.parse_tweet(r) for r in _records(batch)]
-        payload = app.ingest_apply(parsed)
+        payload = app.ingest_apply(TweetBatch.from_records(_records(batch)))
         ordered = sorted(parsed, key=lambda t: t.timestamp)
         reference = _reference_labels(world, ordered)
-        expected = ref_ingest.ingest_labelled(ordered, reference)
+        expected = ref_ingest.ingest_labelled(TweetBatch.from_tweets(ordered), reference)
         outcome = expected.summary
         assert payload["accepted"] == expected.accepted
         assert payload["dropped_stale"] == expected.dropped_stale
