@@ -1,8 +1,8 @@
 """Summary-store windowed-query benchmark: tiles vs batch recompute.
 
 Builds the multi-resolution tile set over a months-spanning synthetic
-corpus, then answers a batch of day-scale ``[t0, t1)`` window queries
-two ways:
+corpus, then answers a batch of aligned one-day ``[t0, t1)`` window
+queries two ways:
 
 * **recompute** — the pre-summary path: mask the corpus to the window,
   label the slice, recompute ε-disc membership, per-area unique users
@@ -10,6 +10,13 @@ two ways:
   alone touches every timestamp).
 * **tiles** — :meth:`repro.summary.store.SummaryStore.query`, stitching
   the O(buckets-touched) finalized tiles.
+
+An aligned day is one day tile, so that batch never merges tiles.  A
+second batch of **stitched** windows — random minute-aligned starts,
+spans of two hours to thirty days — makes every read merge day, hour
+and minute tiles (:meth:`repro.summary.tiers.SummaryBucket.merged`);
+it is timed as ``stitched_seconds`` and checked against the recompute
+too.
 
 It also times live ingest: the same corpus as one-minute
 ``POST /v1/ingest`` batches through ``EstimationApp.handle`` into a
@@ -25,8 +32,8 @@ The script asserts the acceptance guarantees while measuring: both
 paths agree bit-identically on every window (population and flows —
 flows via the store's arriving-tweet contract), and the tiled path is
 at least :data:`MIN_SPEEDUP`× faster over the query batch.  The tile
-build, both query batches and the live ingest are timed
-min-of-repeats; the build, tiled and ingest times are normalized
+build, the query batches and the live ingest are timed min-of-repeats;
+the build, tiled, stitched and ingest times are normalized
 (``_ratchet``) and gated against the committed ``BENCH_summary.json``.
 """
 
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import tempfile
 import time
+from collections import Counter
 
 import _ratchet
 import numpy as np
@@ -52,7 +60,15 @@ from repro.synth import SynthConfig, generate_corpus
 
 WORKLOAD = {"users": 10_000, "seed": 20150413, "queries": 50}
 
-GATED = {"build_seconds": "lower", "tiled_seconds": "lower", "ingest_seconds": "lower"}
+GATED = {
+    "build_seconds": "lower",
+    "tiled_seconds": "lower",
+    "stitched_seconds": "lower",
+    "ingest_seconds": "lower",
+}
+
+#: Span range of the stitched windows, in minutes: two hours to 30 days.
+STITCHED_MINUTES = (2 * 60, 30 * 24 * 60)
 
 #: Acceptance floor: windowed queries from tiles must beat a per-window
 #: batch recompute by at least this factor over the query batch.
@@ -106,6 +122,19 @@ def _reference_flows(
     )
     np.add.at(matrix, (src[valid], dst[valid]), 1)
     return matrix
+
+
+def _stitched_windows(
+    seed: int, first: float, last: float, queries: int
+) -> list[tuple[int, int]]:
+    """Minute-aligned windows of two hours to thirty days inside
+    ``[first, last]``: each stitches day, hour and minute tiles."""
+    rng = np.random.default_rng([seed, 1])
+    minute = TimeTier.MINUTE.span_seconds
+    lo, hi = int(first) // minute + 1, int(last) // minute
+    spans = rng.integers(STITCHED_MINUTES[0], STITCHED_MINUTES[1] + 1, size=queries)
+    starts = rng.integers(lo, hi - spans)
+    return [(int(s) * minute, int(s + n) * minute) for s, n in zip(starts, spans)]
 
 
 def _ingest_bodies(corpus) -> list[dict]:
@@ -169,10 +198,17 @@ def run_benchmark(users: int, seed: int, queries: int) -> dict:
     recompute_seconds, recomputed = best_of(
         lambda: [_recompute_window(world, corpus, q0, q1) for q0, q1 in windows]
     )
+    stitched_windows = _stitched_windows(
+        seed, corpus.timestamps.min(), corpus.timestamps.max(), queries
+    )
+    stitched_seconds, stitched = best_of(
+        lambda: [store.query(q0, q1) for q0, q1 in stitched_windows]
+    )
+    recomputed += [_recompute_window(world, corpus, q0, q1) for q0, q1 in stitched_windows]
 
     labels = label_corpus(world, corpus.lats, corpus.lons)
     mismatches = 0
-    for (q0, q1), a, b in zip(windows, tiled, recomputed):
+    for (q0, q1), a, b in zip(windows + stitched_windows, tiled + stitched, recomputed):
         flows = _reference_flows(corpus, labels, world.n_areas, q0, q1)
         if not (
             np.array_equal(a.tweet_counts, b["tweet_counts"])
@@ -213,6 +249,13 @@ def run_benchmark(users: int, seed: int, queries: int) -> dict:
         "tiled_seconds": round(tiled_seconds, 5),
         "recompute_seconds": round(recompute_seconds, 4),
         "tiled_queries_per_sec": round(queries / max(tiled_seconds, 1e-9)),
+        "stitched_seconds": round(stitched_seconds, 5),
+        "stitched_mean_buckets_touched": round(
+            float(np.mean([t.buckets_touched for t in stitched])), 1
+        ),
+        "stitched_tiles_used": dict(
+            sum((Counter(t.tiles_used) for t in stitched), Counter())
+        ),
         "recompute_queries_per_sec": round(queries / max(recompute_seconds, 1e-9)),
         "speedup": round(speedup, 1),
         "window_mismatches": mismatches,

@@ -24,8 +24,9 @@ hours merge into **day** tiles the same way.  Finer tiles are retained
 — partial windows need them — so a query greedily covers its span with
 the coarsest aligned tile available and falls through to finer tiers
 (ultimately to "empty minute") where a coarse tile is absent.  Rollup
-and query stitching are the same array merge: concatenate the tiles'
-columns, then group equal keys.
+and query stitching are the same array merge
+(:meth:`~repro.summary.tiers.SummaryBucket.merged`): concatenate the
+tiles' sorted columns, then group equal keys.
 
 Minute follower
 ---------------
@@ -171,12 +172,17 @@ class WindowSummary:
     version: int
 
     def flow_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(sources, dests, counts)`` of :attr:`od_counts`, row-major."""
+        """``(sources, dests, counts)`` of :attr:`od_counts`, row-major.
+
+        Cells are distinct and both ends lie below the area count, so
+        one sort of the packed key ``source * n_areas + dest`` orders
+        them.
+        """
         pairs = np.array(list(self.od_counts), dtype=np.intp).reshape(-1, 2)
         counts = np.fromiter(
             self.od_counts.values(), dtype=np.int64, count=len(self.od_counts)
         )
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        order = (pairs[:, 0] * len(self.tweet_counts) + pairs[:, 1]).argsort()
         return pairs[order, 0], pairs[order, 1], counts[order]
 
     @cached_property

@@ -20,6 +20,7 @@ import time
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -235,6 +236,36 @@ class TestStaleFrames:
         store = summary(tmp_path)
         assert store.recover() == 0
         assert store.stats()["stale_frames"] == 1
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("areas", WORLD.n_areas),
+            ("areas", -1),
+            ("sources", WORLD.n_areas),
+            ("dests", WORLD.n_areas + 7),
+            ("users", -5),
+        ],
+    )
+    def test_tile_with_out_of_range_column_is_stale(self, tmp_path, column, value):
+        """A CRC-valid frame whose header matches this world but whose
+        columns name an area outside it (or a negative user) is skipped
+        and counted, never installed to skew or wrap a per-area count."""
+        one = np.ones(1, dtype=np.int64)
+        columns = {
+            "areas": 0 * one, "users": 3 * one, "tweets": one,
+            "sources": 0 * one, "dests": one, "counts": one,
+            column: value * one,
+        }
+        bad = SummaryBucket(TimeTier.MINUTE, 0, WORLD.n_areas, 1, **columns)
+        good = SummaryBucket(TimeTier.MINUTE, 60, WORLD.n_areas, 1, **(columns | {column: one}))
+        journal = Journal(journal_path(tmp_path))
+        journal.append(bad.encode())
+        journal.append(good.encode())
+        store = summary(tmp_path)
+        assert store.recover() == 1
+        assert store.stats()["stale_frames"] == 1
+        assert set(tile_bytes(store)) == {(TimeTier.MINUTE, 60)}
 
 
 _PERSIST_LOOP = """

@@ -1,10 +1,12 @@
 """Tier arithmetic and tile semantics: boundaries, alignment, rollup,
-the tile kernel and the tile codec."""
+the tile kernel, the merge kernel and the tile codec."""
 
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.summary.tiers import (
     ROLLUP_SOURCE,
@@ -157,6 +159,120 @@ class TestSummaryBucket:
             (120, 2, 1),
         ]
         assert tiles[1].areas.tolist() == [0, 2]
+
+
+#: Area counts at the edges of the narrow area dtypes the merge sorts.
+DTYPE_EDGES = (1, 2, 255, 256, 257, 65535, 65536, 65537)
+
+#: Column names of a tile: population pairs, then OD cells.
+COLUMNS = ("areas", "users", "tweets", "sources", "dests", "counts")
+
+
+def _lexsort_group(major, minor, weights):
+    """Distinct ``(major, minor)`` rows with summed weights, grouped by
+    one two-key ``np.lexsort`` — the reference merge."""
+    if major.size == 0:
+        return (np.empty(0, dtype=np.int64),) * 3
+    order = np.lexsort((minor, major))
+    major, minor, weights = major[order], minor[order], weights[order]
+    first = np.ones(major.size, dtype=bool)
+    first[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
+    starts = first.nonzero()[0]
+    return major[starts], minor[starts], np.add.reduceat(weights, starts)
+
+
+def _reference_merged(tier, start, n_areas, parts):
+    def cat(column):
+        return np.concatenate([getattr(part, column) for part in parts])
+
+    return SummaryBucket(
+        tier, start, n_areas, sum(part.n_tweets for part in parts),
+        *_lexsort_group(cat("areas"), cat("users"), cat("tweets")),
+        *_lexsort_group(cat("sources"), cat("dests"), cat("counts")),
+    )
+
+
+def _assert_same_tile(got, want):
+    for column in COLUMNS:
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype == np.int64, column
+        assert np.array_equal(a, b), column
+    assert got.encode() == want.encode()
+
+
+def _sorted_columns(counts):
+    """``{(major, minor): count}`` as three int64 columns in key order."""
+    keys = sorted(counts)
+    return (
+        np.array([k[0] for k in keys], dtype=np.int64),
+        np.array([k[1] for k in keys], dtype=np.int64),
+        np.array([counts[k] for k in keys], dtype=np.int64),
+    )
+
+
+@st.composite
+def merge_parts(draw):
+    """``(n_areas, parts)``: tiles built by the tile kernel and random
+    sorted tiles, some empty, pairs-only or cells-only."""
+    n_areas = draw(st.sampled_from(DTYPE_EDGES))
+    top = n_areas - 1
+    area = st.one_of(
+        st.integers(0, top),
+        st.sampled_from(sorted({0, top, min(255, top), min(256, top), top // 2})),
+    )
+    user = st.one_of(st.integers(0, 4), st.integers(0, 2**63 - 1))
+    weight = st.integers(1, 9)
+    parts = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("kernel", "sorted", "pairs", "cells", "empty")))
+        if kind == "empty":
+            parts.append(SummaryBucket(TimeTier.MINUTE, 0, n_areas, draw(st.integers(0, 3))))
+        elif kind == "kernel":
+            rows = draw(
+                st.lists(
+                    st.tuples(user, st.lists(area, max_size=3, unique=True)),
+                    min_size=1,
+                    max_size=30,
+                )
+            )
+            moves = draw(st.lists(st.tuples(area, area), max_size=30))
+            parts.append(_rows_tile(0, rows, moves, n_areas=n_areas))
+        else:
+            pairs = draw(st.dictionaries(st.tuples(area, user), weight, max_size=40))
+            cells = draw(st.dictionaries(st.tuples(area, area), weight, max_size=40))
+            if kind == "pairs":
+                cells = {}
+            elif kind == "cells":
+                pairs = {}
+            parts.append(
+                SummaryBucket(
+                    TimeTier.MINUTE, 0, n_areas, len(pairs),
+                    *_sorted_columns(pairs), *_sorted_columns(cells),
+                )
+            )
+    return n_areas, parts
+
+
+class TestMergeKernel:
+    """``SummaryBucket.merged`` groups sorted tiles exactly as a two-key
+    ``np.lexsort`` over their concatenated columns does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_parts())
+    def test_merge_equals_lexsort_reference(self, drawn):
+        n_areas, parts = drawn
+        got = SummaryBucket.merged(TimeTier.HOUR, 0, n_areas, parts)
+        _assert_same_tile(got, _reference_merged(TimeTier.HOUR, 0, n_areas, parts))
+
+    @pytest.mark.parametrize("n_areas", DTYPE_EDGES)
+    def test_one_busy_part_is_reused_as_is(self, n_areas):
+        busy = _rows_tile(
+            0, [(2**63 - 1, [n_areas - 1]), (0, [0])], [(n_areas - 1, 0)], n_areas=n_areas
+        )
+        parts = [_tile(0, n_areas=n_areas), busy, _tile(60, n_areas=n_areas)]
+        got = SummaryBucket.merged(TimeTier.HOUR, 0, n_areas, parts)
+        assert got.areas is busy.areas and got.counts is busy.counts
+        _assert_same_tile(got, _reference_merged(TimeTier.HOUR, 0, n_areas, parts))
 
 
 class TestTileCodec:
