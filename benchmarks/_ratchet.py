@@ -163,7 +163,9 @@ def gate(
 
     ``status`` is ``"passed"``, ``"failed"`` (with one message per
     regressed metric under ``failures``), ``"not comparable"`` when the
-    workloads differ, or ``"no baseline"``.
+    workloads differ, or ``"no baseline"``.  A gated metric the baseline
+    does not hold yet (the bench added it) is reported with status
+    ``"new"`` and no baseline value; the others are still gated.
     """
     if baseline is None:
         return {"status": "no baseline"}
@@ -172,7 +174,11 @@ def gate(
     metrics = {}
     failures = []
     for path, better in gated.items():
-        base, measured = baseline["normalized"][path], summary["normalized"][path]
+        measured = summary["normalized"][path]
+        base = baseline["normalized"].get(path)
+        if base is None:
+            metrics[path] = {"better": better, "measured": measured, "status": "new"}
+            continue
         if better == "lower":
             allowed, ok, side = base * slack, measured <= base * slack, "above"
         else:

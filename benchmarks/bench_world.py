@@ -8,12 +8,18 @@ grid-bucketed :class:`repro.geo.index.CenterGridIndex`::
 
     python benchmarks/bench_world.py --out bench-world.json
 
-The grid time at 5k areas is normalized (``_ratchet``) and gated
-against the committed ``BENCH_world.json``.  Speedups (grid vs dense at the same world) are
+Each world also times live-size batches: the cloud's first
+:data:`BATCH_POINTS` points as batches of :data:`BATCH_SIZE` through
+:func:`repro.core.label.label_and_contain`, the call every ingest batch
+makes.  The grid time at 5k areas and the batch time at 1k areas are
+normalized (``_ratchet``) and gated against the committed
+``BENCH_world.json``.  Speedups (grid vs dense at the same world) are
 machine-independent by construction.
 
 The script asserts correctness while measuring — grid labels must match
-the dense kernel's *exactly* at every size — and enforces the
+the dense kernel's *exactly* at every size, and so must the grid's
+containment where the dense membership matrix fits in memory (60 and
+1k areas), and every batch's labels and containment — and enforces the
 acceptance bar: the grid index must beat the dense kernel by ≥5× at
 5 000 areas.
 """
@@ -27,13 +33,16 @@ import _ratchet
 import numpy as np
 from _ratchet import best_of
 
-from repro.core.label import label_points_dense
+from repro.core.label import label_and_contain, label_points_dense, membership_points
 from repro.core.world import World
 from repro.data.gazetteer import Scale, all_areas
 
 WORKLOAD = {"points": 100_000, "seed": 20150413}
 
-GATED = {"worlds.synth-5k.grid_seconds": "lower"}
+GATED = {
+    "worlds.synth-5k.grid_seconds": "lower",
+    "worlds.synth-1k.batch_seconds": "lower",
+}
 
 #: (label, gazetteer spec) per measured world; metropolitan scale so the
 #: synthetic sizes are exactly the leaf counts.
@@ -45,6 +54,47 @@ WORLDS = (
 
 #: Acceptance bar: grid speedup over dense at the 5k-area world.
 MIN_SPEEDUP_AT_5K = 5.0
+
+#: Live-size batches: the cloud's first ``BATCH_POINTS`` points, in
+#: batches of ``BATCH_SIZE`` (a perfbench ingest batch holds ~22).
+BATCH_POINTS = 20_000
+BATCH_SIZE = 20
+
+#: Worlds whose dense ``(points, areas)`` membership matrix is small
+#: enough to check the whole cloud's containment against.
+CONTAINMENT_CHECKED = ("legacy-60", "synth-1k")
+
+
+def assert_contain_matches_dense(
+    label: str, world: World, lats: np.ndarray, lons: np.ndarray,
+    indptr: np.ndarray, indices: np.ndarray,
+) -> None:
+    """CSR containment must equal ``np.nonzero`` of the dense membership."""
+    rows, cols = np.nonzero(membership_points(world, lats, lons))
+    assert np.array_equal(indices, cols) and np.array_equal(
+        np.repeat(np.arange(lats.size), np.diff(indptr)), rows
+    ), f"{label}: grid containment diverges from the dense kernel"
+
+
+def measure_batches(
+    label: str, world: World, lats: np.ndarray, lons: np.ndarray
+) -> float:
+    """Best time to label the live-size batches; asserts each is exact."""
+    batches = [
+        (lats[start : start + BATCH_SIZE], lons[start : start + BATCH_SIZE])
+        for start in range(0, min(BATCH_POINTS, lats.size), BATCH_SIZE)
+    ]
+    seconds, results = best_of(
+        lambda: [label_and_contain(world, *batch) for batch in batches]
+    )
+    for (batch_lats, batch_lons), result in zip(batches, results):
+        assert np.array_equal(
+            result.labels, label_points_dense(world, batch_lats, batch_lons)
+        ), f"{label}: batch labels diverge from the dense kernel"
+        assert_contain_matches_dense(
+            label, world, batch_lats, batch_lons, result.indptr, result.indices
+        )
+    return seconds
 
 
 def _point_cloud(n_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -70,11 +120,16 @@ def measure_world(
     build_seconds = time.perf_counter() - build_start
 
     dense_seconds, dense_labels = best_of(lambda: label_points_dense(world, lats, lons))
-    grid_seconds, grid_labels = best_of(lambda: grid.label_and_contain(lats, lons)[0])
+    grid_seconds, (grid_labels, indptr, indices) = best_of(
+        lambda: grid.label_and_contain(lats, lons)
+    )
 
     assert np.array_equal(grid_labels, dense_labels), (
         f"{label}: grid labels diverge from the dense kernel"
     )
+    if label in CONTAINMENT_CHECKED:
+        assert_contain_matches_dense(label, world, lats, lons, indptr, indices)
+    batch_seconds = measure_batches(label, world, lats, lons)
     return {
         "n_areas": world.n_areas,
         "radius_km": world.radius_km,
@@ -82,6 +137,7 @@ def measure_world(
         "dense_seconds": round(dense_seconds, 4),
         "grid_seconds": round(grid_seconds, 4),
         "speedup": round(dense_seconds / max(grid_seconds, 1e-12), 2),
+        "batch_seconds": round(batch_seconds, 4),
         "labels_identical": True,
         "n_labelled": int((grid_labels >= 0).sum()),
     }

@@ -12,8 +12,8 @@ where it measured faster:
   (:class:`PointLabels`).  Worlds of up to :data:`DENSE_AREA_THRESHOLD`
   areas — every paper-scale world, and live ingest batches of tens of
   tweets — run the dense points × areas distance matrix; larger worlds
-  scan each point's candidates in the world's
-  :class:`~repro.geo.index.CenterGridIndex`.
+  score every (point, candidate centre) pair of the world's
+  :class:`~repro.geo.index.CenterGridIndex` at once.
 * The per-area radius-query loop over a point
   :class:`~repro.geo.index.GridIndex` serves whole corpora:
   :func:`label_corpus` (nearest label) and :func:`count_population`
@@ -38,7 +38,7 @@ import numpy as np
 from repro import obs
 from repro.core.world import World
 from repro.data.schema import Tweet
-from repro.geo.distance import points_to_points_km
+from repro.geo.distance import DISTANCE_BLOCK, _haversine
 from repro.geo.index import BruteForceIndex, GridIndex, RadiusQueryResult
 
 #: Area count above which :func:`label_and_contain` scans the world's
@@ -48,10 +48,6 @@ from repro.geo.index import BruteForceIndex, GridIndex, RadiusQueryResult
 #: country-scale gazetteers get O(points · candidates) labelling that
 #: the equivalence suite proves indistinguishable.
 DENSE_AREA_THRESHOLD = 128
-
-#: Entries per block of :func:`point_area_distances`' broadcast, which
-#: bounds its temporaries (a few arrays of this many float64s).
-DISTANCE_BLOCK = 1 << 16
 
 
 def _columns(lats: np.ndarray, lons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,10 +64,11 @@ def point_area_distances(world: World, lats: np.ndarray, lons: np.ndarray) -> np
 
     Column ``j`` is bitwise equal to the single-centre call
     ``points_to_point_km(lats, lons, centre_j)`` that the batch radius
-    queries and the grid index filter on (see
-    :func:`~repro.geo.distance.points_to_points_km`).  Rows are computed
-    in blocks of about :data:`DISTANCE_BLOCK` entries, so the broadcast
-    temporaries stay small at any batch × world size.
+    queries filter on, and each entry to the grid index's pair distance:
+    all of them run :func:`~repro.geo.distance._haversine`, here with
+    the world's cached centre cosines.  Rows are computed straight into
+    the result in blocks of about :data:`DISTANCE_BLOCK` entries, so the
+    broadcast temporaries stay small at any batch × world size.
     """
     lats, lons = _columns(lats, lons)
     out = np.empty((lats.size, world.n_areas), dtype=np.float64)
@@ -80,8 +77,9 @@ def point_area_distances(world: World, lats: np.ndarray, lons: np.ndarray) -> np
     step = max(1, DISTANCE_BLOCK // world.n_areas)
     for start in range(0, lats.size, step):
         block = slice(start, start + step)
-        out[block] = points_to_points_km(
-            lats[block], lons[block], world.centers_lat, world.centers_lon
+        _haversine(
+            lats[block, None], lons[block, None], world.centers_lat,
+            world.centers_lon, world.centers_cos_lat, out=out[block],
         )
     return out
 
@@ -98,9 +96,10 @@ def _dense(world: World, lats: np.ndarray, lons: np.ndarray) -> tuple[np.ndarray
     inside = distances <= world.radius_km
     if world.n_areas == 0:
         return np.full(lats.size, -1, dtype=np.int64), inside
-    distances[~inside] = np.inf
+    outside = ~inside
+    np.copyto(distances, np.inf, where=outside)
     labels = np.argmin(distances, axis=1).astype(np.int64, copy=False)
-    labels[~inside.any(axis=1)] = -1
+    labels[outside.all(axis=1)] = -1
     return labels, inside
 
 
@@ -145,9 +144,9 @@ def label_and_contain(world: World, lats: np.ndarray, lons: np.ndarray) -> Point
     coordinates.  Small worlds (≤ :data:`DENSE_AREA_THRESHOLD` areas)
     run the dense arithmetic over row blocks of about
     :data:`DISTANCE_BLOCK` entries (one block for a live batch);
-    country-scale worlds collect containment during the
-    :class:`~repro.geo.index.CenterGridIndex` candidate scan that picks
-    the nearest centre, so no dense points × areas matrix is built.
+    country-scale worlds take containment from the
+    :class:`~repro.geo.index.CenterGridIndex` pair scan that picks the
+    nearest centre, so no dense points × areas matrix is built.
     """
     lats, lons = _columns(lats, lons)
     n = lats.size
@@ -164,18 +163,22 @@ def label_and_contain(world: World, lats: np.ndarray, lons: np.ndarray) -> Point
             # Row blocks keep the dense temporaries small even over a
             # whole corpus (backfill); a live batch is one block.
             labels = np.empty(n, dtype=np.int64)
-            counts = np.empty(n, dtype=np.int64)
-            chunks = []
+            rows, cols = [], []
             step = max(1, DISTANCE_BLOCK // world.n_areas)
             for start in range(0, n, step):
                 block = slice(start, start + step)
                 labels[block], inside = _dense(world, lats[block], lons[block])
-                chunks.append(np.nonzero(inside)[1])
-                counts[block] = inside.sum(axis=1)
-            indices = np.concatenate(chunks).astype(np.int64)
+                block_rows, block_cols = inside.nonzero()
+                rows.append(block_rows + start if start else block_rows)
+                cols.append(block_cols)
+            rows, indices = (
+                chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+                for chunks in (rows, cols)
+            )
             indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-        sp.set(labelled=int((labels >= 0).sum()), memberships=int(indices.size))
+            np.bincount(rows, minlength=n).cumsum(out=indptr[1:])
+        if obs.enabled():
+            sp.set(labelled=int((labels >= 0).sum()), memberships=int(indices.size))
     obs.counter("core.points_labelled", n)
     return PointLabels(labels=labels, indptr=indptr, indices=indices)
 

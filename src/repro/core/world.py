@@ -30,7 +30,7 @@ from repro.data.gazetteer import (
     gazetteer_from_spec,
     search_radius_km,
 )
-from repro.geo.distance import pairwise_distance_matrix
+from repro.geo.distance import cos_latitudes, pairwise_distance_matrix
 from repro.geo.index import CenterGridIndex
 from repro.geo.polygon import Polygon
 
@@ -135,6 +135,12 @@ class World:
     def centers_lon(self) -> np.ndarray:
         """Centre longitudes in degrees, aligned with label indices."""
         return np.array([a.center.lon for a in self.areas], dtype=np.float64)
+
+    @cached_property
+    def centers_cos_lat(self) -> np.ndarray:
+        """Each centre's ``math.cos(math.radians(lat))``, the centre
+        cosines the dense labelling branch hands the haversine."""
+        return cos_latitudes(self.centers_lat)
 
     @cached_property
     def populations(self) -> np.ndarray:

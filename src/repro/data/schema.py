@@ -18,6 +18,7 @@ message no matter which door the record came through.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -164,6 +165,9 @@ _DICT = frozenset({dict})
 _INT = frozenset({int})
 _NUMBER = frozenset({int, float})
 
+#: A plain record's ``(user_id, timestamp, lat, lon)``.
+_PLAIN_FIELDS = operator.itemgetter("user_id", "timestamp", "lat", "lon")
+
 #: Largest magnitude of a valid timestamp, latitude and longitude.
 _LIMITS = np.array([[sys.float_info.max], [90.0], [sys.float_info.max]])
 
@@ -184,14 +188,10 @@ def _plain_columns(
     if not set(map(type, records)) <= _DICT:
         return None
     try:
-        users = [record["user_id"] for record in records]
-        columns = [
-            [record["timestamp"] for record in records],
-            [record["lat"] for record in records],
-            [record["lon"] for record in records],
-        ]
+        fields = list(map(_PLAIN_FIELDS, records))
     except KeyError:
         return None
+    users, *columns = zip(*fields) if fields else ((), (), (), ())
     tweet_ids = [record["tweet_id"] for record in records if "tweet_id" in record]
     if not (
         set(map(type, users)) <= _INT

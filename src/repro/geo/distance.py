@@ -14,10 +14,9 @@ Two distance formulas are provided:
   paper).  Used by the spatial index for cheap candidate pruning.
 
 Vectorised variants (:func:`points_to_point_km`,
-:func:`points_to_points_km`, :func:`pairwise_distance_matrix`,
-:func:`pair_distances_km`) operate on numpy arrays and are the
-workhorses of the extraction pipelines, which must compute distances from
-millions of tweets to area centres.
+:func:`pairwise_distance_matrix`, :func:`pair_distances_km`) operate on
+numpy arrays and are the workhorses of the extraction pipelines, which
+must compute distances from millions of tweets to area centres.
 """
 
 from __future__ import annotations
@@ -33,6 +32,11 @@ EARTH_RADIUS_KM = 6371.0088
 """Mean Earth radius (IUGG) in kilometres."""
 
 _CoordLike = Coordinate | tuple[float, float]
+
+#: Entries per block of a blocked distance computation (the dense
+#: labelling matrix's rows, the centre grid's point-centre pairs): it
+#: bounds the temporaries to a few float64 arrays of this length.
+DISTANCE_BLOCK = 1 << 16
 
 
 def _latlon(point: _CoordLike) -> tuple[float, float]:
@@ -114,6 +118,61 @@ def destination_point(start: _CoordLike, bearing: float, distance_km: float) -> 
     return Coordinate(lat=math.degrees(phi2), lon=math.degrees(lmb2))
 
 
+def cos_latitudes(lats_deg: np.ndarray) -> np.ndarray:
+    """``math.cos(math.radians(lat))`` of each latitude, as float64.
+
+    The centre cosines :func:`_haversine` takes, computed per centre by
+    :func:`math.cos` as :func:`points_to_point_km` computes its one
+    centre's.
+    """
+    return np.array(
+        [math.cos(math.radians(lat)) for lat in np.asarray(lats_deg).tolist()],
+        dtype=np.float64,
+    )
+
+
+def _haversine(
+    lats: np.ndarray,
+    lons: np.ndarray,
+    center_lats: np.ndarray | float,
+    center_lons: np.ndarray | float,
+    cos_center_lats: np.ndarray | float,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Haversine kilometres from points to centres, elementwise.
+
+    The one copy of the vectorised formula behind
+    :func:`points_to_point_km`, the dense labelling matrix
+    (:func:`repro.core.label.point_area_distances`) and
+    :class:`~repro.geo.index.CenterGridIndex`'s pair scan.  Point and
+    centre degrees broadcast against each other; ``cos_center_lats``
+    holds each centre's ``math.cos(math.radians(lat))``
+    (:func:`cos_latitudes`).  Every caller runs the same elementwise
+    operations in the same order on the same values, so any two of
+    them agree *bitwise* on a (point, centre) pair.  The intermediates
+    are computed in place in three buffers, the first of which is
+    ``out`` when given.
+    """
+    h = np.subtract(center_lats, lats, out=out)
+    np.radians(h, out=h)
+    h /= 2.0
+    np.sin(h, out=h)
+    np.square(h, out=h)
+    term = np.multiply(np.cos(np.radians(lats)), cos_center_lats)
+    dlmb = np.subtract(center_lons, lons)
+    np.radians(dlmb, out=dlmb)
+    dlmb /= 2.0
+    np.sin(dlmb, out=dlmb)
+    np.square(dlmb, out=dlmb)
+    term *= dlmb
+    h += term
+    np.clip(h, 0.0, 1.0, out=h)
+    np.sqrt(h, out=h)
+    np.arcsin(h, out=h)
+    h *= 2.0 * EARTH_RADIUS_KM
+    return h
+
+
 def points_to_point_km(
     lats_deg: np.ndarray, lons_deg: np.ndarray, center: _CoordLike
 ) -> np.ndarray:
@@ -136,47 +195,7 @@ def points_to_point_km(
     if lats.shape != lons.shape:
         raise ValueError(f"shape mismatch: lats {lats.shape} vs lons {lons.shape}")
     clat, clon = _latlon(center)
-    phi1 = np.radians(lats)
-    phi2 = math.radians(clat)
-    dphi = np.radians(clat - lats)
-    dlmb = np.radians(clon - lons)
-    h = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * math.cos(phi2) * np.sin(dlmb / 2.0) ** 2
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
-
-
-def points_to_points_km(
-    lats_deg: np.ndarray,
-    lons_deg: np.ndarray,
-    center_lats_deg: np.ndarray,
-    center_lons_deg: np.ndarray,
-) -> np.ndarray:
-    """Vectorised haversine from many points to many centres.
-
-    Returns the ``(n_points, n_centres)`` matrix whose column ``j`` is
-    bitwise equal to ``points_to_point_km(lats, lons, centre_j)``: the
-    same elementwise operations in the same order, broadcast over the
-    centres instead of looped, with each centre's ``cos`` taken by
-    :func:`math.cos` as the single-centre form does.
-    """
-    lats = np.asarray(lats_deg, dtype=np.float64)
-    lons = np.asarray(lons_deg, dtype=np.float64)
-    center_lats = np.asarray(center_lats_deg, dtype=np.float64)
-    center_lons = np.asarray(center_lons_deg, dtype=np.float64)
-    if lats.shape != lons.shape or lats.ndim != 1:
-        raise ValueError("lats/lons must be equal-length 1-D arrays")
-    if center_lats.shape != center_lons.shape or center_lats.ndim != 1:
-        raise ValueError("centre lats/lons must be equal-length 1-D arrays")
-    phi1 = np.radians(lats)[:, None]
-    cos_phi2 = np.array(
-        [math.cos(math.radians(lat)) for lat in center_lats.tolist()],
-        dtype=np.float64,
-    )
-    dphi = np.radians(center_lats[None, :] - lats[:, None])
-    dlmb = np.radians(center_lons[None, :] - lons[:, None])
-    h = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * cos_phi2 * np.sin(dlmb / 2.0) ** 2
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+    return _haversine(lats, lons, clat, clon, math.cos(math.radians(clat)))
 
 
 def consecutive_distances_km(lats_deg: np.ndarray, lons_deg: np.ndarray) -> np.ndarray:

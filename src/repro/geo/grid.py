@@ -81,6 +81,24 @@ class GridSpec:
         out[~inside] = -1
         return out
 
+    def cell_ids_of(self, lats_deg: np.ndarray, lons_deg: np.ndarray) -> np.ndarray:
+        """Row-major cell id (``row * n_cols + col``) of each point.
+
+        The cells :meth:`cells_of` assigns, as one int64 column with -1
+        for points outside the box; inside the box the offset is never
+        negative, so only the far edge needs clamping.
+        """
+        lats = np.asarray(lats_deg, dtype=np.float64)
+        lons = np.asarray(lons_deg, dtype=np.float64)
+        rows = np.floor((lats - self.bbox.min_lat) / self.cell_height_deg)
+        np.minimum(rows, self.n_rows - 1, out=rows)
+        cols = np.floor((lons - self.bbox.min_lon) / self.cell_width_deg)
+        np.minimum(cols, self.n_cols - 1, out=cols)
+        rows *= self.n_cols
+        rows += cols
+        inside = self.bbox.contains_mask(lats, lons)
+        return np.where(inside, rows, -1.0).astype(np.int64)
+
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
         """The ``(lat, lon)`` centre of a grid cell."""
         if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):

@@ -28,7 +28,13 @@ import numpy as np
 
 from repro.geo.bbox import BoundingBox
 from repro.geo.coords import Coordinate
-from repro.geo.distance import EARTH_RADIUS_KM, points_to_point_km
+from repro.geo.distance import (
+    DISTANCE_BLOCK,
+    EARTH_RADIUS_KM,
+    _haversine,
+    cos_latitudes,
+    points_to_point_km,
+)
 from repro.geo.grid import GridSpec
 
 _CoordLike = Coordinate | tuple[float, float]
@@ -145,9 +151,7 @@ class GridIndex:
             self._cell_ids_sorted = np.empty(0, dtype=np.int64)
             self._bucket_starts = {}
             return
-        cells = self.spec.cells_of(self._lats, self._lons)
-        cell_ids = cells[:, 0] * self.spec.n_cols + cells[:, 1]
-        cell_ids[cells[:, 0] < 0] = -1
+        cell_ids = self.spec.cell_ids_of(self._lats, self._lons)
         order = np.argsort(cell_ids, kind="stable")
         self._order = order
         self._cell_ids_sorted = cell_ids[order]
@@ -242,26 +246,27 @@ class CenterGridIndex:
     ``(n_points, n_centres)`` distance matrix — O(n·m) work that is fine
     for the paper's 60 areas but not for a country-scale gazetteer.
     This index precomputes, for every cell of a uniform lat/lon grid,
-    the list of centres whose ε-disc could reach that cell; labelling
-    then touches only each point's cell candidates.
+    the centres whose ε-disc could reach that cell, as CSR arrays;
+    labelling then scores every (point, candidate centre) pair of a
+    batch at once and touches no other centre.
 
     Equivalence to the dense kernel is *bitwise*, by construction:
 
-    * candidate distances are computed with the single-centre call
-      ``points_to_point_km(point_lats, point_lons, centre)``, whose
-      result is bitwise the dense kernel's column for that centre (see
-      :func:`~repro.geo.distance.points_to_points_km`), and those ufuncs
-      are elementwise, so each candidate distance equals the
-      corresponding dense matrix entry;
+    * pair distances are computed by the same elementwise haversine
+      (:func:`~repro.geo.distance._haversine`) that fills the dense
+      matrix, over each pair's point and centre degrees and the
+      centre's :func:`math.cos` cosine, so each pair distance equals
+      the corresponding dense matrix entry;
     * candidate registration is conservative (a centre is a candidate
       of every cell intersecting its margin rectangle, with the
       longitude margin widened for the pole-most latitude the disc can
       reach), so every centre within ε of a point is among that point's
       candidates — non-candidates are provably ``> ε``, exactly the
       entries the dense kernel masks to ``inf``;
-    * candidates are scanned in ascending centre order with a
-      strict-``<`` best-distance update, which is the first-minimum
-      rule of ``argmin``.
+    * each point's pairs are laid out in ascending centre order, and a
+      stable sort of the within-ε pairs by (point, distance) puts the
+      lowest-index centre first among equal distances, which is the
+      first-minimum rule of ``argmin``.
 
     Longitude wraps at ±180°: when the margin box reaches past it, each
     centre also registers its rectangle shifted by ±360°, and a point
@@ -286,6 +291,7 @@ class CenterGridIndex:
         if self._lats.size == 0:
             raise ValueError("cannot index zero centres")
         self.radius_km = float(radius_km)
+        self._cos_lats = cos_latitudes(self._lats)
 
         km_per_deg = np.pi * EARTH_RADIUS_KM / 180.0
         margin_lat = self.radius_km / km_per_deg
@@ -323,31 +329,52 @@ class CenterGridIndex:
         self._build_candidates()
 
     def _build_candidates(self) -> None:
-        """Register every centre with each cell its margin rectangle touches."""
+        """Register every centre with each cell its margin rectangle touches.
+
+        Each centre's rectangle of cells (and, in a wrapping world, its
+        copies shifted by ±360°) expands into ``(cell, centre)`` pairs.
+        One ``np.unique`` of the packed pair keys sorts them by cell,
+        then by ascending centre, and drops a cell that a shifted copy
+        reached twice.  The candidates of cell ``_cell_ids[k]`` (sorted
+        occupied cell ids) are then
+        ``_centres[_cell_indptr[k]:_cell_indptr[k + 1]]``, ascending.
+        """
         spec = self.spec
+        n_centres = self._lats.size
+        lo_row = np.floor(
+            (self._lats - self._margin_lat - spec.bbox.min_lat) / spec.cell_height_deg
+        ).astype(np.int64)
+        hi_row = np.floor(
+            (self._lats + self._margin_lat - spec.bbox.min_lat) / spec.cell_height_deg
+        ).astype(np.int64)
+        np.maximum(lo_row, 0, out=lo_row)
+        np.minimum(hi_row, spec.n_rows - 1, out=hi_row)
         shifts = (0.0, -360.0, 360.0) if self._wraps else (0.0,)
-        candidates: dict[int, list[int]] = {}
-        for area_index in range(self._lats.size):
-            clat = self._lats[area_index]
-            lo_row = int(np.floor((clat - self._margin_lat - spec.bbox.min_lat) / spec.cell_height_deg))
-            hi_row = int(np.floor((clat + self._margin_lat - spec.bbox.min_lat) / spec.cell_height_deg))
-            lo_row = max(lo_row, 0)
-            hi_row = min(hi_row, spec.n_rows - 1)
-            for shift in shifts:
-                clon = self._lons[area_index] + shift
-                lo_col = int(np.floor((clon - self._margin_lon - spec.bbox.min_lon) / spec.cell_width_deg))
-                hi_col = int(np.floor((clon + self._margin_lon - spec.bbox.min_lon) / spec.cell_width_deg))
-                lo_col = max(lo_col, 0)
-                hi_col = min(hi_col, spec.n_cols - 1)
-                for row in range(lo_row, hi_row + 1):
-                    base = row * spec.n_cols
-                    for col in range(lo_col, hi_col + 1):
-                        # Ascending centre order by construction of the
-                        # loop; a shifted copy may reach a cell twice.
-                        cell = candidates.setdefault(base + col, [])
-                        if not cell or cell[-1] != area_index:
-                            cell.append(area_index)
-        self._candidates = candidates
+        lo_cols, hi_cols = [], []
+        for shift in shifts:
+            lons = self._lons + shift
+            lo_cols.append(np.floor(
+                (lons - self._margin_lon - spec.bbox.min_lon) / spec.cell_width_deg
+            ).astype(np.int64))
+            hi_cols.append(np.floor(
+                (lons + self._margin_lon - spec.bbox.min_lon) / spec.cell_width_deg
+            ).astype(np.int64))
+        lo_col = np.maximum(np.concatenate(lo_cols), 0)
+        hi_col = np.minimum(np.concatenate(hi_cols), spec.n_cols - 1)
+        lo_row = np.tile(lo_row, len(shifts))
+        n_rows = np.maximum(np.tile(hi_row, len(shifts)) - lo_row + 1, 0)
+        n_cols = np.maximum(hi_col - lo_col + 1, 0)
+        sizes = n_rows * n_cols
+        # Pair k of a rectangle sits at row k // n_cols, column k % n_cols.
+        k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        width = np.repeat(n_cols, sizes)
+        rows = np.repeat(lo_row, sizes) + k // width
+        cols = np.repeat(lo_col, sizes) + k % width
+        centres = np.repeat(np.tile(np.arange(n_centres), len(shifts)), sizes)
+        keys = np.unique((rows * spec.n_cols + cols) * n_centres + centres)
+        cells, self._centres = np.divmod(keys, n_centres)
+        self._cell_ids, starts = np.unique(cells, return_index=True)
+        self._cell_indptr = np.append(starts, keys.size)
 
     def __len__(self) -> int:
         return int(self._lats.size)
@@ -355,21 +382,27 @@ class CenterGridIndex:
     @property
     def n_cells_occupied(self) -> int:
         """Number of grid cells with at least one candidate centre."""
-        return len(self._candidates)
+        return int(self._cell_ids.size)
 
     def label_and_contain(
         self, lats_deg: np.ndarray, lons_deg: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nearest labels plus CSR containment from one candidate scan.
+        """Nearest labels plus CSR containment from one pair scan.
 
         Returns ``(labels, indptr, indices)``: the nearest centre within
         ε of each point (else -1), and the centres within ε of point ``i`` as
-        ``indices[indptr[i]:indptr[i + 1]]``, ascending.  Containment is
-        collected from the same candidate distances that pick the
-        nearest centre, so both equal the dense kernel's answers by the
-        class docstring's argument (non-candidates are provably outside
-        ε).  Points outside the expanded grid box are farther than ε from
-        every centre and label -1 without any distance computation.
+        ``indices[indptr[i]:indptr[i + 1]]``, ascending.  Each point's
+        cell is found with one ``searchsorted`` over the occupied cells;
+        its (point, candidate) pairs are expanded with one ``repeat``
+        and a ragged gather, and scored with the elementwise haversine.
+        The pairs within ε are the containment, already in (point,
+        ascending centre) order, and a stable ``lexsort`` of them by
+        (point, distance) puts each point's nearest first.  Both equal
+        the dense kernel's answers by the class docstring's argument.
+        Points outside the expanded grid box, or in a cell no disc
+        reaches, are farther than ε from every centre and get no pairs.
+        Rows go in blocks of about :data:`DISTANCE_BLOCK` pairs, so a
+        whole corpus keeps bounded temporaries.
         """
         lats = np.asarray(lats_deg, dtype=np.float64)
         lons = np.asarray(lons_deg, dtype=np.float64)
@@ -377,57 +410,55 @@ class CenterGridIndex:
             raise ValueError("lats/lons must be equal-length 1-D arrays")
         n = lats.size
         labels = np.full(n, -1, dtype=np.int64)
+        indptr = np.zeros(n + 1, dtype=np.int64)
         if n == 0:
-            return labels, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+            return labels, indptr, np.empty(0, dtype=np.int64)
         cell_lons = lons
         if self._wraps:
             box = self.spec.bbox
             cell_lons = np.where(lons < box.min_lon, lons + 360.0, lons)
             cell_lons = np.where(cell_lons > box.max_lon, cell_lons - 360.0, cell_lons)
-        cells = self.spec.cells_of(lats, cell_lons)
-        cell_ids = cells[:, 0] * self.spec.n_cols + cells[:, 1]
-        cell_ids[cells[:, 0] < 0] = -1
-        order = np.argsort(cell_ids, kind="stable")
-        sorted_ids = cell_ids[order]
-        boundaries = np.nonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])[0]
-        stops = np.append(boundaries[1:], n)
-        hit_rows: list[np.ndarray] = []
-        hit_areas: list[int] = []
-        for start, stop in zip(boundaries, stops):
-            cell_id = int(sorted_ids[start])
-            if cell_id < 0:
-                continue
-            candidates = self._candidates.get(cell_id)
-            if not candidates:
-                continue
-            rows = order[start:stop]
-            group_lats = lats[rows]
-            group_lons = lons[rows]
-            best = np.full(rows.size, np.inf, dtype=np.float64)
-            best_idx = np.full(rows.size, -1, dtype=np.int64)
-            for area_index in candidates:
-                dists = points_to_point_km(
-                    group_lats,
-                    group_lons,
-                    (self._lats[area_index], self._lons[area_index]),
-                )
-                within = dists <= self.radius_km
-                closer = within & (dists < best)
-                best[closer] = dists[closer]
-                best_idx[closer] = area_index
-                hit_rows.append(rows[within])
-                hit_areas.append(area_index)
-            labels[rows] = best_idx
-        if not hit_rows:
-            return labels, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-        point_rows = np.concatenate(hit_rows)
-        areas = np.repeat(
-            np.array(hit_areas, dtype=np.int64), [r.size for r in hit_rows]
+        cell_ids = self.spec.cell_ids_of(lats, cell_lons)
+        slot = self._cell_ids.searchsorted(cell_ids)
+        np.minimum(slot, self._cell_ids.size - 1, out=slot)
+        first = self._cell_indptr[slot]
+        counts = self._cell_indptr[slot + 1] - first
+        counts[self._cell_ids[slot] != cell_ids] = 0
+        ends = counts.cumsum()
+        total = int(ends[-1])
+        # Pair p of the batch (rows in order, each row's candidates in
+        # order) scores centre ``_centres[p + gather[row]]``.
+        gather = first - (ends - counts)
+        cuts = ends.searchsorted(
+            np.arange(DISTANCE_BLOCK, total, DISTANCE_BLOCK), side="right"
         )
-        # Each point sits in one cell, whose candidates were scanned in
-        # ascending centre order: a stable sort by point keeps every
-        # row's centres ascending.
-        by_point = np.argsort(point_rows, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(point_rows, minlength=n), out=indptr[1:])
-        return labels, indptr, areas[by_point]
+        bounds = [0, *cuts.tolist(), n]
+        hits = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = counts[lo:hi]
+            rows = np.arange(lo, hi).repeat(block)
+            base = int(ends[lo - 1]) if lo else 0
+            pairs = np.arange(base, base + rows.size)
+            pairs += gather[lo:hi].repeat(block)
+            centres = self._centres[pairs]
+            distances = _haversine(
+                lats[rows], lons[rows], self._lats[centres], self._lons[centres],
+                self._cos_lats[centres],
+            )
+            within = distances <= self.radius_km
+            hits.append((rows[within], centres[within], distances[within]))
+        rows, centres, distances = (
+            np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+            for chunks in zip(*hits)
+        )
+        if rows.size == 0:
+            return labels, indptr, centres
+        np.bincount(rows, minlength=n).cumsum(out=indptr[1:])
+        # ``rows`` is sorted, so sorted position j still holds row
+        # ``rows[j]``: each row's first position holds its nearest.
+        first_hit = np.empty(rows.size, dtype=bool)
+        first_hit[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=first_hit[1:])
+        nearest = np.lexsort((distances, rows))[first_hit]
+        labels[rows[nearest]] = centres[nearest]
+        return labels, indptr, centres

@@ -76,6 +76,7 @@ not counted (documented contract).
 from __future__ import annotations
 
 import bisect
+import math
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -107,10 +108,15 @@ from repro.summary.tiers import (
     window_align,
 )
 
-#: ``(tier, span)`` in the planner's preference order, and the open
-#: minutes' span (they are tried after finalized minute tiles).
-_PLAN = tuple((tier, tier.span_seconds) for tier in COARSE_FIRST)
-_MINUTE_SPAN = TimeTier.MINUTE.span_seconds
+#: Every tier's span, read on the hot path instead of
+#: :attr:`TimeTier.span_seconds`.
+_SPANS = {tier: tier.span_seconds for tier in TimeTier}
+_MINUTE_SPAN = _SPANS[TimeTier.MINUTE]
+_HOUR_SPAN = _SPANS[TimeTier.HOUR]
+
+#: ``(tier, span)`` in the planner's preference order; the open minutes
+#: (span :data:`_MINUTE_SPAN`) are tried after finalized minute tiles.
+_PLAN = tuple((tier, _SPANS[tier]) for tier in COARSE_FIRST)
 
 
 @dataclass(frozen=True)
@@ -237,6 +243,9 @@ class SummaryStore:
         self._pending_rollup: dict[TimeTier, set[int]] = {
             tier: set() for tier in ROLLUP_SOURCE
         }
+        # No pending rollup slot ends before this (stream seconds), so
+        # the rollup scans wait until the watermark reaches it.
+        self._rollup_due = math.inf
         self._last_label: dict[int, int] = {}
         self._follower: MinuteFollower | None = None
         # Minutes finalized since the follower last ran, in that order.
@@ -361,16 +370,17 @@ class SummaryStore:
         users = users[order]
         labels = labels[order]
         firsts = first_of_runs(users)
-        lasts = np.append(firsts[1:], users.size) - 1
-        first_users = users[firsts].tolist()
         get = self._last_label.get
         previous = np.empty_like(labels)
         previous[1:] = labels[:-1]
-        previous[firsts] = [get(user, -1) for user in first_users]
-        self._last_label.update(zip(first_users, labels[lasts].tolist()))
+        previous[firsts] = [get(user, -1) for user in users[firsts].tolist()]
+        # Row ``firsts[k] - 1`` ends the run before run k (row -1 ends
+        # the last run): together they are every user's last row.
+        lasts = firsts - 1
+        self._last_label.update(zip(users[lasts].tolist(), labels[lasts].tolist()))
+        # A move needs two labels, both >= 0: their OR has no sign bit.
         moved = previous != labels
-        moved &= previous >= 0
-        moved &= labels >= 0
+        moved &= (previous | labels) >= 0
         return starts[order][moved], previous[moved], labels[moved]
 
     # -- finalization and rollup ---------------------------------------
@@ -379,11 +389,20 @@ class SummaryStore:
         """Finalize passed minutes, roll complete hours/days up and hand
         the newly final minutes to the follower; returns what it raised."""
         for start in sorted(self._minute_open):
-            if start + TimeTier.MINUTE.span_seconds > self._watermark:
+            if start + _MINUTE_SPAN > self._watermark:
                 break
             self._finalize_minute(start, self._minute_open.pop(start))
-        for tier in (TimeTier.HOUR, TimeTier.DAY):
-            self._rollup_tier(tier)
+        if self._watermark >= self._rollup_due:
+            for tier in (TimeTier.HOUR, TimeTier.DAY):
+                self._rollup_tier(tier)
+            self._rollup_due = min(
+                (
+                    start + _SPANS[tier]
+                    for tier, starts in self._pending_rollup.items()
+                    for start in starts
+                ),
+                default=math.inf,
+            )
         final, self._newly_final = self._newly_final, []
         if self._follower is None:
             return 0
@@ -445,19 +464,23 @@ class SummaryStore:
         self._install_tile(bucket)
         self._newly_final.append(bucket)
         self._persist(bucket)
-        self._pending_rollup[TimeTier.HOUR].add(
-            bucket_start(start, TimeTier.HOUR)
-        )
+        self._schedule(TimeTier.HOUR, start - start % _HOUR_SPAN)
+
+    def _schedule(self, tier: TimeTier, start: int) -> None:
+        """Queue the ``tier`` tile at ``start`` for rollup once the
+        watermark reaches its end; every pending slot enters here."""
+        self._pending_rollup[tier].add(start)
+        self._rollup_due = min(self._rollup_due, start + _SPANS[tier])
 
     def _rollup_tier(self, tier: TimeTier) -> None:
         source = ROLLUP_SOURCE[tier]
-        span = tier.span_seconds
+        span = _SPANS[tier]
         for start in sorted(self._pending_rollup[tier]):
             if start + span > self._watermark:
                 continue
             children = [
                 child
-                for child_start in range(start, start + span, source.span_seconds)
+                for child_start in range(start, start + span, _SPANS[source])
                 if (child := self._tiles[source].get(child_start)) is not None
             ]
             self._pending_rollup[tier].discard(start)
@@ -469,9 +492,7 @@ class SummaryStore:
             self._install_tile(tile)
             self._persist(tile)
             if tier in ROLLUP_SOURCE.values() and tier is not TimeTier.DAY:
-                self._pending_rollup[TimeTier.DAY].add(
-                    bucket_start(start, TimeTier.DAY)
-                )
+                self._schedule(TimeTier.DAY, bucket_start(start, TimeTier.DAY))
 
     # -- persistence ---------------------------------------------------
 
@@ -525,9 +546,7 @@ class SummaryStore:
                         else TimeTier.DAY
                     )
                     if coarser in self._pending_rollup:
-                        self._pending_rollup[coarser].add(
-                            bucket_start(tile.start, coarser)
-                        )
+                        self._schedule(coarser, bucket_start(tile.start, coarser))
             # Drop rollup slots already materialised by a recovered tile.
             for tier in self._pending_rollup:
                 self._pending_rollup[tier] -= self._tiles[tier].keys()
@@ -555,7 +574,7 @@ class SummaryStore:
             newest = max(self._minute_open)
             self._watermark = max(
                 self._watermark,
-                float(newest + TimeTier.MINUTE.span_seconds),
+                float(newest + _MINUTE_SPAN),
             )
             self._advance()
             self._version += 1

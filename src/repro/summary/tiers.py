@@ -350,13 +350,14 @@ class SummaryBucket:
             self.start, self.n_areas, self.n_tweets,
             self.areas.size, self.counts.size,
         )
-        columns = (
-            self.areas, self.users, self.tweets,
-            self.sources, self.dests, self.counts,
+        columns = np.concatenate(
+            (
+                self.areas, self.users, self.tweets,
+                self.sources, self.dests, self.counts,
+            ),
+            dtype=_COLUMN,
         )
-        return header + b"".join(
-            column.astype(_COLUMN, copy=False).tobytes() for column in columns
-        )
+        return header + columns.tobytes()
 
     @classmethod
     def decode(cls, payload: bytes | memoryview) -> "SummaryBucket":
@@ -431,15 +432,19 @@ def build_tiles(
         users.repeat(members),
         None,
     )
-    move_starts, sources, dests = moves
-    cell_key, cell_dests, cell_counts = _group(
-        tile_starts.searchsorted(move_starts) * n_areas + sources, dests, None
-    )
     pair_tile, pair_areas = np.divmod(pair_key, n_areas)
-    cell_tile, cell_sources = np.divmod(cell_key, n_areas)
     edges = np.arange(tile_starts.size + 1)
     pair_bounds = pair_tile.searchsorted(edges).tolist()
-    cell_bounds = cell_tile.searchsorted(edges).tolist()
+    move_starts, sources, dests = moves
+    if move_starts.size:
+        cell_key, cell_dests, cell_counts = _group(
+            tile_starts.searchsorted(move_starts) * n_areas + sources, dests, None
+        )
+        cell_tile, cell_sources = np.divmod(cell_key, n_areas)
+        cell_bounds = cell_tile.searchsorted(edges).tolist()
+    else:
+        cell_sources = cell_dests = cell_counts = _EMPTY
+        cell_bounds = [0] * edges.size
     tiles = []
     for k, (start, count) in enumerate(zip(tile_starts.tolist(), n_tweets.tolist())):
         pairs = slice(pair_bounds[k], pair_bounds[k + 1])

@@ -20,11 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.geo.index as index_module
 from repro.core.label import (
     DENSE_AREA_THRESHOLD,
+    DISTANCE_BLOCK,
     label_point,
     label_points,
     label_points_dense,
+    membership_points,
 )
 from repro.core.world import World
 from repro.data.gazetteer import Area, Scale, gazetteer_from_spec
@@ -201,6 +204,168 @@ class TestPinnedCases:
         grid = CenterGridIndex(world.centers_lat, world.centers_lon, world.radius_km)
         labels = grid_labels(grid, [80.0, -80.0], [170.0, -170.0])
         assert labels.tolist() == [-1, -1]
+
+
+def assert_csr_equivalent(world: World, lats, lons) -> tuple[np.ndarray, ...]:
+    """``(labels, indptr, indices)`` bitwise equal the dense reference."""
+    lats = np.asarray(lats, dtype=np.float64)
+    lons = np.asarray(lons, dtype=np.float64)
+    labels, indptr, indices = world.center_grid.label_and_contain(lats, lons)
+    rows, cols = np.nonzero(membership_points(world, lats, lons))
+    assert np.array_equal(labels, label_points_dense(world, lats, lons))
+    assert indptr.dtype == indices.dtype == labels.dtype == np.int64
+    assert np.array_equal(indptr[1:], np.cumsum(np.bincount(rows, minlength=lats.size)))
+    assert indptr[0] == 0
+    assert np.array_equal(indices, cols)
+    return labels, indptr, indices
+
+
+@pytest.fixture
+def scored_blocks(monkeypatch):
+    """The pair count of every block the pair scan scores, in order."""
+    calls = []
+    original = index_module._haversine
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].size)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(index_module, "_haversine", counting)
+    return calls
+
+
+def two_cluster_world() -> World:
+    """150 suburbs around Sydney and 150 around Perth at ε = 2 km: the
+    grid box spans the continent, and most of its cells hold no disc."""
+    rng = np.random.default_rng(21)
+    areas = []
+    for lat, lon in ((-33.87, 151.21), (-31.95, 115.86)):
+        for _ in range(150):
+            areas.append(
+                Area(
+                    name=f"s{len(areas)}",
+                    center=Coordinate(
+                        lat=lat + float(rng.normal(0.0, 0.1)),
+                        lon=lon + float(rng.normal(0.0, 0.1)),
+                    ),
+                    population=100,
+                    scale=Scale.METROPOLITAN,
+                )
+            )
+    return World.from_areas(areas, radius_km=2.0)
+
+
+def antimeridian_world() -> World:
+    """Discs every 0.05° of latitude at 179.95°E and 179.97°W, ε = 8 km."""
+    areas = [
+        Area(
+            name=f"a{k}",
+            center=Coordinate(lat=-17.0 + 0.05 * (k // 2), lon=(179.95, -179.97)[k % 2]),
+            population=1000,
+            scale=Scale.METROPOLITAN,
+        )
+        for k in range(300)
+    ]
+    return World.from_areas(areas, radius_km=8.0)
+
+
+class TestPairScanMatchesDense:
+    """The pair scan's labels and CSR equal the dense reference bitwise."""
+
+    def test_batch_spanning_several_pair_blocks(self, scored_blocks):
+        world = two_cluster_world()
+        rng = np.random.default_rng(31)
+        n = 20_000
+        k = rng.integers(0, world.n_areas, n)
+        lats = world.centers_lat[k] + rng.normal(0.0, 0.02, n)
+        lons = world.centers_lon[k] + rng.normal(0.0, 0.02, n)
+        labels, _, _ = assert_csr_equivalent(world, lats, lons)
+        assert len(scored_blocks) >= 2
+        assert max(scored_blocks) <= 2 * DISTANCE_BLOCK
+        assert sum(scored_blocks) > DISTANCE_BLOCK
+        assert (labels >= 0).any() and (labels < 0).any()
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_tiny_blocks_join_seamlessly(self, monkeypatch, block):
+        monkeypatch.setattr(index_module, "DISTANCE_BLOCK", block)
+        world = two_cluster_world()
+        rng = np.random.default_rng(block)
+        k = rng.integers(0, world.n_areas, 200)
+        lats = world.centers_lat[k] + rng.normal(0.0, 0.02, 200)
+        lons = world.centers_lon[k] + rng.normal(0.0, 0.02, 200)
+        labels, indptr, _ = assert_csr_equivalent(world, lats, lons)
+        assert (labels >= 0).sum() > 50
+        assert np.diff(indptr).max() >= 2  # overlapping discs
+
+    def test_points_in_cells_no_disc_reaches(self, scored_blocks):
+        world = two_cluster_world()
+        grid = world.center_grid
+        spec = grid.spec
+        assert grid.n_cells_occupied < spec.n_rows * spec.n_cols
+        rng = np.random.default_rng(32)
+        lats = np.concatenate(
+            [rng.uniform(spec.bbox.min_lat, spec.bbox.max_lat, 500), world.centers_lat[:20]]
+        )
+        lons = np.concatenate(
+            [rng.uniform(spec.bbox.min_lon, spec.bbox.max_lon, 500), world.centers_lon[:20]]
+        )
+        cells = spec.cells_of(lats, lons)
+        cell_ids = cells[:, 0] * spec.n_cols + cells[:, 1]
+        empty = ~np.isin(cell_ids, grid._cell_ids)
+        assert empty[:500].sum() > 400 and not empty[500:].any()
+        labels, indptr, _ = assert_csr_equivalent(world, lats, lons)
+        assert np.all(labels[empty] == -1)
+        assert np.all(np.diff(indptr)[empty] == 0)
+        assert np.all(labels[500:] >= 0)
+        # Only points in occupied cells were scored.
+        assert scored_blocks == [int(np.diff(grid._cell_indptr)[
+            np.searchsorted(grid._cell_ids, cell_ids[~empty])
+        ].sum())]
+
+    def test_points_outside_the_grid_box(self):
+        world = two_cluster_world()
+        box = world.center_grid.spec.bbox
+        eps = 1e-9
+        lats = np.array(
+            [box.min_lat - eps, box.max_lat + eps, -33.87, -33.87, 0.0, -89.0, 89.0, -33.87]
+        )
+        lons = np.array(
+            [151.21, 151.21, box.min_lon - eps, box.max_lon + eps, 0.0, 151.0, -170.0, 151.21]
+        )
+        labels, indptr, _ = assert_csr_equivalent(world, lats, lons)
+        assert labels[:-1].tolist() == [-1] * 7
+        assert indptr[7] == 0
+
+    def test_batch_with_no_hits(self, scored_blocks):
+        # Centres at (0, ±0.1), ε = 5 km: the first three points sit in
+        # occupied cells ~6.3 km from the nearest centre, so pairs are
+        # scored and none is within ε; the last is outside the box.
+        world = TestPinnedCases()._two_centre_world(radius_km=5.0)
+        lats = np.array([0.04, -0.04, 0.04, 30.0])
+        lons = np.array([0.14, -0.14, -0.06, 0.0])
+        labels, indptr, indices = assert_csr_equivalent(world, lats, lons)
+        assert scored_blocks and scored_blocks[0] >= 3
+        assert labels.tolist() == [-1] * 4
+        assert indptr.tolist() == [0] * 5
+        assert indices.size == 0
+        assert assert_csr_equivalent(world, [], [])[1].tolist() == [0]
+
+    def test_antimeridian_wrapping_world(self):
+        world = antimeridian_world()
+        grid = world.center_grid
+        assert grid.spec.bbox.min_lon < -180.0 or grid.spec.bbox.max_lon > 180.0
+        rng = np.random.default_rng(33)
+        lats = rng.uniform(-17.2, -9.3, 600)
+        lons = np.concatenate(
+            [
+                rng.uniform(179.8, 180.0, 200),
+                rng.uniform(-180.0, -179.8, 200),
+                rng.choice([180.0, -180.0, 179.95, -179.97], 200),
+            ]
+        )
+        labels, indptr, _ = assert_csr_equivalent(world, lats, lons)
+        assert (labels[200:400] >= 0).sum() > 50
+        assert np.diff(indptr).max() >= 2
 
 
 class TestCentersIndexUpgrade:

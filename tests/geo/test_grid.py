@@ -45,6 +45,19 @@ class TestGridSpec:
             else:
                 assert tuple(cells[i]) == scalar
 
+    def test_cell_ids_of_flattens_cells_of(self):
+        spec = GridSpec(bbox=BOX, n_rows=7, n_cols=13)
+        rng = np.random.default_rng(1)
+        edges = [0.0, 10.0, 20.0, -1e-12, 10.0 + 1e-12]
+        lats = np.concatenate([rng.uniform(-2, 12, 200), edges, [5.0] * 5])
+        lons = np.concatenate([rng.uniform(-2, 22, 200), [5.0] * 5, edges])
+        cells = spec.cells_of(lats, lons)
+        expected = np.where(cells[:, 0] < 0, -1, cells[:, 0] * spec.n_cols + cells[:, 1])
+        ids = spec.cell_ids_of(lats, lons)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, expected)
+        assert spec.cell_ids_of([np.nan, 5.0], [5.0, np.nan]).tolist() == [-1, -1]
+
     def test_cell_center_roundtrip(self):
         spec = GridSpec(bbox=BOX, n_rows=10, n_cols=20)
         lat, lon = spec.cell_center(3, 7)

@@ -213,3 +213,85 @@ class TestInstallMinutes:
         )
         store.ingest([tweet(9, 70.0, 1)])
         assert store.query(0, 180).flow_matrix[0, 1] == 1
+
+
+class TestRollupSchedule:
+    """Hour and day tiles appear exactly when the watermark reaches
+    their end, whichever path scheduled their rollup: live minutes,
+    recovered tiles or installed minutes."""
+
+    @staticmethod
+    def assert_tile_appears_at(store: SummaryStore, tier: str, end: int) -> None:
+        before = store.stats()["tiles"][tier]
+        store.ingest([tweet(1, end - 1.0)])
+        assert store.stats()["tiles"][tier] == before
+        store.ingest([tweet(2, float(end))])
+        assert store.stats()["tiles"][tier] == before + 1
+
+    @staticmethod
+    def assert_rollup_due_at(make_store, tier: str, end: int) -> None:
+        """Two stores from ``make_store``, neither holding an open
+        minute: one tweet just before ``end`` adds no ``tier`` tile, and
+        one past ``end`` adds it.  The jump finalizes no minute, so no
+        live-path schedule can stand in for the one ``make_store`` made."""
+        early = make_store()
+        before = early.stats()["tiles"][tier]
+        early.ingest([tweet(1, end - 1.0)])
+        assert early.stats()["tiles"][tier] == before
+        late = make_store()
+        late.ingest([tweet(1, end + 90.0)])
+        assert late.stats()["tiles"][tier] == before + 1
+
+    def test_live_minutes(self):
+        store = fresh_store()
+        store.ingest([tweet(1, 10.0)])
+        self.assert_tile_appears_at(store, "hour", 3600)
+        self.assert_tile_appears_at(store, "day", 86400)
+        # Hours 1 and 23 rolled up on the way there.
+        assert store.stats()["tiles"]["hour"] == 3
+
+    def test_after_recovering_minutes(self, tmp_path):
+        artifacts = ArtifactStore(tmp_path)
+        fresh_store(artifacts).ingest([tweet(1, 10.0), tweet(1, 70.0), tweet(1, 130.0)])
+
+        def reborn() -> SummaryStore:
+            store = fresh_store(artifacts)
+            assert store.recover() == 2  # minutes 0 and 60; 120 was open
+            assert store.stats()["tiles"]["hour"] == 0
+            return store
+
+        self.assert_rollup_due_at(reborn, "hour", 3600)
+
+    def test_after_recovering_hours(self, tmp_path):
+        artifacts = ArtifactStore(tmp_path)
+        fresh_store(artifacts).ingest([tweet(1, 10.0), tweet(1, 3600.0)])
+
+        def reborn() -> SummaryStore:
+            store = fresh_store(artifacts)
+            store.recover()
+            assert store.stats()["tiles"] == {"minute": 1, "hour": 1, "day": 0}
+            return store
+
+        self.assert_rollup_due_at(reborn, "day", 86400)
+
+    def test_after_installing_minutes(self):
+        minute = TestInstallMinutes()._bucket
+
+        def installed() -> SummaryStore:
+            store = fresh_store()
+            store.install_minutes([minute(0), minute(60)], watermark=120.0)
+            assert store.stats()["tiles"]["hour"] == 0
+            return store
+
+        self.assert_rollup_due_at(installed, "hour", 3600)
+
+    def test_after_installing_a_whole_hour(self):
+        minute = TestInstallMinutes()._bucket
+
+        def installed() -> SummaryStore:
+            store = fresh_store()
+            store.install_minutes([minute(0)], watermark=3600.0)
+            assert store.stats()["tiles"] == {"minute": 1, "hour": 1, "day": 0}
+            return store
+
+        self.assert_rollup_due_at(installed, "day", 86400)

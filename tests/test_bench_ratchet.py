@@ -77,6 +77,19 @@ def test_gate_handles_higher_is_better(ratchet):
     assert "rps measured 40.0 is below the allowed 50.0" in block["failures"][0]
 
 
+def test_gate_reports_a_metric_the_baseline_lacks_as_new(ratchet):
+    gated = {"full": "lower", "added": "lower"}
+    block = ratchet.gate(_summary(full=1.5, added=7.0), _summary(full=1.0), gated)
+    assert block["status"] == "passed"
+    assert block["metrics"]["added"] == {"better": "lower", "measured": 7.0, "status": "new"}
+    assert block["metrics"]["full"]["baseline"] == 1.0
+    # The metrics the baseline holds are still gated.
+    block = ratchet.gate(_summary(full=2.5, added=7.0), _summary(full=1.0), gated)
+    assert block["status"] == "failed"
+    (failure,) = block["failures"]
+    assert failure.startswith("full measured 2.5 is above the allowed 2.0")
+
+
 def test_normalize_divides_durations_and_multiplies_rates(ratchet):
     summary = {"load": {"seconds": 3.0, "requests_per_second": 200.0}}
     gated = {"load.seconds": "lower", "load.requests_per_second": "higher"}
