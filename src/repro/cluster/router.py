@@ -20,11 +20,10 @@ which makes the topology loop-free by construction (at most one hop).
   slice is re-posted to its owner, with the per-shard outcomes summed
   and a ``routing`` block describing the split.
 * **Reads** (``gather_population`` / ``gather_flows``): the windowed
-  query fans out to every shard concurrently (the local shard answers
-  in-process), and the per-shard payloads merge exactly via
-  :mod:`repro.cluster.merge`.  Any shard failure fails the gather with
-  a ``503`` naming the shards that did not answer — a partial merge
-  would silently under-count.
+  query fans out to every shard, and the per-shard payloads merge
+  exactly via :mod:`repro.cluster.merge`.  Any shard failure fails the
+  gather with a ``503`` naming the shards that did not answer — a
+  partial merge would silently under-count.
 * **Anomalies** (``gather_anomalies``): every shard sends its minute
   tiles' OD cells, and a fresh monitor with this worker's settings runs
   the anomaly kernel over the fleet windows — the shards' cells summed
@@ -32,18 +31,29 @@ which makes the topology loop-free by construction (at most one hop).
   A check boundary counts only once every shard's frontier has passed
   it, so the answer is the same whichever worker is asked.
 
-The HTTP leg uses stdlib ``urllib`` against the peers' private
-per-shard addresses; tests inject an in-process ``transport`` instead.
+Peer legs
+---------
+A request runs in the thread that received it, with no handoff: it
+sends every foreign leg, runs its own shard's leg in-process, and only
+then reads the peers' answers, so the peers work while this worker
+does.  Legs travel over :class:`PeerConnections`, kept-alive
+``http.client`` connections to the peers' private addresses.  A leg
+that fails anywhere closes its connection and fails the request
+(``502`` for ingest, after the local slice was applied; ``503`` for a
+read); nothing is ever resent, because a peer may already have applied
+the slice.  Tests and benchmarks inject an in-process ``transport``
+instead, which runs deferred in the calling thread.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+import select
+import threading
+import time
 from typing import Callable, Mapping
-from urllib.parse import urlencode
+from urllib.parse import urlencode, urlsplit
 
 import numpy as np
 
@@ -54,36 +64,141 @@ from repro.data.schema import TweetBatch
 from repro.serve.app import (
     ApiError,
     EstimationApp,
+    RequestHandler,
     anomalies_payload,
     check_payload,
     wants_check,
 )
 
-#: Seconds a worker waits on one peer leg before failing the request.
+#: Seconds a worker waits on one peer leg (connect, or any one read)
+#: before failing the request.
 PEER_TIMEOUT = 10.0
+
+#: An idle pooled connection is reused only if it has waited less than
+#: half the peer handler's read timeout, so the peer never times it out
+#: while a request is on its way.
+MAX_IDLE_SECONDS = RequestHandler.timeout / 2
 
 #: ``transport(method, url, body_or_None) -> (status, payload)``.
 Transport = Callable[[str, str, dict | None], tuple[int, dict]]
 
+#: A leg in flight: calling it returns the peer's ``(status, payload)``.
+Leg = Callable[[], tuple[int, dict]]
 
-def http_transport(method: str, url: str, body: dict | None) -> tuple[int, dict]:
-    """One JSON request/response leg over stdlib urllib."""
-    data = None if body is None else json.dumps(body).encode("utf-8")
-    request = urllib.request.Request(
-        url,
-        data=data,
-        method=method,
-        headers={"Content-Type": "application/json"} if data else {},
-    )
+_JSON_HEADERS = {"Content-Type": "application/json"}
+
+
+def _failed_leg() -> tuple[int, dict]:
+    return 0, {}
+
+
+def _settle(leg: Leg) -> tuple[int, dict]:
+    """Finish a leg; any failure answers ``(0, {})``."""
     try:
-        with urllib.request.urlopen(request, timeout=PEER_TIMEOUT) as response:
-            return response.status, json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        # Non-2xx with a JSON error body is still an answer.
+        return leg()
+    except Exception:  # repro: allow[hygiene] the caller fails the request
+        return 0, {}
+
+
+def _peer_closed(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle connection's socket is readable (or gone).
+
+    An idle keep-alive socket has nothing to read unless the peer
+    closed it (EOF) or broke the protocol; either way it is unusable.
+    A zero-timeout ``poll`` rather than ``select``, which fails on
+    descriptors past ``FD_SETSIZE`` in a worker with many clients.
+    """
+    if connection.sock is None:
+        return True
+    poller = select.poll()
+    poller.register(connection.sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+class PeerConnections:
+    """Kept-alive HTTP/1.1 connections to the peers, one LIFO per peer.
+
+    One lock guards the idle stacks.  A leg takes the most recently
+    used idle connection that is still fit (idle under
+    :data:`MAX_IDLE_SECONDS` and not closed by the peer), or opens a
+    new one (``http.client`` sets ``TCP_NODELAY`` on connect), and gives
+    it back only after a complete response the peer did not mark
+    ``Connection: close``.  Any error closes it instead.
+    """
+
+    def __init__(self, peers: Mapping[int, str]) -> None:
+        self._addresses = {shard: urlsplit(base) for shard, base in peers.items()}
+        self._lock = threading.Lock()
+        self._idle: dict[int, list[tuple[http.client.HTTPConnection, float]]] = {
+            shard: [] for shard in peers
+        }
+        self._closed = False
+
+    def _take(self, shard: int) -> http.client.HTTPConnection:
+        now = time.monotonic()
+        unfit: list[http.client.HTTPConnection] = []
+        taken = None
+        with self._lock:
+            idle = self._idle[shard]
+            while idle and taken is None:
+                connection, since = idle.pop()
+                if now - since < MAX_IDLE_SECONDS and not _peer_closed(connection):
+                    taken = connection
+                else:
+                    unfit.append(connection)
+        for connection in unfit:
+            connection.close()
+        if taken is None:
+            address = self._addresses[shard]
+            taken = http.client.HTTPConnection(
+                address.hostname, address.port, timeout=PEER_TIMEOUT
+            )
+            obs.counter("cluster.peer_connects")
+        return taken
+
+    def _give_back(
+        self, shard: int, connection: http.client.HTTPConnection, will_close: bool
+    ) -> None:
+        if not will_close:
+            with self._lock:
+                if not self._closed:
+                    self._idle[shard].append((connection, time.monotonic()))
+                    return
+        connection.close()
+
+    def send(self, shard: int, method: str, target: str, body: dict | None) -> Leg:
+        """Write one request to ``shard`` now; the returned leg reads it."""
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        connection = self._take(shard)
         try:
-            return exc.code, json.loads(exc.read().decode("utf-8"))
-        except (ValueError, OSError):
-            return exc.code, {"error": {"code": exc.code, "message": str(exc)}}
+            connection.request(
+                method, target, body=data, headers=_JSON_HEADERS if data else {}
+            )
+        except BaseException:
+            connection.close()
+            raise
+
+        def receive() -> tuple[int, dict]:
+            try:
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+            except BaseException:
+                connection.close()
+                raise
+            self._give_back(shard, connection, response.will_close)
+            return response.status, payload
+
+        return receive
+
+    def close(self) -> None:
+        """Close every idle connection; later give-backs close instead."""
+        with self._lock:
+            self._closed = True
+            idle = [connection for stack in self._idle.values() for connection, _ in stack]
+            for stack in self._idle.values():
+                stack.clear()
+        for connection in idle:
+            connection.close()
 
 
 def _batch_records(batch: TweetBatch) -> list[dict]:
@@ -116,7 +231,8 @@ class ShardRouter:
         The local :class:`EstimationApp`; its ``shard_router`` attribute
         should point back at this router.
     transport:
-        Override for the HTTP leg (tests route to in-process apps).
+        Override for the HTTP leg (tests route to in-process apps); it
+        runs deferred, in the calling thread, when the leg is read.
     """
 
     def __init__(
@@ -133,33 +249,35 @@ class ShardRouter:
         self.ring = ring
         self.peers = dict(peers)
         self.app = app
-        self.transport: Transport = transport or http_transport
-        # Created per-worker after the fork, so no pre-fork threads.
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, len(peers)),
-            thread_name_prefix=f"gather-s{shard}",
-        )
+        self.transport = transport
+        # Built per worker after the fork, so no lock crosses it.
+        self._connections = PeerConnections(self.peers)
+        # Always None and never submitted to: it stays only because
+        # perfbench's ``LayerProbe.adopt_router`` wraps it, and ROADMAP
+        # item 4 removes both.
+        self._pool = None
 
     # -- one leg -------------------------------------------------------
 
-    def _call(
+    def _send(
         self,
         shard: int,
         method: str,
         path: str,
         query: Mapping[str, str],
         body: dict | None,
-    ) -> tuple[int, dict]:
-        """One routed leg; own shard dispatches in-process."""
-        routed_query = {**query, "forwarded": "1"}
-        if shard == self.shard:
-            status, payload, _cached = self.app.handle(
-                method, path, routed_query, body
-            )
-            return status, payload
-        base = self.peers[shard]
-        pairs = urlencode(sorted(routed_query.items()))
-        return self.transport(method, f"{base}{path}?{pairs}", body)
+    ) -> Leg:
+        """Send one routed leg to a peer; the returned leg reads its answer."""
+        obs.counter("cluster.peer_legs")
+        target = f"{path}?{urlencode(sorted({**query, 'forwarded': '1'}.items()))}"
+        transport = self.transport
+        if transport is not None:
+            url = f"{self.peers[shard]}{target}"
+            return lambda: transport(method, url, body)
+        try:
+            return self._connections.send(shard, method, target, body)
+        except Exception:  # repro: allow[hygiene] the caller fails the request
+            return _failed_leg
 
     # -- ingest --------------------------------------------------------
 
@@ -187,30 +305,25 @@ class ShardRouter:
             }
         slices = {shard: batch.select(owners == shard) for shard in shards}
         local = slices.pop(self.shard, None)
-        futures = {
-            owner: self._pool.submit(
-                self._call,
-                owner,
-                "POST",
-                "/v1/ingest",
-                {},
-                {"tweets": _batch_records(slice_)},
+        legs = {
+            owner: self._send(
+                owner, "POST", "/v1/ingest", {}, {"tweets": _batch_records(slice_)}
             )
             for owner, slice_ in slices.items()
         }
-        payload = (
-            self.app.ingest_apply(local)
-            if local is not None
-            else {"accepted": 0, "dropped_stale": 0, "anomalies_raised": 0}
-        )
+        try:
+            payload = (
+                self.app.ingest_apply(local)
+                if local is not None
+                else {"accepted": 0, "dropped_stale": 0, "anomalies_raised": 0}
+            )
+        finally:
+            answers = {owner: _settle(leg) for owner, leg in legs.items()}
         n_local = 0 if local is None else len(local)
         forwarded: dict[str, int] = {}
         failed: list[int] = []
-        for owner in sorted(futures):
-            try:
-                status, peer = futures[owner].result(timeout=PEER_TIMEOUT * 2)
-            except Exception:  # repro: allow[hygiene] leg failure recorded below
-                status, peer = 0, {}
+        for owner in sorted(answers):
+            status, peer = answers[owner]
             if status != 200:
                 failed.append(owner)
                 continue
@@ -250,21 +363,24 @@ class ShardRouter:
         silently under-count.
         """
         with obs.span("cluster.gather", path=path, shards=self.ring.n_shards):
-            futures = {
-                shard: self._pool.submit(
-                    self._call, shard, "GET", path, query, None
-                )
+            legs = {
+                shard: self._send(shard, "GET", path, query, None)
                 for shard in range(self.ring.n_shards)
+                if shard != self.shard
             }
+
+            def own() -> tuple[int, dict]:
+                status, payload, _cached = self.app.handle(
+                    "GET", path, {**query, "forwarded": "1"}, None
+                )
+                return status, payload
+
+            answers = {self.shard: _settle(own)}
+            answers.update((shard, _settle(leg)) for shard, leg in legs.items())
             payloads: list[dict] = []
             failed: list[int] = []
             for shard in range(self.ring.n_shards):
-                try:
-                    status, payload = futures[shard].result(
-                        timeout=PEER_TIMEOUT * 2
-                    )
-                except Exception:  # repro: allow[hygiene] leg failure recorded below
-                    status, payload = 0, {}
+                status, payload = answers[shard]
                 if status != 200:
                     failed.append(shard)
                 else:
@@ -344,6 +460,19 @@ class ShardRouter:
         }
         return 200, payload
 
+    def metrics(self) -> dict:
+        """This worker's peer-transport counters, for ``/metrics``."""
+        counters = obs.counters_snapshot()
+        return {
+            name: counters.get(f"cluster.{name}", 0)
+            for name in (
+                "peer_connects",
+                "peer_legs",
+                "ingest_forward_failures",
+                "gather_failures",
+            )
+        }
+
     def close(self) -> None:
-        """Stop the gather pool (worker shutdown)."""
-        self._pool.shutdown(wait=False)
+        """Close the idle peer connections (worker shutdown)."""
+        self._connections.close()

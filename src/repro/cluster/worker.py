@@ -19,9 +19,11 @@ Lifecycle
    ``heartbeat_interval`` seconds; a ``BrokenPipeError`` means the
    supervisor died, and the worker shuts itself down rather than run
    orphaned.
-4. **Drain.**  SIGTERM stops both listeners; in-flight requests finish
-   (non-daemon handler threads are joined), then the app drains once —
-   flushing open summary minutes to the artifact store.
+4. **Drain.**  SIGTERM stops both listeners; in-flight public requests
+   finish, the router closes its idle peer connections (which ends the
+   peers' handler threads serving them), in-flight private requests
+   finish (non-daemon handler threads are joined), then the app drains
+   once — flushing open summary minutes to the artifact store.
 
 Per-shard state is disjoint by construction: the summary namespace is
 ``"<scale>-s<shard>of<n>"`` and the consistent-hash router only lets a
@@ -159,11 +161,14 @@ def worker_main(
         finally:
             stop_heartbeat.set()
             private_thread.join()
-            # Both listeners closed: drain exactly once, flushing open
-            # summary minutes so a SIGTERM mid-minute loses nothing.
+            # Close the idle peer connections before joining the
+            # private handlers: a peer's handler thread serves each of
+            # them, and two workers joining each other's would wait out
+            # the handler timeout.  Then drain exactly once, flushing
+            # open summary minutes so a SIGTERM mid-minute loses nothing.
             public.server_close()
-            private.server_close()
             router.close()
+            private.server_close()
             app.drain()
     except BaseException:  # repro: allow[hygiene] worker death is accounted via exit code
         exit_code = 1

@@ -59,7 +59,8 @@ the layering clean (``serve`` never imports ``cluster``):
   reads and anomaly reads are delegated to it (consistent-hash split /
   scatter-gather);
   requests carrying ``forwarded=1`` are always handled locally, which
-  is what makes forwarding loop-free.
+  is what makes forwarding loop-free.  ``/metrics`` adds the router's
+  ``metrics()`` as a ``cluster`` block.
 * ``cache_shard_key`` — folded into every response-cache key so two
   shards sharing one artifact store can never replay each other's
   answers.  Gathered (cluster-wide) windowed answers bypass the local
@@ -502,6 +503,8 @@ class EstimationApp:
         payload["ingest"] = self.ingest.stats()
         if self.summary is not None:
             payload["summary"] = self.summary.stats()
+        if self.shard_router is not None:
+            payload["cluster"] = self.shard_router.metrics()
         if self.profile_requests:
             payload["request_profiles"] = list(self._profile_reports)
         return 200, payload

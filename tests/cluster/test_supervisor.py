@@ -15,6 +15,7 @@ import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.cluster import ClusterConfig, ClusterSupervisor, HashRing
 from repro.cluster.worker import summary_namespace
 from repro.core.world import World
@@ -199,3 +200,66 @@ class TestDrainFlush:
             result = store.query(6_999_960, 7_000_080)
             recovered += result.n_tweets
         assert recovered == 12
+
+
+class TestDrainAfterTwoWayTraffic:
+    def test_stop_after_two_way_peer_traffic_drains_without_kills(self, warm_store):
+        """Each worker holds a kept-alive connection to the other.
+
+        A mixed ingest and a gather sent to *each* worker's private
+        address leave an idle pooled connection in both directions, so
+        each worker's private server has a handler thread serving its
+        peer.  ``stop()`` must still drain both workers without a
+        SIGKILL, and well inside ``drain_timeout``, and the drain must
+        flush every mid-minute tweet.
+        """
+        config = ClusterConfig(
+            workers=WORKERS,
+            cache_dir=str(warm_store.root),
+            heartbeat_interval=0.2,
+            drain_timeout=15.0,
+            poll_interval=0.0,
+        )
+        ring = HashRing(WORKERS)
+        users = [
+            [u for u in range(10_000) if ring.owner(u) == shard][:3]
+            for shard in range(WORKERS)
+        ]
+        t0 = 9_000_000.0
+        window = f"{int(t0) - 60}:{int(t0) + 120}"
+        sup = ClusterSupervisor(config)
+        sup.start()
+        try:
+            assert sup.wait_ready(timeout=READY_TIMEOUT)
+            sent = 0
+            for shard, base in sorted(sup.shard_addresses.items()):
+                # Users of both shards, all inside one open minute.
+                records = [
+                    tweet_record(user, t0 + 10 * shard + k, k % 3)
+                    for k, user in enumerate(users[0] + users[1])
+                ]
+                status, payload = http("POST", f"{base}/v1/ingest", {"tweets": records})
+                assert status == 200, payload
+                assert payload["routing"]["forwarded"], "batch was not mixed"
+                sent += len(records)
+                status, merged = http("GET", f"{base}/v1/population?window={window}")
+                assert status == 200, merged
+                assert sum(a["tweets"] for a in merged["areas"]) == sent
+            kills = obs.counters_snapshot().get("cluster.drain_kills", 0)
+        finally:
+            started = time.monotonic()
+            sup.stop()
+            elapsed = time.monotonic() - started
+        assert elapsed < config.drain_timeout / 3, f"stop() took {elapsed:.1f}s"
+        assert obs.counters_snapshot().get("cluster.drain_kills", 0) == kills
+
+        recovered = 0
+        for shard in range(WORKERS):
+            store = SummaryStore(
+                World.from_scale(Scale.NATIONAL),
+                artifacts=warm_store,
+                namespace=summary_namespace(Scale.NATIONAL.value, shard, WORKERS),
+            )
+            store.recover()
+            recovered += store.query(int(t0) - 60, int(t0) + 120).n_tweets
+        assert recovered == sent
