@@ -4,6 +4,10 @@ Measures three full experiment-suite runs over one configuration:
 
 * **cold**   — empty artifact store, serial (``jobs=1``): every task
   body executes;
+* **scenario cold** — then, on the same store, a cold ``run_comparison``
+  of ``baseline``, ``lockdown-hard`` and ``vaccination-centrality``:
+  the corpus and index are cache hits, the network and the three SEIR
+  scenario runs execute;
 * **warm**   — same store again: every task must be a cache hit and
   zero bodies may execute;
 * **parallel** — fresh store, ``--jobs N``: sharded generation plus
@@ -13,8 +17,8 @@ Emits a JSON summary (stdout or ``--out``), e.g.::
 
     python benchmarks/bench_pipeline.py --out bench-pipeline.json
 
-The cold-run time is normalized (``_ratchet``) and gated against the
-committed ``BENCH_pipeline.json``.
+The cold-run and cold-scenario times are normalized (``_ratchet``) and
+gated against the committed ``BENCH_pipeline.json``.
 
 The script asserts the acceptance guarantees while measuring: the warm
 run executes zero task bodies and is faster than the cold run, the
@@ -32,11 +36,16 @@ import _ratchet
 
 from repro import obs
 from repro.pipeline import ArtifactStore, run_suite
+from repro.scenario import named_scenario, run_comparison
 from repro.synth import SynthConfig
 
 WORKLOAD = {"users": 25_000, "seed": 20150413, "jobs": 4}
 
-GATED = {"cold_seconds": "lower"}
+GATED = {"cold_seconds": "lower", "scenario_cold_seconds": "lower"}
+
+#: The comparison timed cold after the suite (the one perfbench's
+#: pipeline-cold workload runs).
+SCENARIOS = ("baseline", "lockdown-hard", "vaccination-centrality")
 
 #: Acceptance ceiling for the cost of disabled observability hooks.
 MAX_DISABLED_OVERHEAD_PCT = 2.0
@@ -106,6 +115,12 @@ def run_benchmark(users: int, seed: int, jobs: int, cache_dir: str) -> dict:
     cold_store.clear()
     with _ObsCallCounter() as obs_calls:
         cold_seconds, cold = _timed_run(config, cold_store, jobs=1)
+    scenarios = tuple(
+        named_scenario(name).with_overrides(users=users, seed=seed) for name in SCENARIOS
+    )
+    start = time.perf_counter()
+    _, comparison = run_comparison(scenarios, store=cold_store)
+    scenario_cold_seconds = time.perf_counter() - start
     warm_seconds, warm = _timed_run(config, cold_store, jobs=1)
 
     parallel_store = ArtifactStore(cache_dir + "/parallel")
@@ -118,6 +133,8 @@ def run_benchmark(users: int, seed: int, jobs: int, cache_dir: str) -> dict:
     )
 
     assert warm.manifest.executed == 0, "warm run executed task bodies"
+    ran = {record.name for record in comparison.manifest.records if record.status == "run"}
+    assert {f"scenario-{name}" for name in SCENARIOS} <= ran, "scenario runs were not cold"
     assert warm_seconds < cold_seconds, "warm run not faster than cold"
     assert parallel.digests["corpus"] == cold.digests["corpus"], (
         "sharded corpus differs from serial corpus"
@@ -129,9 +146,11 @@ def run_benchmark(users: int, seed: int, jobs: int, cache_dir: str) -> dict:
 
     return {
         "cold_seconds": round(cold_seconds, 3),
+        "scenario_cold_seconds": round(scenario_cold_seconds, 3),
         "warm_seconds": round(warm_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
         "cold_tasks_executed": cold.manifest.executed,
+        "scenario_tasks_executed": comparison.manifest.executed,
         "warm_tasks_executed": warm.manifest.executed,
         "warm_cache_hits": warm.manifest.hits,
         "parallel_tasks_executed": parallel.manifest.executed,

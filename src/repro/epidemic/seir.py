@@ -77,38 +77,32 @@ class SEIRResult:
 
         Patches never reaching it get ``inf``.
         """
-        out = np.full(self.network.n_patches, np.inf)
-        for patch in range(self.network.n_patches):
-            hits = np.nonzero(self.i[:, patch] >= threshold)[0]
-            if hits.size:
-                out[patch] = self.times[hits[0]]
-        return out
+        reached = self.i >= threshold
+        first = self.times[reached.argmax(axis=0)]
+        return np.where(reached.any(axis=0), first, np.inf)
 
 
-def _effective_prevalence(
-    i: np.ndarray, populations: np.ndarray, rates: np.ndarray
-) -> np.ndarray:
-    """Infectious density each patch is exposed to, after travel mixing.
+def _mixing(
+    populations: np.ndarray, rates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run constants of the travel mixing: ``(w, w.T, stay, mixing_n)``.
 
     A fraction ``tau_i = sum_j rates[i, j]`` of patch i's person-time is
     spent travelling, split across destinations; symmetric inbound terms
     import neighbours' prevalence.  Rates are interpreted as the
     fraction of time spent in each destination (capped so the row sum
-    cannot exceed 1).
+    cannot exceed 1), giving the weights ``w``.  ``mixing_n`` is the
+    effective mixing population of each patch's "airspace": residents
+    staying plus visitors.  ``w.T`` stays a view, so the matrix-vector
+    products see the same operand layout on every call.
     """
     out_fraction = rates.sum(axis=1)
     cap = np.minimum(out_fraction, 0.95)
     scale = np.divide(cap, out_fraction, out=np.zeros_like(cap), where=out_fraction > 0)
     w = rates * scale[:, None]
     stay = 1.0 - w.sum(axis=1)
-    # Effective prevalence in patch k's "airspace": residents staying
-    # plus visitors, over the effective mixing population.
-    visitors_i = w.T @ i
-    visitors_n = w.T @ populations
-    local_density = (stay * i + visitors_i) / (stay * populations + visitors_n)
-    # Residents experience their home density while staying and the
-    # destination densities while away.
-    return stay * local_density + w @ local_density
+    w_t = w.T
+    return w, w_t, stay, stay * populations + w_t @ populations
 
 
 def simulate_seir(
@@ -149,31 +143,65 @@ def simulate_seir(
     r[0] = 0.0
 
     beta, sigma, gamma = params.beta, params.sigma, params.gamma
-    rates = network.rates
     sir_mode = np.isinf(sigma)
-
-    def derivatives(state: np.ndarray) -> np.ndarray:
-        s_c, e_c, i_c = state[0], state[1], state[2]
-        lam = beta * _effective_prevalence(i_c, populations, rates)
-        new_infections = lam * s_c
-        if sir_mode:
-            ds = -new_infections
-            de = np.zeros_like(e_c)
-            di = new_infections - gamma * i_c
-        else:
-            ds = -new_infections
-            de = new_infections - sigma * e_c
-            di = sigma * e_c - gamma * i_c
-        dr = gamma * i_c
-        return np.stack([ds, de, di, dr])
+    w, w_t, stay, mixing_n = _mixing(populations, network.rates)
+    half, sixth = 0.5 * dt_days, dt_days / 6.0
 
     state = np.stack([s[0], e[0], i[0], r[0]])
+    stage = np.empty_like(state)
+    k1, k2, k3, k4 = (np.zeros_like(state) for _ in range(4))
+    pressure = np.empty(n)
+    visitors = np.empty(n)
+    sigma_e = np.empty(n)
+
+    def derivatives(compartments: tuple[np.ndarray, ...], out: np.ndarray) -> None:
+        # The same operations, in the same order, as the textbook form
+        #   local = (stay*I + w.T@I) / mixing_n
+        #   lam = beta * (stay*local + w@local);  new = lam * S
+        # with sigma*E and gamma*I computed once.  In SIR mode E stays
+        # zero and so does its derivative row.
+        s_c, e_c, i_c, _ = compartments
+        ds, de, di, dr = out
+        np.matmul(w_t, i_c, out=visitors)
+        np.multiply(stay, i_c, out=pressure)
+        np.add(pressure, visitors, out=pressure)
+        np.divide(pressure, mixing_n, out=pressure)
+        np.matmul(w, pressure, out=visitors)
+        np.multiply(stay, pressure, out=pressure)
+        np.add(pressure, visitors, out=pressure)
+        np.multiply(pressure, beta, out=pressure)
+        np.multiply(pressure, s_c, out=pressure)
+        np.negative(pressure, out=ds)
+        np.multiply(i_c, gamma, out=dr)
+        if sir_mode:
+            np.subtract(pressure, dr, out=di)
+        else:
+            np.multiply(e_c, sigma, out=sigma_e)
+            np.subtract(pressure, sigma_e, out=de)
+            np.subtract(sigma_e, dr, out=di)
+
+    state_rows, stage_rows = tuple(state), tuple(stage)
+    k_rows = [tuple(k) for k in (k1, k2, k3, k4)]
     for step in range(1, n_steps + 1):
-        k1 = derivatives(state)
-        k2 = derivatives(state + 0.5 * dt_days * k1)
-        k3 = derivatives(state + 0.5 * dt_days * k2)
-        k4 = derivatives(state + dt_days * k3)
-        state = state + (dt_days / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        derivatives(state_rows, k_rows[0])
+        np.multiply(k1, half, out=stage)
+        np.add(state, stage, out=stage)
+        derivatives(stage_rows, k_rows[1])
+        np.multiply(k2, half, out=stage)
+        np.add(state, stage, out=stage)
+        derivatives(stage_rows, k_rows[2])
+        np.multiply(k3, dt_days, out=stage)
+        np.add(state, stage, out=stage)
+        derivatives(stage_rows, k_rows[3])
+        # state + sixth * (((k1 + 2*k2) + 2*k3) + k4), left to right;
+        # k2 is spent once folded in, so it holds 2*k3.
+        np.multiply(k2, 2, out=stage)
+        np.add(k1, stage, out=stage)
+        np.multiply(k3, 2, out=k2)
+        np.add(stage, k2, out=stage)
+        np.add(stage, k4, out=stage)
+        np.multiply(stage, sixth, out=stage)
+        np.add(state, stage, out=state)
         np.clip(state, 0.0, None, out=state)
         s[step], e[step], i[step], r[step] = state
 

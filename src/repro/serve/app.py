@@ -747,6 +747,28 @@ class RequestHandler(BaseHTTPRequestHandler):
     def app(self) -> EstimationApp:
         return self.server.app  # type: ignore[attr-defined]
 
+    def handle(self) -> None:
+        """Serve requests until the client or a closing server ends the connection.
+
+        Between requests the connection is parked in the server's
+        :class:`IdleConnections`, which ends parked connections when the
+        server closes; a request whose line has been read is answered
+        in full first.
+        """
+        self.close_connection = False
+        while not self.close_connection:
+            self.server.idle.park(self.connection)  # type: ignore[attr-defined]
+            self.handle_one_request()
+
+    def parse_request(self) -> bool:
+        # The request line is in: the connection is busy until answered.
+        self.server.idle.unpark(self.connection)  # type: ignore[attr-defined]
+        return super().parse_request()
+
+    def finish(self) -> None:
+        self.server.idle.unpark(self.connection)  # type: ignore[attr-defined]
+        super().finish()
+
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
         self._dispatch("GET")
 
@@ -823,6 +845,8 @@ class RequestHandler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
+            if self.server.idle.closing:  # type: ignore[attr-defined]
+                self.send_header("Connection", "close")
             if request_id:
                 self.send_header("X-Request-Id", request_id)
             if 300 <= status < 400:
@@ -866,6 +890,57 @@ class RequestHandler(BaseHTTPRequestHandler):
         """Silence http.server's default stderr lines (we emit JSON)."""
 
 
+class IdleConnections:
+    """Keep-alive connections whose handler waits for the next request.
+
+    A handler waiting for its client's next request line sits in a
+    blocking read for up to ``RequestHandler.timeout``, and a closing
+    server joins its handler threads.  :meth:`end_all` shuts the read
+    side of every parked connection, so that read returns end-of-file
+    at once.  A handler mid-request is not parked: it answers with
+    ``Connection: close`` and then ends its connection.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._parked: set[socket_module.socket] = set()
+        self.closing = False
+
+    def park(self, connection: socket_module.socket) -> None:
+        """Record ``connection`` as idle until its next request line arrives.
+
+        Once the server is closing the connection's reads end at once
+        instead: a request already sent is still read and answered, and
+        a silent client reads as end-of-file.
+        """
+        with self._lock:
+            if not self.closing:
+                self._parked.add(connection)
+                return
+        _end_reads(connection)
+
+    def unpark(self, connection: socket_module.socket) -> None:
+        with self._lock:
+            self._parked.discard(connection)
+
+    def end_all(self) -> None:
+        """Stop keep-alive and end every parked connection's reads."""
+        with self._lock:
+            self.closing = True
+            parked, self._parked = self._parked, set()
+        for connection in parked:
+            _end_reads(connection)
+
+
+def _end_reads(connection: socket_module.socket) -> None:
+    """Shut ``connection``'s read side: a blocked or later read returns
+    end-of-file once the bytes already received are consumed."""
+    try:
+        connection.shutdown(socket_module.SHUT_RD)
+    except OSError:  # repro: allow[hygiene] the client already hung up
+        pass
+
+
 class EstimationServer(ThreadingHTTPServer):
     """Threaded HTTP server that drains in-flight requests on close."""
 
@@ -905,6 +980,7 @@ class EstimationServer(ThreadingHTTPServer):
             if access_log_file is not None
             else None
         )
+        self.idle = IdleConnections()
 
     @property
     def port(self) -> int:
@@ -912,15 +988,18 @@ class EstimationServer(ThreadingHTTPServer):
         return self.server_address[1]
 
     def server_close(self) -> None:
-        """Drain in-flight requests, then flush app state (once).
+        """End idle connections, drain in-flight requests, then flush app state (once).
 
         The base class joins the non-daemon handler threads
-        (``block_on_close``), so by the time :meth:`EstimationApp.drain`
-        runs no request is mid-flight: the flushed summary tiles are a
-        consistent cut.  ``flush_on_drain=False`` opts out for servers
-        that share an app whose lifecycle someone else owns (a cluster
-        worker drains once, explicitly, after closing both listeners).
+        (``block_on_close``); idle keep-alive connections are ended first
+        so the join waits only for requests in flight.  By the time
+        :meth:`EstimationApp.drain` runs no request is mid-flight: the
+        flushed summary tiles are a consistent cut.
+        ``flush_on_drain=False`` opts out for servers that share an app
+        whose lifecycle someone else owns (a cluster worker drains once,
+        explicitly, after closing both listeners).
         """
+        self.idle.end_all()
         super().server_close()
         if self.flush_on_drain:
             self.app.drain()

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
+import threading
 import time
 import urllib.request
+from http.client import HTTPConnection, HTTPResponse
 
 import pytest
 
@@ -263,3 +266,101 @@ class TestDrainAfterTwoWayTraffic:
             store.recover()
             recovered += store.query(int(t0) - 60, int(t0) + 120).n_tweets
         assert recovered == sent
+
+
+def _recovered_tweets(store, start: int, end: int) -> int:
+    total = 0
+    for shard in range(WORKERS):
+        summary = SummaryStore(
+            World.from_scale(Scale.NATIONAL),
+            artifacts=store,
+            namespace=summary_namespace(Scale.NATIONAL.value, shard, WORKERS),
+        )
+        summary.recover()
+        total += summary.query(start, end).n_tweets
+    return total
+
+
+class TestDrainWithExternalKeepAlive:
+    """An external client's keep-alive connection must not stall a drain.
+
+    A handler waiting for the next request on an idle keep-alive
+    connection sits in a blocking read for up to the handler timeout;
+    the drain ends such connections before it joins the handlers, and
+    still answers a request that is in flight when ``stop()`` begins.
+    """
+
+    @staticmethod
+    def _config(warm_store) -> ClusterConfig:
+        return ClusterConfig(
+            workers=WORKERS,
+            cache_dir=str(warm_store.root),
+            heartbeat_interval=0.2,
+            drain_timeout=15.0,
+            poll_interval=0.0,
+        )
+
+    def test_idle_keep_alive_client_costs_no_kill(self, warm_store):
+        config = self._config(warm_store)
+        t0 = 9_120_000.0  # a minute boundary: every tweet below stays in one open minute
+        records = [tweet_record(user, t0 + user, user % 3) for user in range(1, 13)]
+        sup = ClusterSupervisor(config)
+        sup.start()
+        connection = None
+        try:
+            assert sup.wait_ready(timeout=READY_TIMEOUT)
+            connection = HTTPConnection("127.0.0.1", sup.port, timeout=15)
+            connection.request(
+                "POST", "/v1/ingest", json.dumps({"tweets": records}),
+                {"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 200, payload
+            assert not response.will_close  # the connection stays open, idle
+            kills = obs.counters_snapshot().get("cluster.drain_kills", 0)
+        finally:
+            started = time.monotonic()
+            sup.stop()
+            elapsed = time.monotonic() - started
+            if connection is not None:
+                connection.close()
+        assert elapsed < config.drain_timeout / 3, f"stop() took {elapsed:.1f}s"
+        assert obs.counters_snapshot().get("cluster.drain_kills", 0) == kills
+        assert _recovered_tweets(warm_store, int(t0), int(t0) + 60) == len(records)
+
+    def test_request_in_flight_during_stop_is_answered(self, warm_store):
+        config = self._config(warm_store)
+        t0 = 9_180_000.0
+        records = [tweet_record(user, t0 + user, user % 3) for user in range(1, 7)]
+        body = json.dumps({"tweets": records}).encode()
+        # forwarded=1: whichever worker accepts applies the whole batch
+        # itself, so the answer does not depend on a peer mid-drain.
+        head = (
+            "POST /v1/ingest?forwarded=1 HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode()
+        sup = ClusterSupervisor(config)
+        sup.start()
+        stopper = threading.Thread(target=sup.stop)
+        try:
+            assert sup.wait_ready(timeout=READY_TIMEOUT)
+            kills = obs.counters_snapshot().get("cluster.drain_kills", 0)
+            with socket.create_connection(("127.0.0.1", sup.port), timeout=15) as sock:
+                sock.sendall(head + body[:10])
+                time.sleep(0.5)  # the handler has the head and waits for the body
+                stopper.start()
+                time.sleep(0.5)  # the workers have begun draining
+                sock.sendall(body[10:])
+                response = HTTPResponse(sock)
+                response.begin()
+                payload = json.loads(response.read())
+            assert response.status == 200, payload
+            assert response.will_close
+        finally:
+            if stopper.ident is None:
+                stopper.start()
+            stopper.join(timeout=2 * config.drain_timeout)
+        assert not stopper.is_alive(), "stop() did not return"
+        assert obs.counters_snapshot().get("cluster.drain_kills", 0) == kills
+        assert _recovered_tweets(warm_store, int(t0), int(t0) + 60) == len(records)
