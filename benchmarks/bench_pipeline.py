@@ -23,7 +23,9 @@ gated against the committed ``BENCH_pipeline.json``.
 The script asserts the acceptance guarantees while measuring: the warm
 run executes zero task bodies and is faster than the cold run, the
 parallel run's corpus digest equals the serial run's (bit-identical
-sharded generation), and the observability hooks cost under 2% of the
+sharded generation), the default workload's corpus digest equals
+``WORKLOAD_CORPUS_DIGEST`` (bit-identical generation across changes),
+and the observability hooks cost under 2% of the
 cold run when tracing is disabled (``disabled_overhead_pct``).
 """
 
@@ -42,6 +44,10 @@ from repro.synth import SynthConfig
 WORKLOAD = {"users": 25_000, "seed": 20150413, "jobs": 4}
 
 GATED = {"cold_seconds": "lower", "scenario_cold_seconds": "lower"}
+
+#: ``corpus_digest`` of the ``WORKLOAD`` corpus.  Generation is held bit
+#: for bit: a change that moves one random draw fails the bench here.
+WORKLOAD_CORPUS_DIGEST = "106b6018fa132b7a95113865d909ddd8"
 
 #: The comparison timed cold after the suite (the one perfbench's
 #: pipeline-cold workload runs).
@@ -139,6 +145,11 @@ def run_benchmark(users: int, seed: int, jobs: int, cache_dir: str) -> dict:
     assert parallel.digests["corpus"] == cold.digests["corpus"], (
         "sharded corpus differs from serial corpus"
     )
+    if (users, seed) == (WORKLOAD["users"], WORKLOAD["seed"]):
+        assert cold.digests["corpus"] == WORKLOAD_CORPUS_DIGEST, (
+            f"corpus digest {cold.digests['corpus']} differs from the committed "
+            f"{WORKLOAD_CORPUS_DIGEST}: generation is no longer bit-identical"
+        )
     assert overhead_pct < MAX_DISABLED_OVERHEAD_PCT, (
         f"disabled observability overhead {overhead_pct:.3f}% exceeds "
         f"{MAX_DISABLED_OVERHEAD_PCT}%"

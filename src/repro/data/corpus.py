@@ -186,12 +186,16 @@ class TweetCorpus:
         """
         lats = np.round(self.lats, round_decimals)
         lons = np.round(self.lons, round_decimals)
-        counts = np.empty(self.n_users, dtype=np.int64)
-        for i, (start, count) in enumerate(zip(self._user_starts, self._user_counts)):
-            stop = start + count
-            pairs = np.stack([lats[start:stop], lons[start:stop]], axis=1)
-            counts[i] = np.unique(pairs, axis=0).shape[0]
-        return counts
+        # One sort keyed (user run, lat, lon): runs are already in order,
+        # so the lexsort only orders points within each run.  A row is a
+        # new location where its run, lat or lon changes (``!=`` treats
+        # -0.0 as 0.0, as np.unique does).
+        runs = np.repeat(np.arange(self.n_users), self._user_counts)
+        order = np.lexsort((lons, lats, runs))
+        lats, lons = lats[order], lons[order]
+        new = np.ones(runs.size, dtype=bool)
+        new[1:] = (runs[1:] != runs[:-1]) | (lats[1:] != lats[:-1]) | (lons[1:] != lons[:-1])
+        return np.bincount(runs[new], minlength=self.n_users)
 
     def user_summaries(self) -> list[UserSummary]:
         """Per-user aggregate records (Table I per-user columns)."""

@@ -195,13 +195,17 @@ class ModelRegistry:
                 f"no successful pipeline run with a servable corpus under "
                 f"{self.store.root} — run `repro pipeline run` first"
             )
+        current = self._snapshot
+        if current is not None and current.run_id == manifest.run_id:
+            return current
+        # Build outside the lock: extraction and fits are slow and bump
+        # obs counters.  Only the swap holds ``_lock``, and it keeps a
+        # snapshot another thread swapped in meanwhile.
+        snapshot = build_snapshot(self.store, manifest)
         with self._lock:
-            current = self._snapshot
-            if current is not None and current.run_id == manifest.run_id:
-                return current
-            snapshot = build_snapshot(self.store, manifest)
-            self._snapshot = snapshot
-            return snapshot
+            if self._snapshot is current:
+                self._snapshot = snapshot
+            return self._snapshot
 
     def maybe_reload(self, force: bool = False) -> bool:
         """Swap in a newer run's snapshot if one appeared.
@@ -222,14 +226,13 @@ class ModelRegistry:
             return False
         if current is not None and manifest.run_id == current.run_id:
             return False
+        try:
+            snapshot = build_snapshot(self.store, manifest)
+        except Exception:
+            return False
         with self._lock:
             # Re-check under the lock: another thread may have swapped.
-            current = self._snapshot
-            if current is not None and manifest.run_id == current.run_id:
-                return False
-            try:
-                snapshot = build_snapshot(self.store, manifest)
-            except Exception:
+            if self._snapshot is not current:
                 return False
             self._snapshot = snapshot
             return True

@@ -36,7 +36,7 @@ from repro.data.corpus import TweetCorpus
 from repro.synth.config import SynthConfig
 from repro.synth.distributions import DiscretePowerLaw, TruncatedPareto
 from repro.synth.diurnal import DiurnalPattern
-from repro.synth.movement import FavoritePointStore, TripKernel, scatter_point
+from repro.synth.movement import FavoritePointStore, TripKernel
 from repro.synth.population import World, build_world, home_site_weights
 
 
@@ -258,7 +258,9 @@ class SyntheticCorpusGenerator:
         site_col = np.empty(total, dtype=np.int64)
 
         window = config.end_ts - config.start_ts
+        sites = world.sites
         favorites = FavoritePointStore(config)
+        point_for_tweet = favorites.point_for_tweet
         cursor = 0
         for user in range(lo, hi):
             rng = _user_stream(plan.users_ss, user)
@@ -270,21 +272,16 @@ class SyntheticCorpusGenerator:
                 # Bots: uniform-rate posting from one exact point at home.
                 ts_col[sl] = rng.uniform(0.0, window, k)
                 site_col[sl] = home
-                point = scatter_point(world.sites[home], rng)
-                lat_col[sl] = point.lat
-                lon_col[sl] = point.lon
+                site = sites[home]
+                lat_col[sl], lon_col[sl] = site.hotspots.scatter(rng, site.hotspot_jitter_km)
             else:
                 ts_col[sl] = self._user_timestamps(k, window, rng)
                 site_seq = self._user_site_sequence(k, home, plan.kernel, rng)
                 site_col[sl] = site_seq
                 favorites.reset_user()
-                for j in range(k):
-                    site_index = int(site_seq[j])
-                    lat, lon = favorites.point_for_tweet(
-                        site_index, world.sites[site_index], rng
-                    )
-                    lat_col[cursor + j] = lat
-                    lon_col[cursor + j] = lon
+                lat_col[sl], lon_col[sl] = zip(
+                    *[point_for_tweet(s, sites[s], rng) for s in site_seq.tolist()]
+                )
             cursor += k
             if progress is not None and (user + 1) % 5000 == 0:
                 progress(user + 1, config.n_users)

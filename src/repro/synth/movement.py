@@ -20,12 +20,9 @@ tweets per user, matching Table I.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.geo.coords import Coordinate
-from repro.geo.distance import EARTH_RADIUS_KM
 from repro.synth.config import SynthConfig
 from repro.synth.population import World, WorldSite
 
@@ -63,7 +60,7 @@ class TripKernel:
     def sample_destination(self, origin: int, rng: np.random.Generator) -> int:
         """Draw one destination site for a move starting at ``origin``."""
         u = rng.random()
-        return int(np.searchsorted(self._cdf[origin], u, side="right"))
+        return int(self._cdf[origin].searchsorted(u, side="right"))
 
     def expected_flow_matrix(self, trips_per_site: np.ndarray) -> np.ndarray:
         """Expected OD matrix given per-site outgoing trip counts."""
@@ -76,34 +73,12 @@ class TripKernel:
 def scatter_point(
     site: WorldSite, rng: np.random.Generator, min_scatter_km: float = 0.02
 ) -> Coordinate:
-    """Draw one favourite point at a site.
+    """Draw one favourite point at a site (see :meth:`Hotspots.scatter`).
 
-    A hotspot is chosen by popularity, then the point lands an
-    exponential jitter away from it (people tweet from the cafe *near*
-    the station, not from its centroid).  A small floor keeps points
-    from collapsing onto the exact hotspot.
+    People tweet from the cafe *near* the station, not from its
+    centroid; the floor keeps points off the exact hotspot.
     """
-    hotspots = site.hotspots
-    k = hotspots.sample_index(rng)
-    anchor = Coordinate(lat=float(hotspots.lats[k]), lon=float(hotspots.lons[k]))
-    distance = max(rng.exponential(site.hotspot_jitter_km), min_scatter_km)
-    bearing = rng.uniform(0.0, 360.0)
-    return _fast_destination(anchor, bearing, distance)
-
-
-def _fast_destination(origin: Coordinate, bearing_deg_: float, distance_km: float) -> Coordinate:
-    """Planar small-distance destination; exact enough below ~200 km.
-
-    The generator calls this millions of times, so it uses the local
-    equirectangular approximation instead of full spherical trig.  At the
-    scatter scales involved (≤ ~50 km) the positional error is metres.
-    """
-    km_per_deg = math.pi * EARTH_RADIUS_KM / 180.0
-    theta = math.radians(bearing_deg_)
-    dlat = distance_km * math.cos(theta) / km_per_deg
-    cos_lat = max(math.cos(math.radians(origin.lat)), 1e-9)
-    dlon = distance_km * math.sin(theta) / (km_per_deg * cos_lat)
-    return Coordinate(lat=origin.lat + dlat, lon=origin.lon + dlon)
+    return Coordinate(*site.hotspots.scatter(rng, site.hotspot_jitter_km, min_scatter_km))
 
 
 class FavoritePointStore:
@@ -133,8 +108,7 @@ class FavoritePointStore:
             favorites = []
             self._points[site_index] = favorites
         if not favorites or rng.random() < self._new_point_p:
-            point = scatter_point(site, rng)
-            pair = (point.lat, point.lon)
+            pair = site.hotspots.scatter(rng, site.hotspot_jitter_km)
             favorites.append(pair)
             return pair
         return favorites[rng.integers(len(favorites))]

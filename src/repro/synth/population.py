@@ -26,18 +26,27 @@ makes the ε = 0.5 km extraction of Fig 3(b) noticeably worse than
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.gazetteer import Area, Scale, areas_for_scale, gazetteer_from_spec
-from repro.geo.coords import Coordinate
-from repro.geo.distance import destination_point, haversine_km, pairwise_distance_matrix
+from repro.geo.coords import Coordinate, normalize_longitude, validate_latitude
+from repro.geo.distance import (
+    EARTH_RADIUS_KM,
+    destination_point,
+    haversine_km,
+    pairwise_distance_matrix,
+)
 from repro.synth.config import SynthConfig
 
 #: National/state sites closer than this are considered the same place.
 MERGE_DISTANCE_KM = 40.0
+
+#: Kilometres per degree of latitude (the scatter's planar step).
+_KM_PER_DEG = math.pi * EARTH_RADIUS_KM / 180.0
 
 
 class Hotspots:
@@ -63,15 +72,42 @@ class Hotspots:
         self.lats = lats
         self.lons = lons
         self.weights = weights / weights.sum()
-        self._cdf = np.cumsum(self.weights)
-        self._cdf[-1] = 1.0
+        cdf = np.cumsum(self.weights)
+        cdf[-1] = 1.0
+        # Plain floats for the per-tweet kernel: ``bisect_right`` on the
+        # list is ``np.searchsorted(side="right")`` without numpy's call
+        # cost, and each anchor is a validated ``Coordinate`` once, here.
+        self._cdf = cdf.tolist()
+        self._anchors = [
+            (c.lat, c.lon, max(math.cos(math.radians(c.lat)), 1e-9))
+            for c in map(Coordinate, lats.tolist(), lons.tolist())
+        ]
 
     def __len__(self) -> int:
         return int(self.lats.size)
 
     def sample_index(self, rng: np.random.Generator) -> int:
         """Draw one hotspot index by popularity."""
-        return int(np.searchsorted(self._cdf, rng.random(), side="right"))
+        return bisect.bisect_right(self._cdf, rng.random())
+
+    def scatter(
+        self, rng: np.random.Generator, jitter_km: float, min_scatter_km: float = 0.02
+    ) -> tuple[float, float]:
+        """Draw one point near a hotspot: the generator's per-tweet kernel.
+
+        A hotspot is chosen by popularity, then the point lands an
+        exponential jitter (floored at ``min_scatter_km``) away from it
+        on a uniform bearing, by the local equirectangular step — at
+        these scales (≤ ~50 km) the error is metres.  The three draws
+        (``random``, ``exponential``, ``random``) are the corpus's
+        contract: their order and kind must not change (DESIGN.md).
+        """
+        lat, lon, cos_lat = self._anchors[self.sample_index(rng)]
+        distance = max(rng.exponential(jitter_km), min_scatter_km)
+        # numpy's uniform(0, 360) is exactly 0.0 + 360.0 * next_double.
+        theta = math.radians(0.0 + 360.0 * rng.random())
+        lat = validate_latitude(lat + distance * math.cos(theta) / _KM_PER_DEG)
+        return lat, normalize_longitude(lon + distance * math.sin(theta) / (_KM_PER_DEG * cos_lat))
 
 
 @dataclass(frozen=True, slots=True, eq=False)

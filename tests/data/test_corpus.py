@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.corpus import TweetCorpus
 from repro.data.schema import Tweet
@@ -106,6 +108,61 @@ class TestLocations:
         assert summaries[1].n_tweets == 3
         assert summaries[1].active_span_seconds == 7200.0
         assert summaries[2].n_distinct_locations == 1
+
+
+def _per_user_unique_locations(corpus, round_decimals=4):
+    """The per-user ``np.unique(axis=0)`` loop the one-sort count replaced."""
+    lats = np.round(corpus.lats, round_decimals)
+    lons = np.round(corpus.lons, round_decimals)
+    counts = np.empty(corpus.n_users, dtype=np.int64)
+    starts = np.searchsorted(corpus.user_ids, corpus.unique_users)
+    for i, (start, count) in enumerate(zip(starts, corpus.tweets_per_user())):
+        stop = start + count
+        pairs = np.stack([lats[start:stop], lons[start:stop]], axis=1)
+        counts[i] = np.unique(pairs, axis=0).shape[0]
+    return counts
+
+
+# A small pool makes exact repeats common; the tiny values round to
+# -0.0 or 0.0 at every tested precision.
+_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 4e-7, -4e-7, -3e-5, 3e-5, -33.86785, 151.20732]),
+    st.floats(-90.0, 90.0, allow_nan=False),
+)
+
+
+@st.composite
+def _corpora(draw):
+    n = draw(st.integers(0, 40))
+    users = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    lats = draw(st.lists(_COORDS, min_size=n, max_size=n))
+    lons = draw(st.lists(_COORDS, min_size=n, max_size=n))
+    return TweetCorpus.from_arrays(users, np.arange(n, dtype=np.float64), lats, lons)
+
+
+class TestDistinctLocationsMatchPerUserUnique:
+    @given(_corpora(), st.sampled_from([0, 1, 2, 4, 6]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_user_unique(self, corpus, round_decimals):
+        got = corpus.distinct_locations_per_user(round_decimals)
+        expected = _per_user_unique_locations(corpus, round_decimals)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_empty_corpus(self):
+        corpus = TweetCorpus.from_arrays([], [], [], [])
+        assert corpus.distinct_locations_per_user().shape == (0,)
+
+    def test_single_tweet_users(self):
+        corpus = TweetCorpus.from_arrays([3, 1, 2], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [2.0] * 3)
+        assert corpus.distinct_locations_per_user().tolist() == [1, 1, 1]
+
+    def test_signed_zero_is_one_location(self):
+        corpus = TweetCorpus.from_arrays(
+            [1, 1, 1, 1], [0.0, 1.0, 2.0, 3.0], [-0.0, 0.0, -3e-5, 3e-5], [0.0, -0.0, 0.0, 0.0]
+        )
+        assert corpus.distinct_locations_per_user().tolist() == [1]
+        assert _per_user_unique_locations(corpus).tolist() == [1]
 
 
 class TestStatsAndSubset:

@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from repro.check.sanitizer import _RAW_LOCK, LockSanitizer, _SanitizedLock
 from repro.data.gazetteer import Scale
+from repro.obs import tracer
 from repro.pipeline import ArtifactStore, run_suite
 from repro.serve import MODEL_KEYS, ModelRegistry, RegistryError
 from repro.synth import SynthConfig
@@ -116,3 +118,29 @@ class TestHotReload:
         assert registry.maybe_reload(force=True)
         # The old immutable snapshot still answers queries.
         assert before.scales[Scale.NATIONAL].flows.total_trips >= 0
+
+
+class TestLockOrder:
+    def test_snapshot_builds_outside_the_registry_lock(self, tmp_path, monkeypatch):
+        """Extraction and fits bump obs counters; none of it may run under
+        ``ModelRegistry._lock``, on first load or on a forced reload."""
+        store = make_store(tmp_path, users=400, seed=1)
+        registry_lock = "repro.serve.registry.ModelRegistry._lock"
+        with LockSanitizer(packages=("repro",)) as sanitizer:
+            # The counter lock predates the sanitizer; watch it too.
+            monkeypatch.setattr(
+                tracer,
+                "_counter_lock",
+                _SanitizedLock(_RAW_LOCK(), "repro.obs.tracer._counter_lock", sanitizer),
+            )
+            registry = ModelRegistry(store, poll_interval=0.0)
+            registry.load()
+            time.sleep(1.05)
+            run_suite(
+                config=SynthConfig(n_users=500, seed=2),
+                store=store,
+                targets=("corpus",),
+            )
+            assert registry.maybe_reload(force=True) is True
+        assert registry_lock in sanitizer.locks_seen
+        assert [edge for edge in sanitizer.observed if edge[0] == registry_lock] == []

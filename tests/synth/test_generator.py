@@ -1,5 +1,7 @@
 """Tests for repro.synth.generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,50 @@ class TestShardedGeneration:
             for (_, hi), (lo2, _) in zip(bounds, bounds[1:]):
                 assert hi == lo2
             assert all(hi > lo for lo, hi in bounds)
+
+
+class TestPinnedCorpus:
+    """sha256 of every generated column, recorded before the scatter kernel.
+
+    Each user's stream interleaves ``random``, ``exponential`` and
+    ``integers`` draws in a data-dependent order, so any reordering or
+    batching of those draws changes these digests.
+    """
+
+    @staticmethod
+    def _digest(result) -> str:
+        corpus = result.corpus
+        h = hashlib.sha256()
+        for column in (
+            corpus.user_ids, corpus.timestamps, corpus.lats, corpus.lons,
+            result.site_indices,
+        ):
+            h.update(np.ascontiguousarray(column).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (
+                SynthConfig(n_users=2_500, seed=1),
+                "9c574b798af3cbbed95f17c0d83049b2801da156752f96427d70b0db1ef63e2e",
+            ),
+            (
+                SynthConfig(n_users=1_200, seed=3, gazetteer="synth:300"),
+                "aaa5538f8227cfaa8979f35dd58a16359351815673839e05340acb87efe26990",
+            ),
+            (
+                SynthConfig(
+                    n_users=600, seed=5, bot_fraction=0.05, bot_min_tweets=50,
+                    bot_max_tweets=400, diurnal_amplitude=0.4,
+                ),
+                "be3a9dab310b0e096bb1e9250863de3ecf096504d12392f1b54422f1d4081f99",
+            ),
+        ],
+        ids=["default-world", "synth-300", "bots-diurnal"],
+    )
+    def test_corpus_digest_pinned(self, config, expected):
+        assert self._digest(generate_corpus(config)) == expected
 
 
 class TestTableOneShape:
