@@ -3,8 +3,10 @@
 Times the ratchet gate end to end over the real repository — parse,
 each registered rule in isolation (the interprocedural concurrency and
 fork-safety rules rebuild the call graph per run, which is the cost
-worth watching), and the full :func:`repro.check.runner.run_check`
-pipeline::
+worth watching; the reachability rule runs with the parsed
+``benchmarks/``, ``perfbench/`` and ``examples/`` roots, as
+:func:`repro.check.runner.run_check` hands them to it), and the full
+:func:`repro.check.runner.run_check` pipeline::
 
     python benchmarks/bench_check.py --out bench-check.json
 
@@ -20,7 +22,7 @@ import _ratchet
 from _ratchet import best_of
 
 from repro.check.rules import RULE_FACTORIES
-from repro.check.runner import run_check
+from repro.check.runner import make_rule, root_sources, run_check
 from repro.check.walker import iter_source_files
 
 #: CLI defaults; ``root`` resolves against the repository root.
@@ -38,8 +40,9 @@ def run_benchmark(root: str) -> dict:
         return {"seconds": round(best_of(fn)[0], 4)}
 
     sources = list(iter_source_files(package_root))
+    roots = root_sources(root_path)
     rules = [
-        {"rule": name, **timing(lambda: RULE_FACTORIES[name]().run(sources))}
+        {"rule": name, **timing(lambda: make_rule(name, roots).run(sources))}
         for name in sorted(RULE_FACTORIES)
     ]
     full_seconds, result = best_of(lambda: run_check(root=root_path))
@@ -67,6 +70,7 @@ def test_check_benchmark():
         "concurrency",
         "forksafety",
         "determinism",
+        "reachability",
     }
     assert summary["full_check"]["seconds"] < 10.0
 

@@ -30,11 +30,17 @@ off-the-shelf linter knows about:
     no wall-clock/per-process-entropy reads in worker-init code, and
     no lock acquired on both the supervisor and worker sides of
     ``fork()`` — the constructs that break or diverge forked workers.
+``reachability``
+    Every top-level public function or class of ``src/repro`` must be
+    reached from a module-level statement, a project decorator, or a
+    reference in ``benchmarks/``, ``perfbench/`` or ``examples/``;
+    tests are not roots (:mod:`repro.check.reachability`).
 
 The static lock-order graph is validated by execution:
 :mod:`repro.check.sanitizer` (opt-in via ``REPRO_LOCK_SANITIZER=1``)
 instruments lock acquisition while the test suite runs and fails on
-any observed inversion of the derived order.
+any observed inversion of the derived order, or any observed order
+between known locks that the derived graph lacks.
 
 Violations resolve against the committed ``check-baseline.json``:
 existing debt is inventoried there, anything new fails.  Inline

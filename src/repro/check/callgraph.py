@@ -82,13 +82,12 @@ class CallGraph:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def build(cls, sources: Iterable[SourceFile]) -> "CallGraph":
-        """Index definitions, then resolve every call site to an edge."""
-        materialised = list(sources)
+    def index(cls, sources: Iterable[SourceFile]) -> "CallGraph":
+        """Index definitions and imports only; no call sites resolved."""
         functions: dict[str, FunctionInfo] = {}
         classes: dict[str, tuple[str, ...]] = {}
         imports_by_module: dict[str, dict[str, str]] = {}
-        for source in materialised:
+        for source in sources:
             imports_by_module[source.module] = resolve_imports(source.tree)
             for qualname, info in _definitions(source):
                 functions[qualname] = info
@@ -100,17 +99,20 @@ class CallGraph:
                         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
                     )
                     classes[f"{source.module}.{node.name}"] = methods
-        graph = cls(functions, classes, imports_by_module, ())
+        return cls(functions, classes, imports_by_module, ())
+
+    @classmethod
+    def build(cls, sources: Iterable[SourceFile]) -> "CallGraph":
+        """Index definitions, then resolve every call site to an edge."""
+        graph = cls.index(sources)
         sites: list[CallSite] = []
-        for info in functions.values():
-            imports = imports_by_module[info.module]
+        for info in graph.functions.values():
+            imports = graph.imports(info.module)
             for call in _calls_in(info.node):
                 callee = graph.resolve_call(call, info, imports)
                 if callee is not None:
                     sites.append(CallSite(info.qualname, callee, call))
         graph.sites = tuple(sites)
-        graph._out = {}
-        graph._in = {}
         for site in graph.sites:
             graph._out.setdefault(site.caller, []).append(site)
             graph._in.setdefault(site.callee, []).append(site)
@@ -145,18 +147,25 @@ class CallGraph:
         return self.resolve_dotted(dotted)
 
     def resolve_dotted(self, dotted: str) -> str | None:
-        """Resolve a canonical dotted path to a known definition.
+        """Resolve a canonical dotted path to a known callable.
+
+        A class target resolves to its ``__init__`` when defined.
+        """
+        target = self.resolve_definition(dotted)
+        if target in self.classes:
+            init = f"{target}.__init__"
+            return init if init in self.functions else None
+        return target
+
+    def resolve_definition(self, dotted: str) -> str | None:
+        """Resolve a canonical dotted path to a known function or class.
 
         Chases ``from x import y`` re-export bindings hop by hop, so
         ``repro.obs.counter`` lands on ``repro.obs.tracer.counter``.
-        A class target resolves to its ``__init__`` when defined.
         """
         for _ in range(MAX_REEXPORT_HOPS):
-            if dotted in self.functions:
+            if dotted in self.functions or dotted in self.classes:
                 return dotted
-            if dotted in self.classes:
-                init = f"{dotted}.__init__"
-                return init if init in self.functions else None
             module, _, attr = dotted.rpartition(".")
             if not module or not attr:
                 return None
@@ -167,6 +176,10 @@ class CallGraph:
         return None
 
     # -- queries -------------------------------------------------------
+
+    def imports(self, module: str) -> Mapping[str, str]:
+        """One indexed module's import map (:func:`resolve_imports`)."""
+        return self._imports_by_module.get(module, {})
 
     def callees(self, qualname: str) -> tuple[CallSite, ...]:
         """Outgoing call sites of one function."""

@@ -2,9 +2,11 @@
 
 :func:`run_check` is the whole programmatic API — the CLI, the CI gate
 and the test suite all call it.  It parses every file under
-``<root>/src/repro`` once, runs the selected rule families over the
-shared parse results, resolves findings against the baseline and
-returns a :class:`CheckResult` whose ``ok`` decides the exit code.
+``<root>/src/repro`` once (and, as roots for the reachability rule
+only, ``benchmarks/``, ``perfbench/`` and ``examples/``), runs the
+selected rule families over the shared parse results, resolves
+findings against the baseline and returns a :class:`CheckResult`
+whose ``ok`` decides the exit code.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.check.baseline import diff_against_baseline, load_baseline, save_baseline
-from repro.check.rules import RULE_FACTORIES, Violation
-from repro.check.walker import CheckConfigError, iter_source_files
+from repro.check.reachability import ROOT_DIRS, ReachabilityRule
+from repro.check.rules import RULE_FACTORIES, Rule, Violation
+from repro.check.walker import CheckConfigError, SourceFile, iter_source_files
 
 # Importing the rule modules registers their factories.
 from repro.check import concurrency, determinism, forksafety, hygiene, layering  # noqa: F401
@@ -72,6 +75,24 @@ def discover_root(start: Path | None = None) -> Path:
     )
 
 
+def root_sources(root: Path) -> list[SourceFile]:
+    """The parsed ``ROOT_DIRS`` files: reachability roots, never checked."""
+    return [
+        source
+        for name in ROOT_DIRS
+        if (root / name).is_dir()
+        for source in iter_source_files(root / name, project_root=root)
+    ]
+
+
+def make_rule(name: str, roots: list[SourceFile]) -> Rule:
+    """A fresh rule of family ``name``; only reachability sees ``roots``."""
+    rule = RULE_FACTORIES[name]()
+    if isinstance(rule, ReachabilityRule):
+        rule.external = tuple(roots)
+    return rule
+
+
 def run_check(
     root: Path | None = None,
     rules: tuple[str, ...] | None = None,
@@ -99,10 +120,11 @@ def run_check(
         )
 
     sources = list(iter_source_files(src_root))
+    roots = root_sources(resolved_root) if "reachability" in selected else []
     violations: list[Violation] = []
     suppressed = 0
     for name in selected:
-        rule = RULE_FACTORIES[name]()
+        rule = make_rule(name, roots)
         violations.extend(rule.run(sources))
         suppressed += rule.suppressed
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))

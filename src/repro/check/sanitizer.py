@@ -19,8 +19,9 @@ Two consistency guarantees fall out:
 * **runtime vs static** — :meth:`LockSanitizer.verify_against` checks
   every observed edge between statically-known locks against the
   statically derived graph: a *contradiction* (the static graph orders
-  the pair the other way) fails the run; an *unmodelled* edge (neither
-  direction known statically) is reported so the model can grow.
+  the pair the other way) fails the run, and so does an *unmodelled*
+  edge (neither direction known statically): the static lock-order
+  check never saw that order, so the model must grow to cover it.
 
 Lock identities mirror the static convention so the two graphs join:
 ``module.Class.attr`` for a lock bound to ``self.attr`` in a method,
@@ -281,6 +282,22 @@ class LockSanitizer:
                 )
         return {"contradictions": contradictions, "unmodelled": unmodelled}
 
+    def verify_tree(self, src_root: str | Path) -> tuple[list[str], bool]:
+        """Session report lines, and whether the session fails.
+
+        Checks the observed edges against the lock graph derived from
+        ``src_root``.  A contradiction or an unmodelled edge fails it.
+        """
+        edges, locks = static_lock_graph(src_root)
+        problems = self.verify_against(edges, locks)
+        lines = [
+            f"lock sanitizer: {len(self.observed)} observed edge(s), "
+            f"{len(self.locks_seen)} lock(s) watched"
+        ]
+        lines.extend(problems["contradictions"])
+        lines.extend(f"(unmodelled) {item}" for item in problems["unmodelled"])
+        return lines, bool(problems["contradictions"] or problems["unmodelled"])
+
     def report(self) -> dict[str, object]:
         """JSON-serialisable summary of the run."""
         return {
@@ -344,6 +361,7 @@ def _call_site() -> str:
     return f"{Path(frame.f_code.co_filename).name}:{frame.f_lineno}"
 
 
+# repro: allow[reachability] test harness: tests/conftest.py installs it for the CI sanitizer run
 def install_from_env(environ: Mapping[str, str]) -> LockSanitizer | None:
     """Install a sanitizer iff :data:`ENV_FLAG` is set to ``1``."""
     if environ.get(ENV_FLAG) != "1":
@@ -354,7 +372,7 @@ def install_from_env(environ: Mapping[str, str]) -> LockSanitizer | None:
 def static_lock_graph(root: str | Path) -> tuple[set[tuple[str, str]], set[str]]:
     """(order edges, known lock identities) derived from a source tree.
 
-    Imported lazily by the test harness to compare against observation;
+    :meth:`LockSanitizer.verify_tree` compares observation against it;
     kept here so the static and runtime sides share one entry point.
     """
     from repro.check.callgraph import CallGraph
@@ -366,7 +384,3 @@ def static_lock_graph(root: str | Path) -> tuple[set[tuple[str, str]], set[str]]
     model = LockModel.build(sources, graph)
     return set(model.order_edges), set(model.decls)
 
-
-def static_order_edges(root: str | Path) -> set[tuple[str, str]]:
-    """Just the statically derived lock-order edges for a source tree."""
-    return static_lock_graph(root)[0]

@@ -130,8 +130,13 @@ def module_name_for(path: Path, src_root: Path) -> str:
     return ".".join(parts)
 
 
-def iter_source_files(src_root: Path) -> Iterator[SourceFile]:
+def iter_source_files(
+    src_root: Path, project_root: Path | None = None
+) -> Iterator[SourceFile]:
     """Parse every ``*.py`` under ``src_root``, sorted for stable output.
+
+    Paths are relative to ``project_root`` (default: the directory two
+    levels above ``src_root``, i.e. the root of ``<root>/src/repro``).
 
     A file with a syntax error becomes a :class:`CheckConfigError` —
     the checker refuses to silently skip what it cannot parse.
@@ -144,7 +149,7 @@ def iter_source_files(src_root: Path) -> Iterator[SourceFile]:
             raise CheckConfigError(f"cannot parse {path}: {exc}") from exc
         lines = tuple(text.splitlines())
         yield SourceFile(
-            path=path.relative_to(src_root.parent.parent).as_posix(),
+            path=path.relative_to(project_root or src_root.parent.parent).as_posix(),
             module=module_name_for(path, src_root),
             text=text,
             tree=tree,

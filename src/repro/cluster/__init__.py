@@ -33,11 +33,7 @@ Boot a cluster with ``repro serve --workers N`` or programmatically::
 """
 
 from repro.cluster.hashring import HashRing
-from repro.cluster.merge import (
-    merge_flows_payloads,
-    merge_population_payloads,
-    merge_window_results,
-)
+from repro.cluster.merge import merge_flows_payloads, merge_population_payloads
 from repro.cluster.router import ShardRouter
 from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
 
@@ -48,5 +44,4 @@ __all__ = [
     "ShardRouter",
     "merge_flows_payloads",
     "merge_population_payloads",
-    "merge_window_results",
 ]

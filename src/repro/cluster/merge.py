@@ -21,9 +21,6 @@ versions — still monotone under any shard's ingest, which is the only
 property the serving cache relies on (merged answers bypass the worker
 LRU anyway; the sum is for visibility).
 
-:func:`merge_window_results` merges raw
-:class:`~repro.summary.store.WindowSummary` objects — the in-process
-path used by equivalence tests and benchmarks;
 :func:`merge_population_payloads` / :func:`merge_flows_payloads` merge
 the rendered HTTP payloads — the scatter-gather path.
 """
@@ -32,45 +29,6 @@ from __future__ import annotations
 
 from collections import Counter
 from typing import Sequence
-
-import numpy as np
-
-from repro.summary.store import WindowSummary
-
-
-def merge_window_results(results: Sequence[WindowSummary]) -> WindowSummary:
-    """Merge per-shard :class:`WindowSummary` objects for one window.
-
-    All results must cover the same effective ``[t0, t1)`` — they came
-    from the same query fanned out to shards over identical worlds.
-    """
-    if not results:
-        raise ValueError("need at least one WindowSummary to merge")
-    first = results[0]
-    for result in results[1:]:
-        if (result.t0, result.t1) != (first.t0, first.t1):
-            raise ValueError(
-                f"window mismatch: ({first.t0}, {first.t1}) vs "
-                f"({result.t0}, {result.t1})"
-            )
-    tiles: Counter = Counter()
-    od: Counter = Counter()
-    for result in results:
-        tiles.update(result.tiles_used)
-        od.update(result.od_counts)
-    return WindowSummary(
-        t0=first.t0,
-        t1=first.t1,
-        tweet_counts=np.sum([r.tweet_counts for r in results], axis=0),
-        user_counts=np.sum([r.user_counts for r in results], axis=0),
-        od_counts=od,
-        n_tweets=sum(r.n_tweets for r in results),
-        n_transitions=sum(r.n_transitions for r in results),
-        buckets_touched=sum(r.buckets_touched for r in results),
-        tiles_used=dict(tiles),
-        staleness_seconds=min(r.staleness_seconds for r in results),
-        version=sum(r.version for r in results),
-    )
 
 
 def _cluster_block(payloads: Sequence[dict]) -> dict:
@@ -167,3 +125,4 @@ def merge_flows_payloads(payloads: Sequence[dict], names: Sequence[str]) -> dict
         ],
         "cluster": _cluster_block(payloads),
     }
+

@@ -19,7 +19,6 @@
 
 from repro.data.anonymize import (
     coarsen_coordinates,
-    jitter_coordinates,
     pseudonymize_users,
 )
 from repro.data.corpus import TweetCorpus
@@ -46,7 +45,6 @@ __all__ = [
     "coarsen_coordinates",
     "corpus_health_report",
     "detect_bots",
-    "jitter_coordinates",
     "national_cities",
     "nsw_cities",
     "pseudonymize_users",

@@ -9,15 +9,14 @@ re-identification risk, so a responsible release pipeline applies:
   (stable within a corpus, unlinkable across releases with different
   keys);
 * :func:`coarsen_coordinates` — deterministic rounding of geo-tags to a
-  target spatial resolution;
-* :func:`jitter_coordinates` — random displacement bounded by a radius.
+  target spatial resolution.
 
 The complementary release-side audit —
 :func:`repro.extraction.privacy.k_anonymity_report` — lives in the
 extraction layer, because it consumes the ε-radius unique-user
 extraction and data-layer code never imports upward.
 
-Rounding and jitter degrade the analyses gracefully — the test suite
+Rounding degrades the analyses gracefully — the test suite
 checks the Fig 3 correlation survives coarsening to the ~1 km scale,
 which is itself a statement about how robust the paper's pipeline is.
 """
@@ -88,32 +87,3 @@ def coarsen_coordinates(corpus: TweetCorpus, resolution_km: float) -> TweetCorpu
         presorted=True,
     )
 
-
-def jitter_coordinates(
-    corpus: TweetCorpus, max_displacement_km: float, rng: np.random.Generator
-) -> TweetCorpus:
-    """Displace every geo-tag by an independent random offset.
-
-    Displacement distance is uniform in [0, max] with uniform bearing —
-    bounded (unlike Gaussian noise), which makes the privacy guarantee
-    statable: no published point is more than ``max_displacement_km``
-    from the true one.
-    """
-    if max_displacement_km <= 0:
-        raise ValueError("max displacement must be positive")
-    n = len(corpus)
-    distance = rng.uniform(0.0, max_displacement_km, n)
-    bearing = rng.uniform(0.0, 2.0 * np.pi, n)
-    km_per_deg = np.pi * EARTH_RADIUS_KM / 180.0
-    dlat = distance * np.cos(bearing) / km_per_deg
-    cos_lat = np.maximum(np.cos(np.radians(corpus.lats)), 1e-9)
-    dlon = distance * np.sin(bearing) / (km_per_deg * cos_lat)
-    new_lats = np.clip(corpus.lats + dlat, -90.0, 90.0)
-    return TweetCorpus(
-        tweet_ids=corpus.tweet_ids.copy(),
-        user_ids=corpus.user_ids.copy(),
-        timestamps=corpus.timestamps.copy(),
-        lats=new_lats,
-        lons=corpus.lons + dlon,
-        presorted=True,
-    )

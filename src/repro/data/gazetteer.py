@@ -31,10 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-import numpy as np
-
 from repro.geo.coords import Coordinate
-from repro.geo.distance import pairwise_distance_matrix
 from repro.geo.polygon import Polygon
 
 
@@ -199,30 +196,6 @@ def search_radius_km(scale: Scale) -> float:
     return SEARCH_RADIUS_KM[scale]
 
 
-def populations(scale: Scale) -> np.ndarray:
-    """Census populations of the scale's areas, as a float array."""
-    return np.array([a.population for a in _AREAS[scale]], dtype=np.float64)
-
-
-def centers(scale: Scale) -> list[Coordinate]:
-    """Centre coordinates of the scale's areas, in gazetteer order."""
-    return [a.center for a in _AREAS[scale]]
-
-
-def distance_matrix_km(scale: Scale) -> np.ndarray:
-    """Pairwise haversine distances between the scale's area centres."""
-    return pairwise_distance_matrix(centers(scale))
-
-
-def mean_pairwise_distance_km(scale: Scale) -> float:
-    """Mean off-diagonal pairwise distance — the paper quotes 1422 km,
-    341 km and 7.5 km for the three scales."""
-    matrix = distance_matrix_km(scale)
-    n = matrix.shape[0]
-    off_diagonal = matrix[~np.eye(n, dtype=bool)]
-    return float(off_diagonal.mean())
-
-
 # -- scale-parametric gazetteers ----------------------------------------
 
 #: Synthetic hierarchy levels, coarse to fine, aligned with the scales.
@@ -333,3 +306,4 @@ def gazetteer_from_spec(spec: "str | Gazetteer | None") -> Gazetteer:
     if parsed is None:
         return LEGACY_GAZETTEER
     return _synthetic_gazetteer(parsed.spec_string)
+

@@ -1,27 +1,18 @@
-"""Serialisation of tweet streams: CSV and JSON Lines.
+"""Serialisation of tweet streams as CSV.
 
-Both formats round-trip :class:`~repro.data.schema.Tweet` records exactly
-(timestamps and coordinates as decimal text).  CSV is the compact default
-for corpora; JSONL is convenient for interoperability with tools that
-consume one-JSON-object-per-line streams.
+The format round-trips :class:`~repro.data.schema.Tweet` records exactly
+(timestamps and coordinates as decimal text).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-import numpy as np
+from typing import Iterable, Iterator
 
 from repro.data.schema import SchemaError, Tweet, parse_tweet_record
 
-if TYPE_CHECKING:
-    from repro.data.corpus import TweetCorpus
-
 CSV_FIELDS = ("tweet_id", "user_id", "timestamp", "lat", "lon")
-NPZ_FIELDS = ("tweet_ids", "user_ids", "timestamps", "lats", "lons")
 
 
 class DataFormatError(ValueError):
@@ -66,75 +57,3 @@ def read_tweets_csv(path: str | Path) -> Iterator[Tweet]:
             except SchemaError as exc:
                 raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
 
-
-def write_tweets_jsonl(tweets: Iterable[Tweet], path: str | Path) -> int:
-    """Write tweets as one JSON object per line; returns the count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for tweet in tweets:
-            record = {
-                "tweet_id": tweet.tweet_id,
-                "user_id": tweet.user_id,
-                "timestamp": tweet.timestamp,
-                "lat": tweet.lat,
-                "lon": tweet.lon,
-            }
-            handle.write(json.dumps(record, separators=(",", ":")))
-            handle.write("\n")
-            count += 1
-    return count
-
-
-def read_tweets_jsonl(path: str | Path) -> Iterator[Tweet]:
-    """Stream tweets back from a JSONL file.
-
-    Blank lines are skipped; anything else malformed raises
-    :class:`DataFormatError` with the offending line number.
-    """
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield parse_tweet_record(json.loads(line))
-            except (ValueError, SchemaError) as exc:
-                raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
-
-
-def save_corpus_npz(corpus: "TweetCorpus", path: str | Path) -> None:
-    """Save a corpus to a compressed ``.npz`` column bundle.
-
-    Roughly 10x faster and 4x smaller than CSV for large corpora; the
-    format is the corpus's own columnar layout, so loading is a single
-    presorted construction.
-    """
-    np.savez_compressed(
-        path,
-        tweet_ids=corpus.tweet_ids,
-        user_ids=corpus.user_ids,
-        timestamps=corpus.timestamps,
-        lats=corpus.lats,
-        lons=corpus.lons,
-    )
-
-
-def load_corpus_npz(path: str | Path) -> "TweetCorpus":
-    """Load a corpus saved by :func:`save_corpus_npz`.
-
-    Raises :class:`DataFormatError` if the bundle is missing columns.
-    """
-    from repro.data.corpus import TweetCorpus
-
-    with np.load(path) as bundle:
-        missing = [field for field in NPZ_FIELDS if field not in bundle]
-        if missing:
-            raise DataFormatError(f"{path}: missing columns {missing}")
-        return TweetCorpus(
-            tweet_ids=bundle["tweet_ids"],
-            user_ids=bundle["user_ids"],
-            timestamps=bundle["timestamps"],
-            lats=bundle["lats"],
-            lons=bundle["lons"],
-            presorted=True,
-        )

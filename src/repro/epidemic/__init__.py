@@ -16,19 +16,8 @@ implements that framework:
     measurement and multi-run summaries.
 """
 
-from repro.epidemic.effective import (
-    effective_distance_matrix,
-    global_travel_scaling,
-    predicted_arrival_order,
-    restrict_travel,
-    transition_probabilities,
-)
-from repro.epidemic.inference import (
-    SirFit,
-    estimate_growth_rate,
-    fit_sir_curve,
-    r0_from_growth_rate,
-)
+from repro.epidemic.effective import global_travel_scaling, restrict_travel
+from repro.epidemic.inference import SirFit, fit_sir_curve
 from repro.epidemic.interventions import (
     EpidemicSetting,
     Intervention,
@@ -50,7 +39,7 @@ from repro.epidemic.interventions import (
     stack_order,
     validate_stack,
 )
-from repro.epidemic.network import MobilityNetwork, network_from_flows, network_from_model
+from repro.epidemic.network import MobilityNetwork, network_from_model
 from repro.epidemic.seir import SEIRParams, SEIRResult, simulate_seir
 from repro.epidemic.simulation import (
     OutbreakSummary,
@@ -86,16 +75,10 @@ __all__ = [
     "simulate_with_immunity",
     "stack_order",
     "validate_stack",
-    "effective_distance_matrix",
-    "estimate_growth_rate",
     "fit_sir_curve",
-    "r0_from_growth_rate",
     "global_travel_scaling",
-    "network_from_flows",
     "network_from_model",
-    "predicted_arrival_order",
     "restrict_travel",
     "simulate_seir",
     "simulate_stochastic_sir",
-    "transition_probabilities",
 ]

@@ -1,76 +1,15 @@
-"""Effective distance and intervention scenarios.
+"""Travel interventions as transformed mobility networks.
 
-Brockmann & Helbing (Science 2013) showed that outbreak arrival times
-are nearly linear in *effective distance*
-
-    d_eff(m | n) = 1 - ln P(m | n)
-
-where ``P(m | n)`` is the fraction of travellers leaving ``n`` that go
-to ``m``; the effective distance between any two patches is the
-shortest-path sum over the mobility graph.  This gives the reproduction
-a closed-form arrival-time predictor to validate the SEIR machinery
-against, and an analysis tool the paper's proposed forecasting
-framework would ship with.
-
-The module also provides intervention scenarios (travel restrictions)
-expressed as transformed :class:`~repro.epidemic.network.MobilityNetwork`
-instances.
+Each scenario (a per-patch travel restriction, a global scaling of all
+travel) returns a new :class:`~repro.epidemic.network.MobilityNetwork`
+with rescaled rates.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-import networkx as nx
-import numpy as np
-
 from repro.epidemic.network import MobilityNetwork
-
-
-def transition_probabilities(network: MobilityNetwork) -> np.ndarray:
-    """Row-normalised travel matrix ``P[i, j] = P(next trip i -> j)``.
-
-    Rows with no outgoing travel stay all-zero.
-    """
-    rates = network.rates
-    row_sums = rates.sum(axis=1, keepdims=True)
-    return np.divide(rates, row_sums, out=np.zeros_like(rates), where=row_sums > 0)
-
-
-def effective_distance_matrix(network: MobilityNetwork) -> np.ndarray:
-    """All-pairs effective distance via shortest paths.
-
-    ``D[i, j]`` is the effective distance *from* patch ``i`` *to* patch
-    ``j``; unreachable pairs get ``inf``.  Edge lengths are
-    ``1 - ln P(j | i)``, always >= 1, so Dijkstra applies.
-    """
-    probs = transition_probabilities(network)
-    n = network.n_patches
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(n))
-    rows, cols = np.nonzero(probs)
-    for i, j in zip(rows, cols):
-        graph.add_edge(int(i), int(j), weight=float(1.0 - np.log(probs[i, j])))
-    matrix = np.full((n, n), np.inf)
-    for source, lengths in nx.all_pairs_dijkstra_path_length(graph, weight="weight"):
-        for target, length in lengths.items():
-            matrix[source, target] = length
-    np.fill_diagonal(matrix, 0.0)
-    return matrix
-
-
-def predicted_arrival_order(network: MobilityNetwork, seed_patch: int | str) -> np.ndarray:
-    """Patch indices ordered by effective distance from the seed.
-
-    The seed itself comes first.  This is the closed-form forecast the
-    SEIR simulation should approximately reproduce (validated in the
-    test suite and the A5 benchmark).
-    """
-    index = (
-        network.names.index(seed_patch) if isinstance(seed_patch, str) else int(seed_patch)
-    )
-    distances = effective_distance_matrix(network)[index]
-    return np.argsort(distances, kind="stable")
 
 
 def restrict_travel(
@@ -113,3 +52,4 @@ def global_travel_scaling(network: MobilityNetwork, factor: float) -> MobilityNe
         populations=network.populations.copy(),
         rates=network.rates * factor,
     )
+

@@ -3,13 +3,8 @@
 The responsive-forecasting loop needs one more piece: given the early
 case counts observed in the seed city, estimate the transmission
 parameters, then forecast spread over the Twitter-fitted mobility
-network.  This module provides:
-
-* :func:`estimate_growth_rate` — log-linear fit of the early exponential
-  phase;
-* :func:`r0_from_growth_rate` — the SIR relation ``R0 = 1 + r/gamma``;
-* :func:`fit_sir_curve` — full (beta, gamma) least squares against a
-  prevalence curve using the deterministic integrator.
+network.  :func:`fit_sir_curve` fits (beta, gamma) by least squares
+against a prevalence curve using the deterministic integrator.
 
 Recovery of known parameters from simulated outbreaks is property-tested.
 """
@@ -20,47 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-
-
-def estimate_growth_rate(
-    times_days: np.ndarray, infected: np.ndarray, min_cases: float = 5.0
-) -> float:
-    """Exponential growth rate (per day) of the early epidemic phase.
-
-    Fits ``ln I(t)`` linearly over the window from the first time
-    ``I >= min_cases`` until prevalence reaches a quarter of its peak —
-    the textbook definition of "early".  Raises if the window holds
-    fewer than three points.
-    """
-    times = np.asarray(times_days, dtype=np.float64)
-    cases = np.asarray(infected, dtype=np.float64)
-    if times.shape != cases.shape:
-        raise ValueError("times/infected must align")
-    peak = cases.max()
-    if peak < min_cases:
-        raise ValueError("epidemic never reached the minimum case count")
-    start_candidates = np.nonzero(cases >= min_cases)[0]
-    start = start_candidates[0]
-    stop_candidates = np.nonzero(cases >= peak / 4.0)[0]
-    stop = stop_candidates[0]
-    if stop - start < 3:
-        # Extremely fast take-off; widen to the peak itself.
-        stop = int(np.argmax(cases))
-    window = slice(start, max(stop, start + 3))
-    t = times[window]
-    y = cases[window]
-    positive = y > 0
-    if positive.sum() < 3:
-        raise ValueError("not enough early-phase points to fit a growth rate")
-    slope, _intercept = np.polyfit(t[positive], np.log(y[positive]), deg=1)
-    return float(slope)
-
-
-def r0_from_growth_rate(growth_rate: float, gamma: float) -> float:
-    """SIR relation ``R0 = 1 + r / gamma`` for exponential growth ``r``."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return 1.0 + growth_rate / gamma
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,3 +107,4 @@ def _integrate_sir_scalar(
         times[step] = step * dt
         infected[step] = i
     return times, infected
+

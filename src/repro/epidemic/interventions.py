@@ -98,6 +98,7 @@ class InterventionOutcome:
     mean_arrival_day: float
 
 
+# repro: allow[reachability] oracle: tests/scenario/test_equivalence.py pins the A14 scenarios to it
 def evaluate_vaccination(
     network: MobilityNetwork,
     params: SEIRParams,
@@ -531,21 +532,3 @@ def simulate_setting(
         setting.network, setting.params, seeds, t_max_days=t_max_days, dt_days=dt_days
     )
 
-
-def render_outcomes(outcomes: list[InterventionOutcome]) -> str:
-    """The strategy comparison as a table (best first)."""
-    lines = [
-        "Vaccination strategy comparison (best first):",
-        f"  {'strategy':<18s}{'infected':>14s}{'attack rate':>13s}{'mean arrival':>14s}",
-    ]
-    for outcome in outcomes:
-        arrival = (
-            f"{outcome.mean_arrival_day:10.1f} d"
-            if np.isfinite(outcome.mean_arrival_day)
-            else "     never"
-        )
-        lines.append(
-            f"  {outcome.strategy:<18s}{outcome.total_infected:>14,.0f}"
-            f"{outcome.attack_rate:>12.1%}{arrival:>14s}"
-        )
-    return "\n".join(lines)

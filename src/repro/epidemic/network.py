@@ -1,11 +1,10 @@
 """Mobility networks for metapopulation epidemic models.
 
 A :class:`MobilityNetwork` is a set of patches (the study areas) with
-populations and a matrix of per-capita daily travel rates.  Rates can
-come from observed Twitter OD flows (scaled from "transitions per
-collection period" to "trips per person per day") or from any fitted
-mobility model — which is exactly the paper's proposal: fit the model on
-Twitter flows, then plug census populations in to predict real mobility.
+populations and a matrix of per-capita daily travel rates.  Rates come
+from a fitted mobility model, scaled to "trips per person per day" —
+which is exactly the paper's proposal: fit the model on Twitter flows,
+then plug census populations in to predict real mobility.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from repro.core.world import World
 from repro.data.gazetteer import Area
-from repro.extraction.mobility import ODFlows, ODPairs
+from repro.extraction.mobility import ODPairs
 from repro.geo.distance import pairwise_distance_matrix
 from repro.models.base import FittedMobilityModel
 
@@ -87,20 +86,6 @@ def _rates_from_trip_matrix(
     return scale * trip_matrix / populations[:, None]
 
 
-def network_from_flows(
-    flows: ODFlows, trips_per_person_per_day: float = 0.05
-) -> MobilityNetwork:
-    """Build a network directly from observed Twitter OD flows."""
-    populations = flows.populations()
-    matrix = flows.matrix.astype(np.float64).copy()
-    np.fill_diagonal(matrix, 0.0)
-    return MobilityNetwork(
-        names=tuple(a.name for a in flows.areas),
-        populations=populations,
-        rates=_rates_from_trip_matrix(matrix, populations, trips_per_person_per_day),
-    )
-
-
 def network_from_model(
     fitted: FittedMobilityModel,
     areas: Sequence[Area] | World,
@@ -141,3 +126,4 @@ def network_from_model(
         populations=populations,
         rates=_rates_from_trip_matrix(matrix, populations, trips_per_person_per_day),
     )
+

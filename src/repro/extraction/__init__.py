@@ -9,14 +9,9 @@
 ``dynamics``
     Tweeting-dynamics distributions: tweets per user and inter-tweet
     waiting times (Section II / Fig 2, Table I).
-``trajectories``
-    Per-user spatial trajectories, displacement distributions and radius
-    of gyration (supporting analysis).
 """
 
 from repro.extraction.dynamics import (
-    burstiness_coefficient,
-    memory_coefficient,
     tweets_per_user_distribution,
     waiting_time_distribution,
 )
@@ -26,47 +21,24 @@ from repro.extraction.homes import (
     home_based_population,
 )
 from repro.extraction.mobility import ODFlows, extract_od_flows
-from repro.extraction.od_time import flow_stability, periodic_flows
 from repro.extraction.population import (
     AreaObservation,
     assign_tweets_to_areas,
     extract_area_observations,
 )
 from repro.extraction.privacy import KAnonymityReport, k_anonymity_report
-from repro.extraction.trajectories import (
-    Trajectory,
-    displacement_distribution,
-    radius_of_gyration,
-    user_trajectory,
-)
-from repro.extraction.visitation import (
-    exploration_curve,
-    return_fraction,
-    visitation_zipf,
-)
 
 __all__ = [
     "AreaObservation",
     "HomeLocations",
     "KAnonymityReport",
     "ODFlows",
-    "Trajectory",
     "assign_tweets_to_areas",
-    "burstiness_coefficient",
     "detect_home_locations",
-    "displacement_distribution",
-    "exploration_curve",
     "extract_area_observations",
     "extract_od_flows",
-    "flow_stability",
     "home_based_population",
     "k_anonymity_report",
-    "memory_coefficient",
-    "periodic_flows",
-    "radius_of_gyration",
-    "return_fraction",
     "tweets_per_user_distribution",
-    "user_trajectory",
-    "visitation_zipf",
     "waiting_time_distribution",
 ]

@@ -69,49 +69,3 @@ def waiting_time_distribution(
         name="waiting_time_seconds", raw=waits, bin_centers=centers, pdf=pdf
     )
 
-
-def burstiness_coefficient(waits: np.ndarray) -> float:
-    """Goh–Barabási burstiness ``B = (σ - μ) / (σ + μ)`` of a wait sample.
-
-    ``B = -1`` for a perfectly regular signal, 0 for a Poisson process,
-    and ``B → 1`` for extreme burstiness.  The paper attributes Fig 2(b)'s
-    heterogeneity to bursty human dynamics (its reference [11]); this
-    coefficient makes the claim checkable.
-    """
-    waits = np.asarray(waits, dtype=np.float64)
-    waits = waits[waits > 0]
-    if waits.size < 2:
-        return 0.0
-    mean = waits.mean()
-    std = waits.std()
-    if std + mean == 0.0:
-        return 0.0
-    return float((std - mean) / (std + mean))
-
-
-def memory_coefficient(corpus: TweetCorpus) -> float:
-    """Goh–Barabási memory ``M``: correlation of consecutive wait pairs.
-
-    Computed over pairs of *adjacent* waiting times within one user's
-    sequence, pooled corpus-wide.  ``M > 0`` means long waits follow
-    long waits (sessions and silences); 0 means no memory.
-    """
-    if len(corpus) < 3:
-        return 0.0
-    deltas = np.diff(corpus.timestamps)
-    same_user = corpus.user_ids[1:] == corpus.user_ids[:-1]
-    # Adjacent wait pairs require three consecutive same-user tweets.
-    pair_valid = same_user[1:] & same_user[:-1]
-    first = deltas[:-1][pair_valid]
-    second = deltas[1:][pair_valid]
-    positive = (first > 0) & (second > 0)
-    first = first[positive]
-    second = second[positive]
-    if first.size < 3:
-        return 0.0
-    first_centered = first - first.mean()
-    second_centered = second - second.mean()
-    denom = np.sqrt((first_centered**2).sum() * (second_centered**2).sum())
-    if denom == 0.0:
-        return 0.0
-    return float((first_centered * second_centered).sum() / denom)

@@ -155,12 +155,3 @@ def extract_od_flows(
     obs.counter("extraction.od_transitions", transitions)
     return ODFlows(areas=tuple(areas), matrix=matrix)
 
-
-def symmetrize(flows: ODFlows) -> ODFlows:
-    """The undirected version ``T + T^T`` of a flow matrix.
-
-    Gravity-style analyses sometimes pool both directions; provided for
-    the ablation benchmarks, not used by the core reproduction (the paper
-    fits directed pairs).
-    """
-    return ODFlows(areas=flows.areas, matrix=flows.matrix + flows.matrix.T)

@@ -1,135 +1,9 @@
-"""Time-resolved OD flows: monthly mobility matrices and their stability.
+"""Kept only as a name the perfbench layer probe wraps.
 
-A responsive forecaster needs to know how stable the mobility structure
-is month to month — if December's matrix looked nothing like November's,
-fitting on last month would be useless.  This module slices a corpus
-into fixed-length periods, extracts an OD matrix per period, and
-measures pairwise structural stability with the common part of
-commuters (CPC).
+``perfbench/layers.py`` imports this module and patches its
+``extract_od_flows`` global.  The monthly-flow and stability measures
+that lived here ran from no command, task or benchmark and were
+deleted; this module goes with the probe's name table.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-
-from repro.data.corpus import TweetCorpus
-from repro.data.gazetteer import Area
-from repro.extraction.mobility import ODFlows, extract_od_flows
-from repro.extraction.population import assign_tweets_to_areas
-from repro.stats.metrics import common_part_of_commuters
-
-MONTH_SECONDS = 30 * 86_400.0
-
-
-@dataclass(frozen=True)
-class PeriodFlows:
-    """OD flows for one time slice."""
-
-    start_ts: float
-    end_ts: float
-    flows: ODFlows
-
-    @property
-    def label(self) -> str:
-        """A compact period label (days since the first slice's epoch)."""
-        return f"[{self.start_ts:.0f}, {self.end_ts:.0f})"
-
-
-def periodic_flows(
-    corpus: TweetCorpus,
-    areas: Sequence[Area],
-    radius_km: float,
-    period_seconds: float = MONTH_SECONDS,
-) -> list[PeriodFlows]:
-    """One OD matrix per fixed-length period covering the corpus span.
-
-    Transitions are attributed to the period of their *second* tweet (a
-    pair straddling a boundary counts where it completes); labels are
-    computed once over the full corpus so periods share one assignment.
-    """
-    if period_seconds <= 0:
-        raise ValueError("period must be positive")
-    if len(corpus) == 0:
-        return []
-    labels = assign_tweets_to_areas(corpus, areas, radius_km)
-    start = float(corpus.timestamps.min())
-    end = float(corpus.timestamps.max())
-    periods = []
-    period_start = start
-    while period_start <= end:
-        period_end = period_start + period_seconds
-        mask = (corpus.timestamps >= period_start) & (corpus.timestamps < period_end)
-        # Keep full per-user adjacency by masking labels instead of rows:
-        # tweets outside the period get label -1, so only pairs whose
-        # second tweet is inside contribute — but the first tweet of a
-        # pair may precede the window, so widen the source side.
-        window_labels = np.where(mask, labels, -1)
-        # Allow a pair whose *second* tweet is inside the window even if
-        # the first is before it, by restoring the label of any tweet
-        # immediately preceding an in-window same-user tweet.
-        if len(corpus) >= 2:
-            same_user = corpus.user_ids[1:] == corpus.user_ids[:-1]
-            predecessor_of_inside = np.concatenate([same_user & mask[1:], [False]])
-            window_labels = np.where(predecessor_of_inside, labels, window_labels)
-        flows = extract_od_flows(corpus, window_labels, areas)
-        periods.append(
-            PeriodFlows(start_ts=period_start, end_ts=period_end, flows=flows)
-        )
-        period_start = period_end
-    return periods
-
-
-@dataclass(frozen=True)
-class StabilityResult:
-    """Pairwise CPC between consecutive periods."""
-
-    periods: tuple[PeriodFlows, ...]
-    consecutive_cpc: np.ndarray
-
-    @property
-    def mean_cpc(self) -> float:
-        """Mean structural overlap between consecutive months."""
-        return float(self.consecutive_cpc.mean()) if self.consecutive_cpc.size else 0.0
-
-    def render(self) -> str:
-        """Per-transition CPC plus the mean."""
-        lines = ["Month-to-month mobility stability (CPC of consecutive periods):"]
-        for index, cpc in enumerate(self.consecutive_cpc):
-            trips_a = self.periods[index].flows.total_trips
-            trips_b = self.periods[index + 1].flows.total_trips
-            lines.append(
-                f"  period {index} -> {index + 1}: CPC={cpc:.3f} "
-                f"({trips_a} vs {trips_b} trips)"
-            )
-        lines.append(f"  mean consecutive CPC: {self.mean_cpc:.3f}")
-        return "\n".join(lines)
-
-
-def flow_stability(
-    corpus: TweetCorpus,
-    areas: Sequence[Area],
-    radius_km: float,
-    period_seconds: float = MONTH_SECONDS,
-) -> StabilityResult:
-    """CPC between consecutive periods' OD matrices.
-
-    Periods with no trips are dropped before the comparison (a CPC
-    against an empty matrix is always 0 and says nothing about
-    structure).
-    """
-    periods = [
-        p
-        for p in periodic_flows(corpus, areas, radius_km, period_seconds)
-        if p.flows.total_trips > 0
-    ]
-    if len(periods) < 2:
-        return StabilityResult(periods=tuple(periods), consecutive_cpc=np.empty(0))
-    cpcs = np.empty(len(periods) - 1)
-    for i in range(len(periods) - 1):
-        a = periods[i].flows.matrix.astype(np.float64).ravel()
-        b = periods[i + 1].flows.matrix.astype(np.float64).ravel()
-        cpcs[i] = common_part_of_commuters(a, b)
-    return StabilityResult(periods=tuple(periods), consecutive_cpc=cpcs)
+from repro.extraction.mobility import extract_od_flows  # noqa: F401  (perfbench layer target)

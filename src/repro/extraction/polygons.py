@@ -77,29 +77,3 @@ def extract_polygon_observations(
         )
     return observations
 
-
-def assign_tweets_to_polygons(
-    corpus: TweetCorpus, polygon_areas: Sequence[PolygonArea]
-) -> np.ndarray:
-    """Per-tweet polygon index (-1 outside all polygons).
-
-    Overlapping polygons are resolved in favour of the one whose
-    centroid is nearest (mirroring the disc resolver).
-    """
-    labels = np.full(len(corpus), -1, dtype=np.int64)
-    best_distance = np.full(len(corpus), np.inf)
-    from repro.geo.distance import points_to_point_km
-
-    for index, item in enumerate(polygon_areas):
-        inside = item.polygon.contains_mask(corpus.lats, corpus.lons)
-        rows = np.nonzero(inside)[0]
-        if rows.size == 0:
-            continue
-        distances = points_to_point_km(
-            corpus.lats[rows], corpus.lons[rows], item.area.center
-        )
-        closer = distances < best_distance[rows]
-        winners = rows[closer]
-        labels[winners] = index
-        best_distance[winners] = distances[closer]
-    return labels

@@ -32,9 +32,7 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.coords import Coordinate
 from repro.geo.distance import (
     EARTH_RADIUS_KM,
-    bearing_deg,
     destination_point,
-    equirectangular_km,
     haversine_km,
     pairwise_distance_matrix,
     points_to_point_km,
@@ -71,9 +69,7 @@ __all__ = [
     "SyntheticGazetteer",
     "build_gazetteer",
     "parse_gazetteer_spec",
-    "bearing_deg",
     "destination_point",
-    "equirectangular_km",
     "haversine_km",
     "pairwise_distance_matrix",
     "points_to_point_km",

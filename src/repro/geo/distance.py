@@ -1,17 +1,11 @@
-"""Great-circle distances, bearings and destination points.
+"""Great-circle distances and destination points.
 
 All functions accept either :class:`~repro.geo.coords.Coordinate` objects
 or plain ``(lat, lon)`` degree pairs, and all distances are in kilometres
 on a spherical Earth of radius :data:`EARTH_RADIUS_KM`.
 
-Two distance formulas are provided:
-
-* :func:`haversine_km` — the standard haversine great-circle distance,
-  numerically stable for both antipodal and very close points.  This is
-  the formula used everywhere correctness matters.
-* :func:`equirectangular_km` — a fast planar approximation adequate for
-  points a few tens of kilometres apart (the metropolitan scale in the
-  paper).  Used by the spatial index for cheap candidate pruning.
+:func:`haversine_km` is the standard haversine great-circle distance,
+numerically stable for both antipodal and very close points.
 
 Vectorised variants (:func:`points_to_point_km`,
 :func:`pairwise_distance_matrix`, :func:`pair_distances_km`) operate on
@@ -63,39 +57,6 @@ def haversine_km(a: _CoordLike, b: _CoordLike) -> float:
     # Clamp against tiny negative rounding before sqrt, and >1 before asin.
     h = min(1.0, max(0.0, h))
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
-
-
-def equirectangular_km(a: _CoordLike, b: _CoordLike) -> float:
-    """Fast planar approximation of the distance between nearby points.
-
-    Projects both points onto a plane tangent at their mean latitude.  The
-    error relative to haversine is well under 1% for separations below
-    ~100 km at Australian latitudes, which covers the paper's metropolitan
-    and state search radii.
-    """
-    lat1, lon1 = _latlon(a)
-    lat2, lon2 = _latlon(b)
-    mean_lat = math.radians((lat1 + lat2) / 2.0)
-    dlon = lon2 - lon1
-    # Wrap the longitude delta so nearby points straddling the
-    # antimeridian measure short, not almost-360-degrees apart.
-    dlon = (dlon + 180.0) % 360.0 - 180.0
-    dx = math.radians(dlon) * math.cos(mean_lat)
-    dy = math.radians(lat2 - lat1)
-    return EARTH_RADIUS_KM * math.hypot(dx, dy)
-
-
-def bearing_deg(a: _CoordLike, b: _CoordLike) -> float:
-    """Initial great-circle bearing from ``a`` to ``b`` in degrees [0, 360)."""
-    lat1, lon1 = _latlon(a)
-    lat2, lon2 = _latlon(b)
-    phi1 = math.radians(lat1)
-    phi2 = math.radians(lat2)
-    dlmb = math.radians(lon2 - lon1)
-    y = math.sin(dlmb) * math.cos(phi2)
-    x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlmb)
-    theta = math.degrees(math.atan2(y, x))
-    return theta % 360.0
 
 
 def destination_point(start: _CoordLike, bearing: float, distance_km: float) -> Coordinate:
@@ -198,26 +159,6 @@ def points_to_point_km(
     return _haversine(lats, lons, clat, clon, math.cos(math.radians(clat)))
 
 
-def consecutive_distances_km(lats_deg: np.ndarray, lons_deg: np.ndarray) -> np.ndarray:
-    """Haversine distances between consecutive rows of a trajectory.
-
-    Given ``n`` positions returns ``n - 1`` hop lengths; an empty array for
-    trajectories with fewer than two points.
-    """
-    lats = np.asarray(lats_deg, dtype=np.float64)
-    lons = np.asarray(lons_deg, dtype=np.float64)
-    if lats.shape != lons.shape:
-        raise ValueError(f"shape mismatch: lats {lats.shape} vs lons {lons.shape}")
-    if lats.size < 2:
-        return np.empty(0, dtype=np.float64)
-    phi = np.radians(lats)
-    dphi = np.diff(phi)
-    dlmb = np.radians(np.diff(lons))
-    h = np.sin(dphi / 2.0) ** 2 + np.cos(phi[:-1]) * np.cos(phi[1:]) * np.sin(dlmb / 2.0) ** 2
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
-
-
 def pairwise_distance_matrix(points: Sequence[_CoordLike]) -> np.ndarray:
     """Symmetric haversine distance matrix for a list of points.
 
@@ -258,3 +199,4 @@ def pair_distances_km(
     h = np.sin(dphi / 2.0) ** 2 + np.cos(phi_a) * np.cos(phi_b) * np.sin(dlmb / 2.0) ** 2
     np.clip(h, 0.0, 1.0, out=h)
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h))
+

@@ -162,47 +162,3 @@ def regular_polygon(
         vertices.append((center_lat + dlat, center_lon + dlon))
     return Polygon(vertices)
 
-
-def convex_hull(
-    points: Sequence[Coordinate | tuple[float, float]],
-) -> Polygon:
-    """Convex hull of a point set (Andrew's monotone chain).
-
-    Computed in a local projection around the point mean; needs at least
-    three non-collinear points.
-    """
-    if len(points) < 3:
-        raise ValueError("hull needs at least 3 points")
-    latlon = []
-    for point in points:
-        if isinstance(point, Coordinate):
-            latlon.append((point.lat, point.lon))
-        else:
-            latlon.append((float(point[0]), float(point[1])))
-    lats = np.array([p[0] for p in latlon])
-    lons = np.array([p[1] for p in latlon])
-    projection = LocalProjection(
-        Coordinate(lat=float(lats.mean()), lon=float(lons.mean()))
-    )
-    xy = projection.to_xy_many(lats, lons)
-    order = np.lexsort((xy[:, 1], xy[:, 0]))
-    sorted_xy = xy[order]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[np.ndarray] = []
-    for p in sorted_xy:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in sorted_xy[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull_xy = lower[:-1] + upper[:-1]
-    if len(hull_xy) < 3:
-        raise ValueError("points are collinear; hull is degenerate")
-    vertices = [projection.to_latlon(float(p[0]), float(p[1])) for p in hull_xy]
-    return Polygon(vertices)

@@ -23,7 +23,6 @@ procedure the paper describes under Eq 1–3.
 """
 
 from repro.models.base import FittedMobilityModel, MobilityModel
-from repro.models.ensemble import StackedModel
 from repro.models.evaluation import ModelEvaluation, evaluate_fitted
 from repro.models.gravity import (
     FittedGravity,
@@ -48,7 +47,6 @@ from repro.models.selection import (
     BootstrapInterval,
     CrossValidationResult,
     aic_log_space,
-    bic_log_space,
     bootstrap_metric,
     k_fold_cross_validate,
     rank_models_by_aic,
@@ -73,7 +71,6 @@ __all__ = [
     "PopulationGrid",
     "fit_kind",
     "model_from_kind",
-    "StackedModel",
     "population_grid_from_corpus",
     "population_grid_from_world",
     "GravityModel",
@@ -85,7 +82,6 @@ __all__ = [
     "ProductionConstrainedGravity",
     "RadiationModel",
     "aic_log_space",
-    "bic_log_space",
     "bootstrap_metric",
     "evaluate_fitted",
     "intervening_population_matrix",

@@ -10,8 +10,8 @@ stronger with held-out evaluation — and the paper's future work promises
 * :func:`bootstrap_metric` — nonparametric bootstrap confidence
   intervals for any (observed, estimated) metric, quantifying how much
   Table II cells wobble;
-* :func:`aic_log_space` / :func:`bic_log_space` — information criteria
-  under the log-normal error model implied by least squares on
+* :func:`aic_log_space` — the Akaike information criterion under the
+  log-normal error model implied by least squares on
   ``log T``, penalising Gravity 4Param's extra parameters fairly.
 """
 
@@ -175,16 +175,6 @@ def aic_log_space(
     return n * np.log(max(sse, 1e-300) / n) + 2.0 * n_parameters
 
 
-def bic_log_space(
-    observed: np.ndarray, estimated: np.ndarray, n_parameters: int
-) -> float:
-    """Bayesian information criterion; penalises parameters by ``ln n``."""
-    residuals = _log_residuals(observed, estimated)
-    n = residuals.size
-    sse = float((residuals**2).sum())
-    return n * np.log(max(sse, 1e-300) / n) + np.log(n) * n_parameters
-
-
 #: Free-parameter counts for the paper's models (including the scale C).
 MODEL_PARAMETER_COUNTS = {
     "Gravity 4Param": 4,
@@ -212,3 +202,4 @@ def rank_models_by_aic(
             )
         )
     return sorted(ranked, key=lambda pair: pair[1])
+

@@ -73,6 +73,7 @@ def write_chrome_trace(spans: list[dict], path: str | Path, run_id: str = "") ->
     return path
 
 
+# repro: allow[reachability] oracle: the obs tests check every exported trace against it
 def validate_chrome_trace(trace: dict) -> list[str]:
     """Schema problems in a Chrome trace object (empty list = valid).
 

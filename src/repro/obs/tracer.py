@@ -292,6 +292,7 @@ def counters_snapshot() -> dict[str, float]:
         return dict(sorted(_counters.items()))
 
 
+# repro: allow[reachability] test harness: tests/obs/conftest.py isolates counters per test
 def reset_counters() -> None:
     """Zero every counter (test isolation)."""
     with _counter_lock:

@@ -95,7 +95,3 @@ def fingerprint(obj: Any) -> str:
     )
     return hash_bytes(document.encode("utf-8"))
 
-
-def combine(*parts: str) -> str:
-    """Fold several hex digests into one (order-sensitive)."""
-    return hash_bytes("\x1f".join(parts).encode("utf-8"))

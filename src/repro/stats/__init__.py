@@ -22,20 +22,13 @@ from repro.stats.correlation import log_pearson, pearson
 from repro.stats.metrics import (
     common_part_of_commuters,
     hit_rate,
-    log_mae,
     log_rmse,
-    r_squared,
 )
-from repro.stats.powerlaw import ccdf, fit_power_law_mle
+from repro.stats.powerlaw import fit_power_law_mle
 from repro.stats.rescale import optimal_log_rescale, rescale_to_census
-from repro.stats.tails import compare_power_law_lognormal, fit_lognormal_tail, ks_two_sample
 
 __all__ = [
-    "ccdf",
-    "compare_power_law_lognormal",
-    "fit_lognormal_tail",
     "gini_coefficient",
-    "ks_two_sample",
     "lorenz_curve",
     "top_share",
     "common_part_of_commuters",
@@ -44,11 +37,9 @@ __all__ = [
     "log_bin_edges",
     "log_binned_means",
     "log_binned_pdf",
-    "log_mae",
     "log_pearson",
     "log_rmse",
     "optimal_log_rescale",
     "pearson",
-    "r_squared",
     "rescale_to_census",
 ]

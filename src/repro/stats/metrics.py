@@ -57,16 +57,6 @@ def log_rmse(observed: np.ndarray, estimated: np.ndarray) -> float:
     return float(np.sqrt((residual**2).mean()))
 
 
-def log_mae(observed: np.ndarray, estimated: np.ndarray) -> float:
-    """Mean absolute error in log10 space over positive pairs."""
-    observed, estimated = _check_pair(observed, estimated)
-    keep = (observed > 0) & (estimated > 0)
-    if not keep.any():
-        return float("nan")
-    residual = np.log10(estimated[keep]) - np.log10(observed[keep])
-    return float(np.abs(residual).mean())
-
-
 def max_log_error(observed: np.ndarray, estimated: np.ndarray) -> float:
     """Largest |log10 ratio| — "errors span k decades" in Fig 4 terms."""
     observed, estimated = _check_pair(observed, estimated)
@@ -90,16 +80,6 @@ def common_part_of_commuters(observed: np.ndarray, estimated: np.ndarray) -> flo
     return float(2.0 * np.minimum(observed, estimated).sum() / denominator)
 
 
-def r_squared(observed: np.ndarray, estimated: np.ndarray) -> float:
-    """Coefficient of determination of ``estimated`` against ``observed``."""
-    observed, estimated = _check_pair(observed, estimated)
-    total = ((observed - observed.mean()) ** 2).sum()
-    if total == 0:
-        return 0.0
-    residual = ((observed - estimated) ** 2).sum()
-    return float(1.0 - residual / total)
-
-
 def underestimation_fraction(observed: np.ndarray, estimated: np.ndarray) -> float:
     """Fraction of pairs the model underestimates (est < obs).
 
@@ -111,3 +91,4 @@ def underestimation_fraction(observed: np.ndarray, estimated: np.ndarray) -> flo
     if not valid.any():
         return 0.0
     return float((estimated[valid] < observed[valid]).mean())
+

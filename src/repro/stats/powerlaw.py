@@ -14,22 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def ccdf(sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical complementary CDF ``P(X >= x)`` of a positive sample.
-
-    Returns ``(sorted_unique_values, ccdf_values)``; plotted on log-log
-    axes this is the cleanest view of a heavy tail.
-    """
-    sample = np.asarray(sample, dtype=np.float64)
-    sample = np.sort(sample[sample > 0])
-    if sample.size == 0:
-        return np.empty(0), np.empty(0)
-    values, first_index = np.unique(sample, return_index=True)
-    # P(X >= v) = fraction of points at or after the first occurrence of v.
-    survival = 1.0 - first_index / sample.size
-    return values, survival
-
-
 @dataclass(frozen=True, slots=True)
 class PowerLawFit:
     """Result of an MLE power-law tail fit.
@@ -85,24 +69,3 @@ def _ks_distance(tail: np.ndarray, alpha: float, x_min: float) -> float:
     fitted = 1.0 - (tail / x_min) ** (1.0 - alpha)
     return float(np.abs(empirical - fitted).max())
 
-
-def scan_x_min(
-    sample: np.ndarray, candidates: np.ndarray, discrete: bool = False
-) -> PowerLawFit:
-    """Choose x_min by minimising the KS distance (Clauset's procedure).
-
-    Tries each candidate cutoff, fits the tail above it, and returns the
-    fit with the smallest KS distance.  Candidates that leave fewer than
-    10 tail points are skipped.
-    """
-    best: PowerLawFit | None = None
-    for x_min in np.asarray(candidates, dtype=np.float64):
-        tail_size = int((np.asarray(sample) >= x_min).sum())
-        if tail_size < 10:
-            continue
-        fit = fit_power_law_mle(sample, float(x_min), discrete=discrete)
-        if best is None or fit.ks_distance < best.ks_distance:
-            best = fit
-    if best is None:
-        raise ValueError("no candidate x_min left at least 10 tail points")
-    return best

@@ -28,7 +28,7 @@ from repro.synth.distributions import DiscretePowerLaw, TruncatedPareto
 from repro.synth.diurnal import DiurnalPattern
 from repro.synth.generator import SyntheticCorpusGenerator, generate_corpus
 from repro.synth.population import World, WorldSite, build_world
-from repro.synth.scenarios import evacuation_event, gathering_event, shutdown_filter
+from repro.synth.scenarios import evacuation_event, gathering_event
 
 __all__ = [
     "DiscretePowerLaw",
@@ -42,5 +42,4 @@ __all__ = [
     "evacuation_event",
     "gathering_event",
     "generate_corpus",
-    "shutdown_filter",
 ]

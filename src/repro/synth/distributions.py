@@ -111,15 +111,3 @@ class TruncatedPareto:
         hi_pow = hi ** (1 - a)
         return (lo_pow + u * (hi_pow - lo_pow)) ** (1.0 / (1.0 - a))
 
-
-def lognormal_factors(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
-    """Multiplicative log-normal noise with unit median.
-
-    Used for per-place Twitter-adoption bias and per-pair flow noise.
-    ``sigma == 0`` returns exact ones.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    if sigma == 0:
-        return np.ones(size, dtype=np.float64)
-    return np.exp(rng.normal(0.0, sigma, size))

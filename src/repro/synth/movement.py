@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geo.coords import Coordinate
 from repro.synth.config import SynthConfig
 from repro.synth.population import World, WorldSite
 
@@ -70,17 +69,6 @@ class TripKernel:
         return trips[:, None] * self._probs
 
 
-def scatter_point(
-    site: WorldSite, rng: np.random.Generator, min_scatter_km: float = 0.02
-) -> Coordinate:
-    """Draw one favourite point at a site (see :meth:`Hotspots.scatter`).
-
-    People tweet from the cafe *near* the station, not from its
-    centroid; the floor keeps points off the exact hotspot.
-    """
-    return Coordinate(*site.hotspots.scatter(rng, site.hotspot_jitter_km, min_scatter_km))
-
-
 class FavoritePointStore:
     """Per-(user, site) favourite tweeting points.
 
@@ -112,3 +100,4 @@ class FavoritePointStore:
             favorites.append(pair)
             return pair
         return favorites[rng.integers(len(favorites))]
+

@@ -1,25 +1,20 @@
 """Scenario injection: synthetic events layered onto a corpus stream.
 
 The streaming monitor exists to catch mobility *changes* — evacuations,
-mass gatherings, travel shutdowns.  These builders produce time-ordered
+mass gatherings.  These builders produce time-ordered
 tweet streams for such events, to be merged into a replayed corpus with
 :func:`repro.stream.replay.merge_streams`:
 
 * :func:`evacuation_event` — a wave of users tweets in the origin city,
   then again in the destination hours later;
 * :func:`gathering_event` — users from several cities converge on one
-  place for a bounded period, then return home;
-* :func:`shutdown_event` — *removal* is modelled by filtering the base
-  corpus (a shutdown produces fewer cross-area pairs, not extra tweets),
-  so this builder returns a tweet *filter* instead of a stream.
+  place for a bounded period, then return home.
 
 Synthetic event user ids start high (:data:`EVENT_USER_BASE`) so they
 never collide with corpus users.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -29,6 +24,7 @@ from repro.data.schema import Tweet
 EVENT_USER_BASE = 10_000_000
 
 
+# repro: allow[reachability] Tweet-at-a-time event injection, moves with the stream-stack retirement
 def evacuation_event(
     origin: Area,
     destination: Area,
@@ -75,6 +71,7 @@ def evacuation_event(
     return tweets
 
 
+# repro: allow[reachability] Tweet-at-a-time event injection, moves with the stream-stack retirement
 def gathering_event(
     venue: Area,
     home_areas: list[Area],
@@ -118,28 +115,3 @@ def gathering_event(
     tweets.sort(key=lambda t: t.timestamp)
     return tweets
 
-
-def shutdown_filter(
-    restricted: Area,
-    radius_km: float,
-    start_ts: float,
-    end_ts: float,
-) -> Callable[[Tweet], bool]:
-    """A predicate removing tweets near an area during a shutdown window.
-
-    Apply with ``filter(predicate, stream)``: a travel shutdown or
-    natural disaster silences activity around a place — the *drop*
-    anomaly the monitor should flag.
-    """
-    if start_ts >= end_ts:
-        raise ValueError("empty shutdown window")
-    if radius_km <= 0:
-        raise ValueError("radius must be positive")
-    from repro.geo.distance import haversine_km
-
-    def keep(tweet: Tweet) -> bool:
-        if not (start_ts <= tweet.timestamp < end_ts):
-            return True
-        return haversine_km((tweet.lat, tweet.lon), restricted.center) > radius_km
-
-    return keep

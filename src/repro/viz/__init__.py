@@ -20,15 +20,12 @@ from repro.viz.density import render_density_map
 from repro.viz.histogram import render_loglog_pdf
 from repro.viz.image import save_density_ppm
 from repro.viz.scatter import render_loglog_scatter
-from repro.viz.timeseries import render_epidemic_curves, render_timeseries
 
 __all__ = [
     "Canvas",
     "LogAxis",
     "render_density_map",
-    "render_epidemic_curves",
     "render_loglog_pdf",
     "render_loglog_scatter",
-    "render_timeseries",
     "save_density_ppm",
 ]

@@ -59,21 +59,3 @@ def save_density_ppm(
         handle.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
         handle.write(rgb.tobytes())
 
-
-def load_ppm(path: str | Path) -> np.ndarray:
-    """Read back a binary PPM written by :func:`save_density_ppm`.
-
-    Minimal parser for round-trip testing; not a general PPM reader
-    (no comments, single whitespace separators).
-    """
-    with open(path, "rb") as handle:
-        magic = handle.readline().strip()
-        if magic != b"P6":
-            raise ValueError(f"not a binary PPM: magic {magic!r}")
-        dims = handle.readline().split()
-        width, height = int(dims[0]), int(dims[1])
-        maxval = int(handle.readline())
-        if maxval != 255:
-            raise ValueError(f"unsupported max value {maxval}")
-        data = handle.read(width * height * 3)
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)

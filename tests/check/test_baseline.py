@@ -35,7 +35,7 @@ class TestRoundTrip:
 
         # a second, different violation is new — the ratchet holds
         (root / "src" / "repro" / "data" / "mod.py").write_text(
-            VIOLATING + "def f(xs=[]):\n    return xs\n", encoding="utf-8"
+            VIOLATING + "def _f(xs=[]):\n    return xs\n", encoding="utf-8"
         )
         again = run_check(root=root)
         assert not again.ok

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.check import sanitizer as sanitizer_module
 from repro.check.sanitizer import (
     ENV_FLAG,
     LockOrderViolation,
@@ -130,6 +131,34 @@ class TestVerification:
         problems = sanitizer.verify_against([], static_locks=[src, dst])
         assert problems["contradictions"] == []
         assert len(problems["unmodelled"]) == 1
+
+    def test_unmodelled_edge_fails_the_session(self, sanitizer, monkeypatch):
+        held = threading.Lock()
+        taken = threading.Lock()
+        with held:
+            with taken:
+                pass
+        ((src, dst),) = sanitizer.observed
+        monkeypatch.setattr(
+            sanitizer_module, "static_lock_graph", lambda root: (set(), {src, dst})
+        )
+        lines, failed = sanitizer.verify_tree("src/repro")
+        assert failed
+        assert any(line.startswith("(unmodelled)") and src in line for line in lines)
+
+    def test_modelled_edge_passes_the_session(self, sanitizer, monkeypatch):
+        held = threading.Lock()
+        taken = threading.Lock()
+        with held:
+            with taken:
+                pass
+        ((src, dst),) = sanitizer.observed
+        monkeypatch.setattr(
+            sanitizer_module, "static_lock_graph", lambda root: ({(src, dst)}, {src, dst})
+        )
+        lines, failed = sanitizer.verify_tree("src/repro")
+        assert not failed
+        assert lines == ["lock sanitizer: 1 observed edge(s), 2 lock(s) watched"]
 
     def test_matching_order_is_clean(self, sanitizer):
         held = threading.Lock()

@@ -10,8 +10,9 @@ sanitizer (:mod:`repro.check.sanitizer`) for the whole run: every lock
 the ``repro`` packages create is instrumented, observed acquisition
 orders are checked against the statically derived order graph at
 session end, and the observations land in ``sanitizer-report.json``.
-A contradiction (runtime order opposite to the static order) fails the
-run even if every test passed.
+A contradiction (runtime order opposite to the static order) or an
+unmodelled edge (an observed order between statically known locks that
+the static graph lacks) fails the run even if every test passed.
 """
 
 from __future__ import annotations
@@ -42,21 +43,12 @@ def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
     sanitizer.uninstall()
     root = Path(__file__).resolve().parent.parent
     sanitizer.dump(root / "sanitizer-report.json")
-    from repro.check.sanitizer import static_lock_graph
-
-    edges, locks = static_lock_graph(root / "src" / "repro")
-    problems = sanitizer.verify_against(edges, locks)
+    lines, failed = sanitizer.verify_tree(root / "src" / "repro")
     reporter = session.config.pluginmanager.get_plugin("terminalreporter")
-    lines = [
-        f"lock sanitizer: {len(sanitizer.observed)} observed edge(s), "
-        f"{len(sanitizer.locks_seen)} lock(s) watched"
-    ]
-    lines.extend(problems["contradictions"])
-    lines.extend(f"(unmodelled) {item}" for item in problems["unmodelled"])
     if reporter is not None:
         for line in lines:
             reporter.write_line(line)
-    if problems["contradictions"]:
+    if failed:
         session.exitstatus = 1
 
 

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.world import World
-from repro.data.gazetteer import (
-    Scale,
-    areas_for_scale,
-    distance_matrix_km,
-    search_radius_km,
-)
+from repro.data.gazetteer import Scale, areas_for_scale, search_radius_km
+from repro.geo.distance import pairwise_distance_matrix
 
 
 class TestConstruction:
@@ -63,7 +59,8 @@ class TestDerivedGeometry:
 
     def test_distance_matrix_matches_gazetteer(self, world):
         assert np.array_equal(
-            world.distance_matrix_km, distance_matrix_km(Scale.NATIONAL)
+            world.distance_matrix_km,
+            pairwise_distance_matrix([a.center for a in areas_for_scale(Scale.NATIONAL)]),
         )
 
     def test_distance_matrix_is_cached(self, world):

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.anonymize import (
-    coarsen_coordinates,
-    jitter_coordinates,
-    pseudonymize_users,
-)
+from repro.data.anonymize import coarsen_coordinates, pseudonymize_users
 from repro.extraction.privacy import k_anonymity_report
 from repro.data.gazetteer import Scale, areas_for_scale, search_radius_km
 from repro.geo.distance import points_to_point_km
@@ -83,28 +79,6 @@ class TestCoarsen:
             coarsen_coordinates(small_corpus, 0.0)
 
 
-class TestJitter:
-    def test_displacement_bounded(self, small_corpus):
-        jittered = jitter_coordinates(small_corpus, 0.5, np.random.default_rng(0))
-        # Compare point-by-point displacement.
-        for i in range(0, len(small_corpus), 997):
-            d = points_to_point_km(
-                np.array([jittered.lats[i]]),
-                np.array([jittered.lons[i]]),
-                (small_corpus.lats[i], small_corpus.lons[i]),
-            )[0]
-            assert d <= 0.5 * 1.01
-
-    def test_deterministic_given_rng(self, small_corpus):
-        a = jitter_coordinates(small_corpus, 0.5, np.random.default_rng(1))
-        b = jitter_coordinates(small_corpus, 0.5, np.random.default_rng(1))
-        assert np.array_equal(a.lats, b.lats)
-
-    def test_invalid_radius(self, small_corpus):
-        with pytest.raises(ValueError):
-            jitter_coordinates(small_corpus, 0.0, np.random.default_rng(0))
-
-
 class TestKAnonymity:
     def test_report_fields(self, medium_corpus):
         areas = areas_for_scale(Scale.NATIONAL)
@@ -127,3 +101,4 @@ class TestKAnonymity:
     def test_invalid_k(self, small_corpus):
         with pytest.raises(ValueError):
             k_anonymity_report(small_corpus, areas_for_scale(Scale.NATIONAL), 50.0, k=0)
+

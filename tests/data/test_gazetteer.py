@@ -9,16 +9,22 @@ from repro.data.gazetteer import (
     Scale,
     all_areas,
     areas_for_scale,
-    centers,
-    distance_matrix_km,
-    mean_pairwise_distance_km,
     national_cities,
     nsw_cities,
-    populations,
     search_radius_km,
     sydney_suburbs,
 )
 from repro.geo.bbox import AUSTRALIA_BBOX
+from repro.geo.distance import pairwise_distance_matrix
+
+
+def distance_matrix_km(scale: Scale) -> np.ndarray:
+    return pairwise_distance_matrix([area.center for area in areas_for_scale(scale)])
+
+
+def mean_pairwise_distance_km(scale: Scale) -> float:
+    matrix = distance_matrix_km(scale)
+    return float(matrix[np.triu_indices(len(matrix), k=1)].mean())
 
 
 class TestAreaSets:
@@ -86,11 +92,6 @@ class TestDistances:
             assert matrix.shape == (20, 20)
             assert np.allclose(matrix, matrix.T)
             assert np.all(np.diag(matrix) == 0)
-
-    def test_helper_arrays_align(self):
-        for scale in Scale:
-            assert populations(scale).shape == (20,)
-            assert len(centers(scale)) == 20
 
     def test_metropolitan_areas_are_close_together(self):
         matrix = distance_matrix_km(Scale.METROPOLITAN)

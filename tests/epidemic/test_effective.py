@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.epidemic.effective import (
-    effective_distance_matrix,
-    global_travel_scaling,
-    predicted_arrival_order,
-    restrict_travel,
-    transition_probabilities,
-)
+from repro.epidemic.effective import global_travel_scaling, restrict_travel
 from repro.epidemic.network import MobilityNetwork
 
 
@@ -26,79 +20,6 @@ def _chain_network():
             ]
         ),
     )
-
-
-class TestTransitionProbabilities:
-    def test_rows_sum_to_one(self):
-        probs = transition_probabilities(_chain_network())
-        assert np.allclose(probs.sum(axis=1), 1.0)
-
-    def test_isolated_row_stays_zero(self):
-        net = MobilityNetwork(
-            names=("A", "B"),
-            populations=np.array([1.0, 1.0]),
-            rates=np.array([[0.0, 0.0], [0.1, 0.0]]),
-        )
-        probs = transition_probabilities(net)
-        assert probs[0].sum() == 0.0
-        assert probs[1].sum() == pytest.approx(1.0)
-
-
-class TestEffectiveDistance:
-    def test_diagonal_zero_and_edges_at_least_one(self):
-        matrix = effective_distance_matrix(_chain_network())
-        assert np.all(np.diag(matrix) == 0)
-        off = matrix[~np.eye(3, dtype=bool)]
-        assert np.all(off[np.isfinite(off)] >= 1.0)
-
-    def test_high_probability_edge_is_shorter(self):
-        matrix = effective_distance_matrix(_chain_network())
-        # A -> B carries ~all of A's outflow, A -> C almost none.
-        assert matrix[0, 1] < matrix[0, 2]
-
-    def test_multi_hop_can_beat_direct(self):
-        # A -> C direct is tiny; A -> B -> C should be the shortest path.
-        net = _chain_network()
-        matrix = effective_distance_matrix(net)
-        probs = transition_probabilities(net)
-        direct = 1.0 - np.log(probs[0, 2])
-        assert matrix[0, 2] < direct
-
-    def test_unreachable_is_infinite(self):
-        net = MobilityNetwork(
-            names=("A", "B"),
-            populations=np.array([1.0, 1.0]),
-            rates=np.array([[0.0, 0.0], [0.1, 0.0]]),
-        )
-        matrix = effective_distance_matrix(net)
-        assert np.isinf(matrix[0, 1])
-        assert np.isfinite(matrix[1, 0])
-
-    def test_arrival_order_starts_at_seed(self):
-        order = predicted_arrival_order(_chain_network(), "A")
-        assert order[0] == 0
-        assert order[1] == 1  # B before C
-
-    def test_effective_distance_predicts_seir_arrival_order(self, medium_context):
-        """Brockmann-Helbing: SEIR arrival times follow effective distance."""
-        from repro.data.gazetteer import Scale, areas_for_scale
-        from repro.epidemic import network_from_model, simulate_seir
-        from repro.epidemic.seir import SEIRParams
-        from repro.models import GravityModel
-        from repro.stats import pearson
-
-        pairs = medium_context.flows(Scale.NATIONAL).pairs()
-        fitted = GravityModel(2).fit(pairs)
-        network = network_from_model(fitted, areas_for_scale(Scale.NATIONAL))
-        result = simulate_seir(
-            network, SEIRParams(beta=0.5, gamma=0.2), {"Sydney": 10.0}, t_max_days=365
-        )
-        arrivals = result.arrival_times(threshold=10.0)
-        seed = network.names.index("Sydney")
-        distances = effective_distance_matrix(network)[seed]
-        finite = np.isfinite(arrivals) & np.isfinite(distances)
-        correlation = pearson(distances[finite], arrivals[finite])
-        assert correlation.r > 0.7
 
 
 class TestInterventions:
@@ -145,3 +66,4 @@ class TestInterventions:
         assert np.allclose(doubled.rates, net.rates * 2)
         with pytest.raises(ValueError):
             global_travel_scaling(net, -1.0)
+

@@ -5,11 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.epidemic.inference import (
-    estimate_growth_rate,
-    fit_sir_curve,
-    r0_from_growth_rate,
-)
+from repro.epidemic.inference import fit_sir_curve
 from repro.epidemic.network import MobilityNetwork
 from repro.epidemic.seir import SEIRParams, simulate_seir
 
@@ -25,33 +21,6 @@ def _single_patch_outbreak(beta, gamma, population=1e6, i0=10.0, t_max=160.0):
         t_max_days=t_max,
         dt_days=0.25,
     )
-
-
-class TestGrowthRate:
-    def test_recovers_sir_growth_rate(self):
-        beta, gamma = 0.5, 0.2
-        result = _single_patch_outbreak(beta, gamma)
-        rate = estimate_growth_rate(result.times, result.i[:, 0])
-        assert rate == pytest.approx(beta - gamma, rel=0.1)
-
-    def test_r0_relation(self):
-        beta, gamma = 0.6, 0.2
-        result = _single_patch_outbreak(beta, gamma)
-        rate = estimate_growth_rate(result.times, result.i[:, 0])
-        assert r0_from_growth_rate(rate, gamma) == pytest.approx(beta / gamma, rel=0.1)
-
-    def test_no_epidemic_raises(self):
-        result = _single_patch_outbreak(0.1, 0.2, i0=3.0)
-        with pytest.raises(ValueError):
-            estimate_growth_rate(result.times, result.i[:, 0], min_cases=100.0)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            estimate_growth_rate(np.arange(5.0), np.arange(4.0))
-
-    def test_invalid_gamma_raises(self):
-        with pytest.raises(ValueError):
-            r0_from_growth_rate(0.3, 0.0)
 
 
 class TestFitSirCurve:
@@ -97,3 +66,4 @@ class TestScalarIntegratorConsistency:
         resampled = np.interp(reference.times, times, infected)
         peak = reference.i[:, 0].max()
         assert np.allclose(resampled, reference.i[:, 0], atol=peak * 0.01)
+

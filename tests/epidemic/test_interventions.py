@@ -8,7 +8,6 @@ from repro.epidemic.interventions import (
     allocate_by_population,
     allocate_seed_ring,
     evaluate_vaccination,
-    render_outcomes,
 )
 from repro.epidemic.network import MobilityNetwork
 from repro.epidemic.seir import SEIRParams
@@ -106,15 +105,6 @@ class TestEvaluateVaccination:
         with pytest.raises(ValueError):
             evaluate_vaccination(net, params, 0, {"bad": np.zeros(3)})
 
-    def test_render(self):
-        net = _network()
-        outcomes = evaluate_vaccination(
-            net, SEIRParams(beta=0.5, gamma=0.2), "A", {"none": np.zeros(4)}
-        )
-        text = render_outcomes(outcomes)
-        assert "strategy" in text
-        assert "none" in text
-
     def test_on_fitted_network(self, medium_context):
         """Full-stack: centrality allocation on the Twitter-fitted
         national network beats doing nothing."""
@@ -140,3 +130,4 @@ class TestEvaluateVaccination:
         assert (
             by_name["centrality"].total_infected < by_name["none"].total_infected
         )
+

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.gazetteer import Scale, areas_for_scale
-from repro.epidemic.network import (
-    MobilityNetwork,
-    network_from_flows,
-    network_from_model,
-)
+from repro.epidemic.network import MobilityNetwork, network_from_model
 
 
 def _toy_network(rates=None):
@@ -67,14 +63,6 @@ class TestNetworkx:
 
 
 class TestCalibration:
-    def test_from_flows_mean_rate(self, medium_context):
-        flows = medium_context.flows(Scale.NATIONAL)
-        net = network_from_flows(flows, trips_per_person_per_day=0.05)
-        # Population-weighted mean outgoing rate equals the calibration.
-        total_trips_per_day = (net.rates.sum(axis=1) * net.populations).sum()
-        mean_rate = total_trips_per_day / net.populations.sum()
-        assert mean_rate == pytest.approx(0.05)
-
     def test_from_model_structure(self, medium_context):
         from repro.models import GravityModel
 
@@ -85,15 +73,3 @@ class TestCalibration:
         assert net.strongly_connected()
         assert np.all(np.diag(net.rates) == 0)
 
-    def test_empty_flows_raise(self):
-        from repro.data.gazetteer import Area
-        from repro.extraction.mobility import ODFlows
-        from repro.geo.coords import Coordinate
-
-        areas = tuple(
-            Area(name=f"X{i}", center=Coordinate(lat=-30 - i, lon=150), population=10, scale=Scale.NATIONAL)
-            for i in range(2)
-        )
-        flows = ODFlows(areas=areas, matrix=np.zeros((2, 2), dtype=np.int64))
-        with pytest.raises(ValueError):
-            network_from_flows(flows)

@@ -65,51 +65,3 @@ class TestWaitingTimes:
         assert dist.raw.size == 0
         assert dist.decades_spanned == 0.0
 
-
-class TestBurstiness:
-    def test_poisson_process_near_zero(self):
-        from repro.extraction.dynamics import burstiness_coefficient
-
-        rng = np.random.default_rng(0)
-        waits = rng.exponential(100.0, 100_000)
-        assert abs(burstiness_coefficient(waits)) < 0.02
-
-    def test_regular_signal_is_minus_one(self):
-        from repro.extraction.dynamics import burstiness_coefficient
-
-        assert burstiness_coefficient(np.full(1000, 60.0)) == pytest.approx(-1.0)
-
-    def test_heavy_tail_is_positive(self, small_corpus):
-        from repro.extraction.dynamics import burstiness_coefficient
-
-        b = burstiness_coefficient(small_corpus.waiting_times_seconds())
-        assert b > 0.4  # strongly bursty, as in Fig 2(b)
-
-    def test_degenerate_inputs(self):
-        from repro.extraction.dynamics import burstiness_coefficient
-
-        assert burstiness_coefficient(np.array([])) == 0.0
-        assert burstiness_coefficient(np.array([5.0])) == 0.0
-
-
-class TestMemoryCoefficient:
-    def test_iid_waits_have_no_memory(self, small_corpus):
-        from repro.extraction.dynamics import memory_coefficient
-
-        # The generator draws waits i.i.d., so M should be ~0 — an honest
-        # deviation from real Twitter data (sessions create M > 0).
-        assert abs(memory_coefficient(small_corpus)) < 0.1
-
-    def test_alternating_waits_negative_memory(self):
-        from repro.extraction.dynamics import memory_coefficient
-
-        # One user alternating short/long waits.
-        ts = np.cumsum(np.tile([10.0, 1000.0], 50))
-        corpus = _corpus(np.zeros(100, dtype=np.int64), ts)
-        assert memory_coefficient(corpus) < -0.9
-
-    def test_short_corpus_is_zero(self):
-        from repro.extraction.dynamics import memory_coefficient
-
-        corpus = _corpus([1, 1], [0.0, 10.0])
-        assert memory_coefficient(corpus) == 0.0

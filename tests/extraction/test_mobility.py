@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Area, Scale
-from repro.extraction.mobility import ODFlows, extract_od_flows, symmetrize
+from repro.extraction.mobility import ODFlows, extract_od_flows
 from repro.geo.coords import Coordinate
 
 
@@ -124,9 +124,3 @@ class TestODFlows:
         assert pairs.n[0] == 3000.0
         assert pairs.d_km[0] == pytest.approx(flows.distance_matrix_km()[0, 2])
 
-    def test_symmetrize(self):
-        areas = _areas(2)
-        matrix = np.array([[0, 3], [1, 0]], dtype=np.int64)
-        sym = symmetrize(ODFlows(areas=areas, matrix=matrix))
-        assert sym.matrix[0, 1] == 4
-        assert sym.matrix[1, 0] == 4

@@ -5,11 +5,7 @@ import pytest
 
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Area, Scale, areas_for_scale
-from repro.extraction.polygons import (
-    assign_tweets_to_polygons,
-    extract_polygon_observations,
-    hexagon_areas,
-)
+from repro.extraction.polygons import extract_polygon_observations, hexagon_areas
 from repro.geo.coords import Coordinate
 from repro.geo.distance import destination_point
 
@@ -74,31 +70,3 @@ class TestPolygonObservations:
         census = np.array([o.census_population for o in observations], dtype=np.float64)
         assert log_pearson(users, census).r > 0.4
 
-
-class TestPolygonLabels:
-    def test_labels_and_overlap_resolution(self):
-        area_b = Area(
-            name="Y",
-            center=destination_point(AREA.center, 90.0, 3.0),
-            population=500,
-            scale=Scale.NATIONAL,
-        )
-        hexes = hexagon_areas([AREA, area_b], 2.5)
-        point_near_a = destination_point(AREA.center, 90.0, 1.0)
-        corpus = _corpus([(1, point_near_a.lat, point_near_a.lon)])
-        labels = assign_tweets_to_polygons(corpus, hexes)
-        assert labels.tolist() == [0]
-
-    def test_unlabelled_outside(self):
-        corpus = _corpus([(1, -20.0, 130.0)])
-        labels = assign_tweets_to_polygons(corpus, hexagon_areas([AREA], 2.0))
-        assert labels.tolist() == [-1]
-
-    def test_od_flows_from_polygon_labels(self, small_corpus):
-        from repro.extraction import extract_od_flows
-
-        areas = areas_for_scale(Scale.NATIONAL)
-        hexes = hexagon_areas(areas, 50.0)
-        labels = assign_tweets_to_polygons(small_corpus, hexes)
-        flows = extract_od_flows(small_corpus, labels, areas)
-        assert flows.total_trips > 0

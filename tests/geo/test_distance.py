@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 from repro.geo.coords import Coordinate
 from repro.geo.distance import (
     EARTH_RADIUS_KM,
-    bearing_deg,
-    consecutive_distances_km,
     destination_point,
-    equirectangular_km,
     haversine_km,
     pairwise_distance_matrix,
     points_to_point_km,
@@ -70,28 +67,7 @@ class TestHaversine:
         assert haversine_km(a, a) == pytest.approx(0.0, abs=1e-9)
 
 
-class TestEquirectangular:
-    def test_agrees_with_haversine_for_close_points(self):
-        a = (-33.8688, 151.2093)
-        b = (-33.9145, 151.2420)  # Randwick, ~6 km away
-        assert equirectangular_km(a, b) == pytest.approx(haversine_km(a, b), rel=0.01)
-
-    @given(coords, st.floats(min_value=0.1, max_value=50.0), st.floats(min_value=0, max_value=360))
-    @settings(max_examples=40)
-    def test_within_one_percent_below_50km(self, start, distance, bearing):
-        end = destination_point(start, bearing, distance)
-        exact = haversine_km(start, end)
-        approx = equirectangular_km(start, end)
-        assert approx == pytest.approx(exact, rel=0.01, abs=1e-6)
-
-
 class TestBearingAndDestination:
-    def test_due_north(self):
-        assert bearing_deg((0.0, 0.0), (1.0, 0.0)) == pytest.approx(0.0, abs=1e-9)
-
-    def test_due_east(self):
-        assert bearing_deg((0.0, 0.0), (0.0, 1.0)) == pytest.approx(90.0, abs=1e-9)
-
     def test_destination_roundtrip_distance(self):
         end = destination_point(SYDNEY, 45.0, 100.0)
         assert haversine_km(SYDNEY, end) == pytest.approx(100.0, rel=1e-6)
@@ -116,17 +92,6 @@ class TestVectorised:
         with pytest.raises(ValueError):
             points_to_point_km(np.zeros(3), np.zeros(4), SYDNEY)
 
-    def test_consecutive_distances(self):
-        lats = np.array([SYDNEY.lat, MELBOURNE.lat, PERTH.lat])
-        lons = np.array([SYDNEY.lon, MELBOURNE.lon, PERTH.lon])
-        hops = consecutive_distances_km(lats, lons)
-        assert hops.shape == (2,)
-        assert hops[0] == pytest.approx(haversine_km(SYDNEY, MELBOURNE), rel=1e-12)
-        assert hops[1] == pytest.approx(haversine_km(MELBOURNE, PERTH), rel=1e-12)
-
-    def test_consecutive_distances_short_input(self):
-        assert consecutive_distances_km(np.array([1.0]), np.array([2.0])).size == 0
-
     def test_pairwise_matrix_properties(self):
         points = [SYDNEY, MELBOURNE, PERTH]
         matrix = pairwise_distance_matrix(points)
@@ -137,3 +102,4 @@ class TestVectorised:
 
     def test_pairwise_matrix_empty(self):
         assert pairwise_distance_matrix([]).shape == (0, 0)
+

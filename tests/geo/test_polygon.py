@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.geo.coords import Coordinate
 from repro.geo.distance import destination_point, haversine_km
-from repro.geo.polygon import Polygon, convex_hull, regular_polygon
+from repro.geo.polygon import Polygon, regular_polygon
 
 SYDNEY = Coordinate(lat=-33.8688, lon=151.2093)
 
@@ -197,32 +197,3 @@ class TestRegularPolygon:
         with pytest.raises(ValueError):
             regular_polygon(SYDNEY, 5.0, n_vertices=2)
 
-
-class TestConvexHull:
-    def test_hull_of_square_corners_plus_interior(self):
-        points = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.5, 0.5)]
-        hull = convex_hull(points)
-        assert len(hull) == 4
-        assert hull.contains(0.5, 0.5)
-
-    def test_hull_contains_all_points(self):
-        rng = np.random.default_rng(1)
-        points = [
-            (SYDNEY.lat + dlat, SYDNEY.lon + dlon)
-            for dlat, dlon in rng.uniform(-0.5, 0.5, (40, 2))
-        ]
-        hull = convex_hull(points)
-        # Interior points (shrunk towards the mean) must be contained.
-        mean_lat = np.mean([p[0] for p in points])
-        mean_lon = np.mean([p[1] for p in points])
-        for lat, lon in points:
-            shrunk = (mean_lat + 0.99 * (lat - mean_lat), mean_lon + 0.99 * (lon - mean_lon))
-            assert hull.contains(*shrunk)
-
-    def test_collinear_points_raise(self):
-        with pytest.raises(ValueError):
-            convex_hull([(0.0, 0.0), (0.0, 1.0), (0.0, 2.0)])
-
-    def test_too_few_points_raise(self):
-        with pytest.raises(ValueError):
-            convex_hull([(0.0, 0.0), (1.0, 1.0)])

@@ -140,12 +140,14 @@ class TestRadiationModel:
         """Australia's geography: from Sydney, s jumps quickly to nearly
         the whole population (the coastline concentration the paper blames
         for Radiation's underperformance)."""
-        from repro.data.gazetteer import Scale, distance_matrix_km, populations as pops
+        from repro.core.world import World
+        from repro.data.gazetteer import Scale
 
-        populations = pops(Scale.NATIONAL)
-        s = intervening_population_matrix(populations, distance_matrix_km(Scale.NATIONAL))
+        world = World.from_scale(Scale.NATIONAL)
+        populations = world.populations
+        s = intervening_population_matrix(populations, world.distance_matrix_km)
         sydney = 0  # gazetteer order: Sydney first
-        far = np.argsort(distance_matrix_km(Scale.NATIONAL)[sydney])[-1]
+        far = np.argsort(world.distance_matrix_km[sydney])[-1]
         total = populations.sum()
         # The circle reaching the farthest city contains everyone else.
         expected = total - populations[sydney] - populations[far]

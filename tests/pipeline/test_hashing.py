@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.pipeline.hashing import canonicalize, combine, fingerprint, hash_file
+from repro.pipeline.hashing import canonicalize, fingerprint, hash_file
 from repro.synth import SynthConfig
 
 
@@ -80,9 +80,6 @@ class TestCanonicalize:
 
 
 class TestCombineAndFiles:
-    def test_combine_order_sensitive(self):
-        assert combine("ab", "cd") != combine("cd", "ab")
-
     def test_hash_file_tracks_content(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("hello")
@@ -90,3 +87,4 @@ class TestCombineAndFiles:
         assert first == hash_file(path)
         path.write_text("hello!")
         assert hash_file(path) != first
+

@@ -5,32 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.powerlaw import ccdf, fit_power_law_mle, scan_x_min
+from repro.stats.powerlaw import fit_power_law_mle
 from repro.synth.distributions import TruncatedPareto
-
-
-class TestCcdf:
-    def test_starts_at_one(self):
-        values, survival = ccdf(np.array([1.0, 2.0, 3.0]))
-        assert survival[0] == pytest.approx(1.0)
-
-    def test_monotone_decreasing(self):
-        rng = np.random.default_rng(0)
-        values, survival = ccdf(rng.pareto(2, 1000) + 1)
-        assert np.all(np.diff(survival) <= 0)
-
-    def test_handles_duplicates(self):
-        values, survival = ccdf(np.array([1.0, 1.0, 2.0, 2.0]))
-        assert values.tolist() == [1.0, 2.0]
-        assert survival.tolist() == [1.0, 0.5]
-
-    def test_nonpositive_dropped(self):
-        values, _ = ccdf(np.array([-1.0, 0.0, 5.0]))
-        assert values.tolist() == [5.0]
-
-    def test_empty(self):
-        values, survival = ccdf(np.array([]))
-        assert values.size == 0
 
 
 class TestMleFit:
@@ -84,15 +60,3 @@ class TestMleFit:
         fit = fit_power_law_mle(sample, x_min=5.0)
         assert fit.n_tail == 3
 
-
-class TestScanXMin:
-    def test_scan_picks_reasonable_cutoff(self):
-        rng = np.random.default_rng(5)
-        sample = rng.pareto(1.5, 20_000) + 1
-        fit = scan_x_min(sample, candidates=np.array([1.0, 2.0, 5.0, 10.0]))
-        assert 1.0 <= fit.x_min <= 10.0
-        assert fit.alpha == pytest.approx(2.5, rel=0.1)
-
-    def test_no_viable_candidates_raises(self):
-        with pytest.raises(ValueError):
-            scan_x_min(np.array([1.0, 2.0]), candidates=np.array([100.0]))

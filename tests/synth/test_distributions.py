@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.synth.distributions import DiscretePowerLaw, TruncatedPareto, lognormal_factors
+from repro.synth.distributions import DiscretePowerLaw, TruncatedPareto
 
 
 class TestDiscretePowerLaw:
@@ -124,20 +124,3 @@ class TestTruncatedPareto:
         samples = t.sample(np.random.default_rng(seed), 500)
         assert np.all((samples >= 5.0) & (samples <= 500.0))
 
-
-class TestLognormalFactors:
-    def test_zero_sigma_gives_ones(self):
-        factors = lognormal_factors(np.random.default_rng(0), 0.0, 10)
-        assert np.all(factors == 1.0)
-
-    def test_positive(self):
-        factors = lognormal_factors(np.random.default_rng(0), 0.5, 1000)
-        assert np.all(factors > 0)
-
-    def test_unit_median(self):
-        factors = lognormal_factors(np.random.default_rng(1), 0.8, 100_000)
-        assert np.median(factors) == pytest.approx(1.0, abs=0.02)
-
-    def test_negative_sigma_raises(self):
-        with pytest.raises(ValueError):
-            lognormal_factors(np.random.default_rng(0), -0.1, 5)

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.geo.distance import haversine_km
 from repro.synth.config import SynthConfig
-from repro.synth.movement import FavoritePointStore, TripKernel, scatter_point
+from repro.synth.movement import FavoritePointStore, TripKernel
 from repro.synth.population import build_world
 
 
@@ -67,23 +66,6 @@ class TestTripKernel:
             kernel.expected_flow_matrix(np.ones(3))
 
 
-class TestScatterPoint:
-    def test_points_near_site(self, world):
-        rng = np.random.default_rng(3)
-        site = world.sites[0]
-        for _ in range(50):
-            point = scatter_point(site, rng)
-            d = haversine_km(point, site.activity_center)
-            # Hotspots sit within a few scatter lengths; jitter adds a bit.
-            assert d < 12 * site.scatter_km + 1.0
-
-    def test_points_not_all_identical(self, world):
-        rng = np.random.default_rng(4)
-        site = world.sites[0]
-        points = {scatter_point(site, rng).as_tuple() for _ in range(20)}
-        assert len(points) > 1
-
-
 class TestFavoritePointStore:
     def test_first_tweet_creates_favorite(self, world):
         store = FavoritePointStore(SynthConfig(n_users=10))
@@ -122,3 +104,4 @@ class TestFavoritePointStore:
         a = store.point_for_tweet(0, world.sites[0], rng)
         b = store.point_for_tweet(1, world.sites[1], rng)
         assert a != b
+

@@ -8,7 +8,6 @@ from repro.synth.scenarios import (
     EVENT_USER_BASE,
     evacuation_event,
     gathering_event,
-    shutdown_filter,
 )
 
 AREAS = areas_for_scale(Scale.NATIONAL)
@@ -83,31 +82,6 @@ class TestGatheringEvent:
             )
 
 
-class TestShutdownFilter:
-    def test_silences_area_during_window(self):
-        from repro.data.schema import Tweet
-
-        keep = shutdown_filter(SYDNEY, 50.0, start_ts=100.0, end_ts=200.0)
-        inside_during = Tweet(
-            user_id=1, timestamp=150.0, lat=SYDNEY.center.lat, lon=SYDNEY.center.lon
-        )
-        inside_before = Tweet(
-            user_id=1, timestamp=50.0, lat=SYDNEY.center.lat, lon=SYDNEY.center.lon
-        )
-        far_during = Tweet(
-            user_id=1, timestamp=150.0, lat=MELBOURNE.center.lat, lon=MELBOURNE.center.lon
-        )
-        assert not keep(inside_during)
-        assert keep(inside_before)
-        assert keep(far_during)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            shutdown_filter(SYDNEY, 50.0, start_ts=10.0, end_ts=10.0)
-        with pytest.raises(ValueError):
-            shutdown_filter(SYDNEY, 0.0, start_ts=0.0, end_ts=1.0)
-
-
 class TestMonitorIntegration:
     def test_monitor_flags_injected_evacuation(self, small_corpus):
         """End to end: replay + merge + monitor catches the event."""
@@ -135,3 +109,4 @@ class TestMonitorIntegration:
             a.source == "Sydney" and a.dest == "Melbourne" and a.ratio > 1
             for a in raised
         )
+

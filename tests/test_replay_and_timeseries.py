@@ -1,11 +1,9 @@
-"""Tests for repro.stream.replay and repro.viz.timeseries."""
+"""Tests for repro.stream.replay."""
 
-import numpy as np
 import pytest
 
 from repro.data.schema import Tweet
 from repro.stream.replay import corpus_stream, merge_streams, stream_in_windows
-from repro.viz.timeseries import render_timeseries
 
 
 def _tweet(user, ts):
@@ -60,52 +58,3 @@ class TestStreamInWindows:
     def test_empty_stream(self):
         assert list(stream_in_windows([], 10.0)) == []
 
-
-class TestRenderTimeseries:
-    def test_basic_chart(self):
-        times = np.linspace(0, 10, 50)
-        text = render_timeseries(
-            times, [np.sin(times), np.cos(times)], ["sin", "cos"], title="waves"
-        )
-        assert "waves" in text
-        assert "*=sin" in text
-        assert "o=cos" in text
-
-    def test_epidemic_curves(self):
-        import math
-
-        from repro.epidemic.network import MobilityNetwork
-        from repro.epidemic.seir import SEIRParams, simulate_seir
-        from repro.viz.timeseries import render_epidemic_curves
-
-        network = MobilityNetwork(
-            names=("A", "B"),
-            populations=np.array([1e5, 1e5]),
-            rates=np.array([[0.0, 1e-3], [1e-3, 0.0]]),
-        )
-        result = simulate_seir(
-            network, SEIRParams(beta=0.6, sigma=math.inf, gamma=0.2), {"A": 10.0},
-            t_max_days=120,
-        )
-        text = render_epidemic_curves(result, ["A", "B"])
-        assert "*=A" in text
-        assert "o=B" in text
-
-    def test_validation(self):
-        times = np.arange(5.0)
-        with pytest.raises(ValueError):
-            render_timeseries(times, [], [])
-        with pytest.raises(ValueError):
-            render_timeseries(times, [times], ["a", "b"])
-        with pytest.raises(ValueError):
-            render_timeseries(times, [np.arange(4.0)], ["a"])
-
-    def test_all_nan_series(self):
-        times = np.arange(5.0)
-        text = render_timeseries(times, [np.full(5, np.nan)], ["x"], title="t")
-        assert "nothing to plot" in text
-
-    def test_constant_series(self):
-        times = np.arange(5.0)
-        text = render_timeseries(times, [np.full(5, 3.0)], ["flat"])
-        assert "*" in text
