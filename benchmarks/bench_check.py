@@ -1,11 +1,11 @@
 """P2 — static-analysis benchmark: full-repo ``repro check`` timings.
 
 Times the ratchet gate end to end over the real repository — parse,
-each registered rule in isolation (the interprocedural concurrency and
-fork-safety rules rebuild the call graph per run, which is the cost
-worth watching; the reachability rule runs with the parsed
-``benchmarks/``, ``perfbench/`` and ``examples/`` roots, as
-:func:`repro.check.runner.run_check` hands them to it), and the full
+the shared program model (one :meth:`LockModel.build`, which carries
+the call graph), each registered rule in isolation against that
+prebuilt model as :func:`repro.check.runner.run_check` hands it over
+(the reachability rule also gets the parsed ``benchmarks/``,
+``perfbench/`` and ``examples/`` roots), and the full
 :func:`repro.check.runner.run_check` pipeline::
 
     python benchmarks/bench_check.py --out bench-check.json
@@ -21,6 +21,7 @@ import json
 import _ratchet
 from _ratchet import best_of
 
+from repro.check.lockmodel import LockModel
 from repro.check.rules import RULE_FACTORIES
 from repro.check.runner import make_rule, root_sources, run_check
 from repro.check.walker import iter_source_files
@@ -32,7 +33,7 @@ GATED = {"full_check.seconds": "lower"}
 
 
 def run_benchmark(root: str) -> dict:
-    """Time parse, every rule, and the full pipeline over ``root``."""
+    """Time parse, the model, every rule, and the full pipeline over ``root``."""
     root_path = _ratchet.REPO_ROOT / root
     package_root = root_path / "src" / "repro"
 
@@ -41,8 +42,9 @@ def run_benchmark(root: str) -> dict:
 
     sources = list(iter_source_files(package_root))
     roots = root_sources(root_path)
+    model_seconds, model = best_of(lambda: LockModel.build(sources))
     rules = [
-        {"rule": name, **timing(lambda: make_rule(name, roots).run(sources))}
+        {"rule": name, **timing(lambda: make_rule(name, roots, model).run(sources))}
         for name in sorted(RULE_FACTORIES)
     ]
     full_seconds, result = best_of(lambda: run_check(root=root_path))
@@ -54,6 +56,7 @@ def run_benchmark(root: str) -> dict:
             "new_violations": len(result.new),
         },
         "parse": timing(lambda: list(iter_source_files(package_root))),
+        "model": {"seconds": round(model_seconds, 4)},
         "rules": rules,
         "full_check": {"seconds": round(full_seconds, 4)},
     }

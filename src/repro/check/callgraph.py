@@ -1,12 +1,12 @@
 """Project-wide call graph over the parsed source tree (stdlib ``ast``).
 
-:class:`CallGraph` is the interprocedural substrate for the concurrency
-and fork-safety rules: it indexes every module-level function and every
-method of a top-level class under ``src/repro``, then resolves call
-sites to those definitions **conservatively** — a call that cannot be
-resolved to a known definition simply produces no edge, so analyses
-built on the graph over-approximate reachability only through edges
-that are certainly real.
+:class:`CallGraph` is the interprocedural substrate for the concurrency,
+fork-safety and reachability rules: it indexes every module-level
+function and every method of a top-level class under ``src/repro``,
+then resolves call sites to those definitions **conservatively** — a
+call that cannot be resolved to a known definition simply produces no
+edge, so analyses built on the graph over-approximate reachability only
+through edges that are certainly real.
 
 Resolution covers the three shapes that matter in this codebase:
 
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
-from repro.check.rules import dotted_path, resolve_imports
+from repro.check.rules import dotted_path
 from repro.check.walker import SourceFile
 
 #: Maximum re-export hops chased while resolving a dotted call target.
@@ -62,54 +62,33 @@ class CallSite:
 class CallGraph:
     """Known definitions plus the resolved call edges between them."""
 
-    def __init__(
-        self,
-        functions: Mapping[str, FunctionInfo],
-        classes: Mapping[str, tuple[str, ...]],
-        imports_by_module: Mapping[str, Mapping[str, str]],
-        sites: tuple[CallSite, ...],
-    ) -> None:
-        self.functions = dict(functions)
-        self.classes = dict(classes)  # class qualname -> method names
-        self._imports_by_module = {m: dict(v) for m, v in imports_by_module.items()}
-        self.sites = sites
-        self._out: dict[str, list[CallSite]] = {}
-        self._in: dict[str, list[CallSite]] = {}
-        for site in sites:
-            self._out.setdefault(site.caller, []).append(site)
-            self._in.setdefault(site.callee, []).append(site)
-
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def index(cls, sources: Iterable[SourceFile]) -> "CallGraph":
-        """Index definitions and imports only; no call sites resolved."""
-        functions: dict[str, FunctionInfo] = {}
-        classes: dict[str, tuple[str, ...]] = {}
-        imports_by_module: dict[str, dict[str, str]] = {}
-        for source in sources:
-            imports_by_module[source.module] = resolve_imports(source.tree)
+    def __init__(self, sources: Iterable[SourceFile]) -> None:
+        """Index definitions only; :meth:`build` also resolves the edges."""
+        self.modules = {source.module: source for source in sources}
+        self.functions: dict[str, FunctionInfo] = {}
+        self.classes: dict[str, tuple[str, ...]] = {}  # class qualname -> method names
+        for source in self.modules.values():
             for qualname, info in _definitions(source):
-                functions[qualname] = info
+                self.functions[qualname] = info
             for node in source.tree.body:
                 if isinstance(node, ast.ClassDef):
-                    methods = tuple(
+                    self.classes[f"{source.module}.{node.name}"] = tuple(
                         stmt.name
                         for stmt in node.body
                         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
                     )
-                    classes[f"{source.module}.{node.name}"] = methods
-        return cls(functions, classes, imports_by_module, ())
+        self.sites: tuple[CallSite, ...] = ()
+        self._out: dict[str, list[CallSite]] = {}
+        self._in: dict[str, list[CallSite]] = {}
 
     @classmethod
     def build(cls, sources: Iterable[SourceFile]) -> "CallGraph":
         """Index definitions, then resolve every call site to an edge."""
-        graph = cls.index(sources)
+        graph = cls(sources)
         sites: list[CallSite] = []
         for info in graph.functions.values():
-            imports = graph.imports(info.module)
             for call in _calls_in(info.node):
-                callee = graph.resolve_call(call, info, imports)
+                callee = graph.resolve_call(call, info)
                 if callee is not None:
                     sites.append(CallSite(info.qualname, callee, call))
         graph.sites = tuple(sites)
@@ -120,15 +99,8 @@ class CallGraph:
 
     # -- resolution ----------------------------------------------------
 
-    def resolve_call(
-        self,
-        call: ast.Call,
-        context: FunctionInfo,
-        imports: Mapping[str, str] | None = None,
-    ) -> str | None:
+    def resolve_call(self, call: ast.Call, context: FunctionInfo) -> str | None:
         """The qualname a call resolves to in ``context``, or ``None``."""
-        if imports is None:
-            imports = self._imports_by_module.get(context.module, {})
         func = call.func
         if (
             isinstance(func, ast.Attribute)
@@ -138,7 +110,7 @@ class CallGraph:
         ):
             candidate = f"{context.module}.{context.cls}.{func.attr}"
             return candidate if candidate in self.functions else None
-        dotted = dotted_path(func, imports)
+        dotted = dotted_path(func, context.source.imports)
         if dotted is None:
             return None
         if "." not in dotted:
@@ -167,19 +139,15 @@ class CallGraph:
             if dotted in self.functions or dotted in self.classes:
                 return dotted
             module, _, attr = dotted.rpartition(".")
-            if not module or not attr:
+            if not module or not attr or module not in self.modules:
                 return None
-            binding = self._imports_by_module.get(module, {}).get(attr)
+            binding = self.modules[module].imports.get(attr)
             if binding is None or binding == dotted:
                 return None
             dotted = binding
         return None
 
     # -- queries -------------------------------------------------------
-
-    def imports(self, module: str) -> Mapping[str, str]:
-        """One indexed module's import map (:func:`resolve_imports`)."""
-        return self._imports_by_module.get(module, {})
 
     def callees(self, qualname: str) -> tuple[CallSite, ...]:
         """Outgoing call sites of one function."""

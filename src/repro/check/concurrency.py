@@ -1,10 +1,7 @@
 """Interprocedural concurrency rule: guarded writes and lock ordering.
 
-The original (PR 4) rule was *lexical*: a write had to sit inside
-``with self._lock:`` in the same method, which flagged ``_locked_*``
-helpers whose callers hold the lock and blessed public wrappers that
-reach a helper lock-free.  This version reasons over the project call
-graph (:mod:`repro.check.callgraph`) via :mod:`repro.check.lockmodel`:
+The rule reasons over the project call graph
+(:mod:`repro.check.callgraph`) via :mod:`repro.check.lockmodel`:
 
 ``unguarded-write``
     In ``serve``/``cluster``/``summary``, a class that creates a
@@ -34,13 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.check.callgraph import CallGraph
-from repro.check.lockmodel import (
-    LOCK_CONSTRUCTORS,  # noqa: F401  (re-exported; the historical home)
-    LockModel,
-    UnguardedWrite,
-    _short,
-)
+from repro.check.lockmodel import LockModel, UnguardedWrite, _short
 from repro.check.rules import Rule, Violation, register
 from repro.check.walker import SourceFile
 
@@ -56,12 +47,14 @@ class ConcurrencyRule(Rule):
 
     def __init__(self) -> None:
         super().__init__()
+        #: The run's shared lock model over the same sources; set by
+        #: :func:`run_check`, else :meth:`run` builds its own.
+        self.model: LockModel | None = None
         self._by_path: dict[str, list[tuple[ast.AST, str, str]]] = {}
 
     def run(self, sources: Iterable[SourceFile]) -> list[Violation]:
         materialised = list(sources)
-        graph = CallGraph.build(materialised)
-        model = LockModel.build(materialised, graph)
+        model = self.model if self.model is not None else LockModel.build(materialised)
         self._by_path = {}
         self._collect_unguarded(model)
         self._collect_cycles(model)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.check.rules import Rule, dotted_path, register, resolve_imports
+from repro.check.rules import Rule, dotted_path, register
 from repro.check.walker import SourceFile
 
 #: Calls whose return value is the wall clock.
@@ -80,13 +80,12 @@ class DeterminismRule(Rule):
     name = "determinism"
 
     def check(self, source: SourceFile) -> None:
-        imports = resolve_imports(source.tree)
         kernel = source.package in KERNEL_PACKAGES
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Call):
-                self._check_call(source, node, imports, kernel)
+                self._check_call(source, node, kernel)
             elif isinstance(node, ast.Attribute) and kernel:
-                path = dotted_path(node, imports)
+                path = dotted_path(node, source.imports)
                 if path == "os.environ":
                     self.report(
                         source,
@@ -101,10 +100,9 @@ class DeterminismRule(Rule):
         self,
         source: SourceFile,
         node: ast.Call,
-        imports: dict[str, str],
         kernel: bool,
     ) -> None:
-        path = dotted_path(node.func, imports)
+        path = dotted_path(node.func, source.imports)
         if path is None:
             return
         has_args = bool(node.args or node.keywords)

@@ -39,11 +39,10 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.check.callgraph import CallGraph
 from repro.check.determinism import SEEDABLE_CONSTRUCTORS, WALL_CLOCK_CALLS
 from repro.check.lockmodel import LockModel, _short
-from repro.check.rules import Rule, Violation, dotted_path, register, resolve_imports
-from repro.check.walker import SourceFile, type_checking_spans
+from repro.check.rules import Rule, Violation, dotted_path, register
+from repro.check.walker import SourceFile, repro_imports
 
 #: The package whose import closure is the pre-fork path.
 PREFORK_ROOT = "repro.cluster"
@@ -76,37 +75,6 @@ def _is_worker_init(name: str) -> bool:
     return name == "worker_main" or name.startswith("warmup") or name.endswith("_init")
 
 
-def _repro_import_targets(source: SourceFile) -> set[str]:
-    """Dotted ``repro.*`` module names this file imports at runtime."""
-    type_only = type_checking_spans(source.tree)
-    targets: set[str] = set()
-    for node in ast.walk(source.tree):
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        if any(start <= node.lineno <= end for start, end in type_only):
-            continue
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "repro" or alias.name.startswith("repro."):
-                    targets.add(alias.name)
-        else:
-            if node.level:  # relative: resolve against this module
-                base = source.module.split(".")
-                base = base[: len(base) - node.level]
-                if node.module:
-                    base = base + node.module.split(".")
-                module = ".".join(base)
-            else:
-                module = node.module or ""
-            if module == "repro" or module.startswith("repro."):
-                targets.add(module)
-                for alias in node.names:
-                    # `from repro.x import y` may bind submodule x.y.
-                    if alias.name != "*":
-                        targets.add(f"{module}.{alias.name}")
-    return targets
-
-
 def reachable_modules(sources: Iterable[SourceFile]) -> set[str]:
     """Module names importable while ``repro.cluster`` imports.
 
@@ -117,12 +85,13 @@ def reachable_modules(sources: Iterable[SourceFile]) -> set[str]:
     edges: dict[str, set[str]] = {}
     for module, source in by_module.items():
         resolved: set[str] = set()
-        for target in _repro_import_targets(source):
-            parts = target.split(".")
-            for depth in range(1, len(parts) + 1):
-                prefix = ".".join(parts[:depth])
-                if prefix in by_module:
-                    resolved.add(prefix)
+        for _, targets in repro_imports(source):
+            for target in targets:
+                parts = target.split(".")
+                for depth in range(1, len(parts) + 1):
+                    prefix = ".".join(parts[:depth])
+                    if prefix in by_module:
+                        resolved.add(prefix)
         edges[module] = resolved
     seeds = [
         module
@@ -170,27 +139,30 @@ class ForkSafetyRule(Rule):
 
     def __init__(self) -> None:
         super().__init__()
+        #: The run's shared lock model over the same sources; set by
+        #: :func:`run_check`, else :meth:`run` builds its own.
+        self.model: LockModel | None = None
         self._reachable: set[str] = set()
         self._shared_locks: dict[str, list[tuple[ast.AST, str]]] = {}
 
     def run(self, sources: Iterable[SourceFile]) -> list[Violation]:
         materialised = list(sources)
+        model = self.model if self.model is not None else LockModel.build(materialised)
         self._reachable = reachable_modules(materialised)
-        self._shared_locks = _fork_shared_locks(materialised)
+        self._shared_locks = _fork_shared_locks(model)
         return super().run(materialised)
 
     def check(self, source: SourceFile) -> None:
-        imports = resolve_imports(source.tree)
         if source.module in self._reachable:
-            self._check_import_time(source, imports)
+            self._check_import_time(source)
         if source.package == "cluster":
-            self._check_worker_init(source, imports)
+            self._check_worker_init(source)
         for node, message in self._shared_locks.get(source.path, ()):
             self.report(source, node, "fork-shared-lock", message)
 
-    def _check_import_time(self, source: SourceFile, imports: dict[str, str]) -> None:
+    def _check_import_time(self, source: SourceFile) -> None:
         for call in _import_time_calls(source.tree):
-            path = dotted_path(call.func, imports)
+            path = dotted_path(call.func, source.imports)
             if path in THREAD_CONSTRUCTORS:
                 self.report(
                     source,
@@ -203,7 +175,7 @@ class ForkSafetyRule(Rule):
                     "state — construct it lazily, after the fork",
                 )
 
-    def _check_worker_init(self, source: SourceFile, imports: dict[str, str]) -> None:
+    def _check_worker_init(self, source: SourceFile) -> None:
         for node in ast.walk(source.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -212,7 +184,7 @@ class ForkSafetyRule(Rule):
             for call in ast.walk(node):
                 if not isinstance(call, ast.Call):
                     continue
-                path = dotted_path(call.func, imports)
+                path = dotted_path(call.func, source.imports)
                 if path is None:
                     continue
                 if path in WALL_CLOCK_CALLS:
@@ -239,9 +211,7 @@ class ForkSafetyRule(Rule):
                     )
 
 
-def _fork_shared_locks(
-    sources: list[SourceFile],
-) -> dict[str, list[tuple[ast.AST, str]]]:
+def _fork_shared_locks(model: LockModel) -> dict[str, list[tuple[ast.AST, str]]]:
     """fork-shared-lock findings, grouped by the declaring file's path.
 
     A lock is cross-process-hazardous when at least one of its
@@ -250,8 +220,7 @@ def _fork_shared_locks(
     the supervisor's call into :data:`WORKER_ENTRY` severed, because
     that edge is exactly where ``fork()`` splits the address space.
     """
-    graph = CallGraph.build(sources)
-    model = LockModel.build(sources, graph)
+    graph = model.graph
     supervisor_seeds = [
         name
         for name, info in graph.functions.items()

@@ -38,10 +38,8 @@ annotation).
 
 from __future__ import annotations
 
-import ast
-
 from repro.check.rules import Rule, register
-from repro.check.walker import SourceFile, type_checking_spans
+from repro.check.walker import SourceFile, repro_imports
 
 #: Allowed ``repro.*`` dependencies per top-level subpackage.  ``<root>``
 #: covers repro/__init__.py, cli.py and __main__.py, which may import
@@ -116,23 +114,17 @@ class LayeringRule(Rule):
         if package == "<root>":
             return  # entry points may import anything
         allowed = LAYER_DAG.get(package)
-        type_only = type_checking_spans(source.tree)
-        for node in ast.walk(source.tree):
-            targets = _import_targets(node, source)
-            if not targets:
+        for node, names in repro_imports(source):
+            if allowed is None:
+                self.report(
+                    source,
+                    node,
+                    "unknown-package",
+                    f"package '{package}' is not in the layering map — "
+                    "place it in repro.check.layering.LAYER_DAG",
+                )
                 continue
-            if any(start <= node.lineno <= end for start, end in type_only):
-                continue
-            for target in targets:
-                if allowed is None:
-                    self.report(
-                        source,
-                        node,
-                        "unknown-package",
-                        f"package '{package}' is not in the layering map — "
-                        "place it in repro.check.layering.LAYER_DAG",
-                    )
-                    break
+            for target in dict.fromkeys(_layer(name) for name in names):
                 if target == package:
                     continue
                 if target == "<root>":
@@ -154,27 +146,14 @@ class LayeringRule(Rule):
                     )
 
 
-def _import_targets(node: ast.AST, source: SourceFile) -> list[str]:
-    """Top-level ``repro`` subpackages referenced by one import node."""
-    targets: list[str] = []
-    if isinstance(node, ast.Import):
-        for alias in node.names:
-            parts = alias.name.split(".")
-            if parts[0] == "repro":
-                targets.append(parts[1] if len(parts) > 1 else "<root>")
-    elif isinstance(node, ast.ImportFrom):
-        if node.level:  # relative import: resolve against this module
-            base = source.module.split(".")
-            base = base[: len(base) - node.level]
-            if node.module:
-                base = base + node.module.split(".")
-            if base and base[0] == "repro":
-                targets.append(base[1] if len(base) > 1 else "<root>")
-        elif node.module == "repro":
-            for alias in node.names:
-                # `from repro import X`: X is a subpackage when named in
-                # the DAG, otherwise a root-level symbol re-export.
-                targets.append(alias.name if alias.name in LAYER_DAG else "<root>")
-        elif node.module and node.module.startswith("repro."):
-            targets.append(node.module.split(".")[1])
-    return targets
+def _layer(name: str) -> str:
+    """The top-level ``repro`` subpackage a dotted name lives in.
+
+    ``repro.x`` names a subpackage only when ``x`` is in the DAG;
+    otherwise (``from repro import __version__``) it is the package
+    root, ``<root>``.  A deeper name always lives in ``x``.
+    """
+    parts = name.split(".")
+    if len(parts) > 2 or (len(parts) == 2 and parts[1] in LAYER_DAG):
+        return parts[1]
+    return "<root>"

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.check.callgraph import CallGraph, FunctionInfo
-from repro.check.rules import dotted_path, resolve_imports
+from repro.check.rules import dotted_path
 from repro.check.walker import SourceFile
 
 #: threading constructors whose product guards shared state.
@@ -135,7 +135,7 @@ def _lock_decls(sources: Iterable[SourceFile]) -> dict[str, LockDecl]:
     """Every class-attribute and module-level lock in the project."""
     decls: dict[str, LockDecl] = {}
 
-    def _value_is_lock(stmt: ast.stmt, imports: dict[str, str]) -> bool:
+    def _value_is_lock(stmt: ast.stmt, imports: Mapping[str, str]) -> bool:
         value = getattr(stmt, "value", None)
         if not isinstance(value, ast.Call):
             return False
@@ -149,7 +149,7 @@ def _lock_decls(sources: Iterable[SourceFile]) -> dict[str, LockDecl]:
         return []
 
     for source in sources:
-        imports = resolve_imports(source.tree)
+        imports = source.imports
         for top in source.tree.body:
             if isinstance(top, (ast.Assign, ast.AnnAssign)):
                 if not _value_is_lock(top, imports):
@@ -206,6 +206,13 @@ class LockModel:
     def build(
         cls, sources: Iterable[SourceFile], graph: CallGraph | None = None
     ) -> "LockModel":
+        """The lock model of ``sources``, with the call graph it carries.
+
+        The one builder: :func:`repro.check.runner.run_check` calls it
+        once per run and hands the result to every rule that reads it;
+        a rule run on its own and the lock sanitizer call it themselves.
+        ``graph``, when given, must be ``CallGraph.build(sources)``.
+        """
         materialised = list(sources)
         if graph is None:
             graph = CallGraph.build(materialised)
@@ -219,7 +226,7 @@ class LockModel:
     # -- per-function lexical walk --------------------------------------
 
     def _summarise(self, info: FunctionInfo) -> None:
-        imports = resolve_imports(info.source.tree)
+        imports = info.source.imports
         class_locks = (
             self.by_class.get(f"{info.module}.{info.cls}", frozenset())
             if info.cls is not None
@@ -244,7 +251,7 @@ class LockModel:
             if isinstance(expr, ast.Lambda):
                 return  # runs later, under the eventual caller's locks
             if isinstance(expr, ast.Call):
-                callee = self.graph.resolve_call(expr, info, imports)
+                callee = self.graph.resolve_call(expr, info)
                 if callee is not None:
                     self.calls.append(LockCall(info.qualname, callee, expr, held))
             for child in ast.iter_child_nodes(expr):

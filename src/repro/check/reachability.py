@@ -39,7 +39,7 @@ import ast
 from typing import Iterable, Iterator, Mapping
 
 from repro.check.callgraph import CallGraph
-from repro.check.rules import Rule, Violation, dotted_path, register, resolve_imports
+from repro.check.rules import Rule, Violation, dotted_path, register
 from repro.check.walker import SourceFile
 
 #: Project directories whose references are roots (never checked).
@@ -59,16 +59,20 @@ class ReachabilityRule(Rule):
         super().__init__()
         #: Parsed ``ROOT_DIRS`` files; set by :func:`run_check`.
         self.external = tuple(external)
+        #: The run's shared call graph over the same sources; set by
+        #: :func:`run_check`, else :meth:`run` indexes its own (the rule
+        #: reads definitions and imports, never call edges).
+        self.graph: CallGraph | None = None
         self._unreached: dict[str, list[_Definition]] = {}
 
     def run(self, sources: Iterable[SourceFile]) -> list[Violation]:
         materialised = list(sources)
-        graph = CallGraph.index(materialised)
+        graph = self.graph if self.graph is not None else CallGraph(materialised)
         pragma = frozenset({self.name, f"{self.name}/unreached"})
         edges: dict[str, set[str]] = {}
         seeds: set[str] = set()
         for source in materialised:
-            imports = graph.imports(source.module)
+            imports = source.imports
             for stmt in source.tree.body:
                 refs = _references(graph, stmt, source.module, imports)
                 if not isinstance(stmt, _DEFINITIONS):
@@ -87,8 +91,7 @@ class ReachabilityRule(Rule):
                     # reported (and suppressed) unless something reaches it.
                     seeds |= refs
         for source in self.external:
-            imports = resolve_imports(source.tree)
-            seeds |= _references(graph, source.tree, source.module, imports)
+            seeds |= _references(graph, source.tree, source.module, source.imports)
         reached = _closure(seeds, edges)
         self._unreached = {
             source.path: [

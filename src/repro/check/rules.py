@@ -2,9 +2,10 @@
 
 A rule is a named family of checks over one :class:`SourceFile`; each
 finding is a :class:`Violation` with a *family* (``layering``,
-``determinism``, ``hygiene``, ``concurrency``), a *code* (the specific
-check, e.g. ``hygiene/print``) and a drift-stable fingerprint that the
-ratcheting baseline matches on.
+``determinism``, ``hygiene``, ``concurrency``, ``forksafety``,
+``reachability``), a *code* (the specific check, e.g.
+``hygiene/print``) and a drift-stable fingerprint that the ratcheting
+baseline matches on.
 
 Fingerprints deliberately exclude line numbers: they hash the rule
 code, the file path, the flagged line's *text* and an occurrence index
@@ -17,7 +18,7 @@ from __future__ import annotations
 import ast
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from repro.check.walker import SourceFile
 
@@ -26,7 +27,8 @@ from repro.check.walker import SourceFile
 class Violation:
     """One finding, pointing at a node in one file."""
 
-    rule: str  # family: layering | determinism | hygiene | concurrency
+    # family: layering | determinism | hygiene | concurrency | forksafety | reachability
+    rule: str
     code: str  # specific check, e.g. "hygiene/print"
     path: str  # repo-relative posix path
     module: str  # dotted module name
@@ -146,31 +148,7 @@ class Rule:
         return self._suppressed
 
 
-def resolve_imports(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the dotted path they were imported as.
-
-    ``import numpy as np`` -> ``{"np": "numpy"}``;
-    ``from datetime import datetime as dt`` -> ``{"dt": "datetime.datetime"}``.
-    Used to resolve call sites like ``np.random.rand`` back to their
-    canonical ``numpy.random.rand`` identity.
-    """
-    names: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                target = alias.name if alias.asname else alias.name.split(".")[0]
-                names[local] = target
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                names[local] = f"{node.module}.{alias.name}"
-    return names
-
-
-def dotted_path(node: ast.expr, imports: dict[str, str]) -> str | None:
+def dotted_path(node: ast.expr, imports: Mapping[str, str]) -> str | None:
     """Canonical dotted path of a Name/Attribute chain, or ``None``.
 
     ``np.random.default_rng`` with ``import numpy as np`` resolves to

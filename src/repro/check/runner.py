@@ -1,12 +1,24 @@
 """Orchestration for ``repro.check``: walk, apply rules, ratchet.
 
 :func:`run_check` is the whole programmatic API — the CLI, the CI gate
-and the test suite all call it.  It parses every file under
-``<root>/src/repro`` once (and, as roots for the reachability rule
-only, ``benchmarks/``, ``perfbench/`` and ``examples/``), runs the
-selected rule families over the shared parse results, resolves
-findings against the baseline and returns a :class:`CheckResult`
-whose ``ok`` decides the exit code.
+and the test suite all call it.  One run builds one program model:
+
+* every file under ``<root>/src/repro`` is parsed once, and its import
+  map resolved once (:attr:`SourceFile.imports`); so are
+  ``benchmarks/``, ``perfbench/`` and ``examples/``, the roots the
+  reachability rule alone reads;
+* one :class:`~repro.check.lockmodel.LockModel`, carrying one
+  :class:`~repro.check.callgraph.CallGraph`, is built by
+  :meth:`LockModel.build` when a selected rule reads it, and handed to
+  the concurrency, fork-safety and reachability rules by
+  :func:`make_rule` (a run whose only reader is reachability indexes
+  just the call graph's definitions, inside that rule).
+  ``LockSanitizer.verify_tree`` derives its static lock graph through
+  the same builder.
+
+It then runs the selected rule families over that model, resolves
+findings against the baseline and returns a :class:`CheckResult` whose
+``ok`` decides the exit code.
 """
 
 from __future__ import annotations
@@ -16,6 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.check.baseline import diff_against_baseline, load_baseline, save_baseline
+from repro.check.lockmodel import LockModel
 from repro.check.reachability import ROOT_DIRS, ReachabilityRule
 from repro.check.rules import RULE_FACTORIES, Rule, Violation
 from repro.check.walker import CheckConfigError, SourceFile, iter_source_files
@@ -25,6 +38,9 @@ from repro.check import concurrency, determinism, forksafety, hygiene, layering 
 
 #: Default baseline filename, resolved relative to the project root.
 BASELINE_FILENAME = "check-baseline.json"
+
+#: The rules that read the run's lock model.
+MODEL_RULES = (concurrency.ConcurrencyRule, forksafety.ForkSafetyRule)
 
 
 @dataclass(frozen=True)
@@ -85,11 +101,19 @@ def root_sources(root: Path) -> list[SourceFile]:
     ]
 
 
-def make_rule(name: str, roots: list[SourceFile]) -> Rule:
-    """A fresh rule of family ``name``; only reachability sees ``roots``."""
+def make_rule(name: str, roots: list[SourceFile], model: LockModel | None = None) -> Rule:
+    """A fresh rule of family ``name``, handed the run's shared model.
+
+    Concurrency and fork-safety read ``model``; reachability reads
+    ``roots`` and the call graph ``model`` carries.  Without a model,
+    the rule builds its own from the sources it runs on.
+    """
     rule = RULE_FACTORIES[name]()
     if isinstance(rule, ReachabilityRule):
         rule.external = tuple(roots)
+        rule.graph = model.graph if model is not None else None
+    elif isinstance(rule, MODEL_RULES):
+        rule.model = model
     return rule
 
 
@@ -121,10 +145,14 @@ def run_check(
 
     sources = list(iter_source_files(src_root))
     roots = root_sources(resolved_root) if "reachability" in selected else []
+    # One lock model (and the call graph it carries) for every rule that
+    # reads it; a lone reachability rule indexes its own call graph.
+    reads_model = any(cls.name in selected for cls in MODEL_RULES)
+    model = LockModel.build(sources) if reads_model else None
     violations: list[Violation] = []
     suppressed = 0
     for name in selected:
-        rule = make_rule(name, roots)
+        rule = make_rule(name, roots, model)
         violations.extend(rule.run(sources))
         suppressed += rule.suppressed
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))

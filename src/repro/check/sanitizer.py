@@ -373,14 +373,12 @@ def static_lock_graph(root: str | Path) -> tuple[set[tuple[str, str]], set[str]]
     """(order edges, known lock identities) derived from a source tree.
 
     :meth:`LockSanitizer.verify_tree` compares observation against it;
-    kept here so the static and runtime sides share one entry point.
+    the model comes from :meth:`LockModel.build`, the builder ``repro
+    check`` uses, so the static and runtime sides judge one graph.
     """
-    from repro.check.callgraph import CallGraph
     from repro.check.lockmodel import LockModel
     from repro.check.walker import iter_source_files
 
-    sources = list(iter_source_files(Path(root)))
-    graph = CallGraph.build(sources)
-    model = LockModel.build(sources, graph)
+    model = LockModel.build(iter_source_files(Path(root)))
     return set(model.order_edges), set(model.decls)
 

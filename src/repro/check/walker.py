@@ -1,9 +1,10 @@
 """Source discovery, parsing and pragma extraction for ``repro.check``.
 
 The walker turns a source tree into :class:`SourceFile` objects — path,
-dotted module name, parsed AST, raw lines and the suppression pragmas
-found in comments.  Rules never touch the filesystem; they consume
-``SourceFile`` instances, which also makes every rule trivially
+dotted module name, parsed AST, raw lines, the suppression pragmas
+found in comments and the import map, each worked out once per file
+and shared by every rule.  Rules never touch the filesystem; they
+consume ``SourceFile`` instances, which also makes every rule trivially
 testable from an inline string (:meth:`SourceFile.from_text`).
 
 Pragma grammar
@@ -25,7 +26,8 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 #: Matches one suppression comment; group 1 is the rule list.
 PRAGMA_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]+)\]")
@@ -44,6 +46,8 @@ class SourceFile:
     text: str
     tree: ast.Module
     lines: tuple[str, ...]
+    #: local name -> imported dotted path (:func:`resolve_imports`).
+    imports: Mapping[str, str]
     #: line number -> set of allowed rule names (families or codes).
     pragmas: dict[int, frozenset[str]] = field(default_factory=dict)
 
@@ -64,7 +68,7 @@ class SourceFile:
 
     @classmethod
     def from_text(cls, text: str, path: str = "<memory>", module: str = "repro._mem") -> "SourceFile":
-        """Parse inline source — the unit-test entry point."""
+        """Parse one file's source; inline text is the unit-test entry point."""
         tree = ast.parse(text, filename=path)
         lines = tuple(text.splitlines())
         return cls(
@@ -74,6 +78,7 @@ class SourceFile:
             tree=tree,
             lines=lines,
             pragmas=extract_pragmas(lines),
+            imports=MappingProxyType(resolve_imports(tree)),
         )
 
     def line_at(self, lineno: int) -> str:
@@ -142,20 +147,78 @@ def iter_source_files(
     the checker refuses to silently skip what it cannot parse.
     """
     for path in sorted(src_root.rglob("*.py")):
-        text = path.read_text(encoding="utf-8")
         try:
-            tree = ast.parse(text, filename=str(path))
+            source = SourceFile.from_text(
+                path.read_text(encoding="utf-8"),
+                path=path.relative_to(project_root or src_root.parent.parent).as_posix(),
+                module=module_name_for(path, src_root),
+            )
         except SyntaxError as exc:
             raise CheckConfigError(f"cannot parse {path}: {exc}") from exc
-        lines = tuple(text.splitlines())
-        yield SourceFile(
-            path=path.relative_to(project_root or src_root.parent.parent).as_posix(),
-            module=module_name_for(path, src_root),
-            text=text,
-            tree=tree,
-            lines=lines,
-            pragmas=extract_pragmas(lines),
-        )
+        yield source
+
+
+def resolve_imports(tree: ast.Module) -> dict[str, str]:
+    """Map local names to the dotted path they were imported as.
+
+    ``import numpy as np`` -> ``{"np": "numpy"}``;
+    ``from datetime import datetime as dt`` -> ``{"dt": "datetime.datetime"}``.
+    Used to resolve call sites like ``np.random.rand`` back to their
+    canonical ``numpy.random.rand`` identity.
+    """
+    names: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                target = alias.name if alias.asname else alias.name.split(".")[0]
+                names[local] = target
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                names[local] = f"{node.module}.{alias.name}"
+    return names
+
+
+def repro_imports(
+    source: SourceFile,
+) -> Iterator[tuple[ast.Import | ast.ImportFrom, tuple[str, ...]]]:
+    """Each runtime import statement with the ``repro.*`` names it binds.
+
+    ``import repro.a.b`` names ``repro.a.b``; ``from repro.a import b, c``
+    names ``repro.a.b`` and ``repro.a.c`` (each a submodule or a symbol;
+    every prefix is imported too), and a star import names ``repro.a``.
+    Relative imports resolve against the file's package (a package
+    ``__init__`` is its own).  Imports inside ``if TYPE_CHECKING:``
+    never execute, so they are skipped.
+    """
+    type_only = type_checking_spans(source.tree)
+    for node in ast.walk(source.tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any(start <= node.lineno <= end for start, end in type_only):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            module = node.module or ""
+            if node.level:  # relative: level 1 is the file's own package
+                parts = source.module.split(".")
+                if not source.path.endswith("__init__.py"):
+                    parts.pop()
+                parts = parts[: len(parts) - node.level + 1]
+                if node.module:
+                    parts.append(node.module)
+                module = ".".join(parts)
+            names = [
+                module if alias.name == "*" else f"{module}.{alias.name}"
+                for alias in node.names
+            ]
+        targets = tuple(name for name in names if name == "repro" or name.startswith("repro."))
+        if targets:
+            yield node, targets
 
 
 def type_checking_spans(tree: ast.Module) -> list[tuple[int, int]]:
