@@ -24,9 +24,8 @@ hours merge into **day** tiles the same way.  Finer tiles are retained
 — partial windows need them — so a query greedily covers its span with
 the coarsest aligned tile available and falls through to finer tiers
 (ultimately to "empty minute") where a coarse tile is absent.  Rollup
-and query stitching are the same array merge
-(:meth:`~repro.summary.tiers.SummaryBucket.merged`): concatenate the
-tiles' sorted columns, then group equal keys.
+and query stitching are the same array merge: concatenate the tiles'
+sorted columns, then group equal keys (a read, only those it answers).
 
 Minute follower
 ---------------
@@ -105,6 +104,8 @@ from repro.summary.tiers import (
     bucket_starts,
     build_tiles,
     first_of_runs,
+    stitch_cells,
+    stitch_pairs,
     window_align,
 )
 
@@ -156,47 +157,61 @@ class MinuteListing:
 
 @dataclass(frozen=True)
 class WindowSummary:
-    """One stitched ``[t0, t1)`` answer.
+    """One ``[t0, t1)`` answer: the covering tiles, merged on first read.
 
-    ``t0``/``t1`` are the *effective* minute-aligned bounds;
-    ``tiles_used`` maps tier name to the number of tiles of that tier
-    stitched in (empty minutes touch nothing).  ``od_counts`` holds the
-    nonzero transition counts keyed ``(source, dest)``; the dense
-    :attr:`flow_matrix` is built from it on first access.
+    ``t0``/``t1`` are the *effective* minute-aligned bounds, ``tiles``
+    the cover in time order; ``tiles_used`` maps tier name to the number
+    of tiles of that tier stitched in (empty minutes touch nothing).
+    The per-area counts merge only the tiles' ``(area, user)`` pairs,
+    the flows only their OD cells, each once, on first access and
+    outside the store's lock.  The answer is the store's at query time:
+    tiles are immutable, and an open minute that grows is replaced.
     """
 
     t0: int
     t1: int
-    tweet_counts: np.ndarray
-    user_counts: np.ndarray
-    od_counts: Mapping[tuple[int, int], int]
+    n_areas: int
+    tiles: tuple[SummaryBucket, ...]
     n_tweets: int
-    n_transitions: int
     buckets_touched: int
     tiles_used: Mapping[str, int]
     staleness_seconds: float
     version: int
 
-    def flow_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(sources, dests, counts)`` of :attr:`od_counts`, row-major.
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return stitch_pairs(self.tiles, self.n_areas)
 
-        Cells are distinct and both ends lie below the area count, so
-        one sort of the packed key ``source * n_areas + dest`` orders
-        them.
-        """
-        pairs = np.array(list(self.od_counts), dtype=np.intp).reshape(-1, 2)
-        counts = np.fromiter(
-            self.od_counts.values(), dtype=np.int64, count=len(self.od_counts)
-        )
-        order = (pairs[:, 0] * len(self.tweet_counts) + pairs[:, 1]).argsort()
-        return pairs[order, 0], pairs[order, 1], counts[order]
+    @cached_property
+    def tweet_counts(self) -> np.ndarray:
+        """Tweets per area (a tweet counts in every containing disc)."""
+        areas, _, tweets = self._pairs
+        return np.bincount(areas, weights=tweets, minlength=self.n_areas).astype(np.int64)
+
+    @cached_property
+    def user_counts(self) -> np.ndarray:
+        """Unique users per area."""
+        return np.bincount(self._pairs[0], minlength=self.n_areas)
+
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return stitch_cells(self.tiles, self.n_areas)
+
+    def flow_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(sources, dests, counts)`` of the nonzero OD cells, row-major
+        (read-only: a one-tile window returns its tile's columns)."""
+        return self._cells
+
+    @property
+    def n_transitions(self) -> int:
+        """Total OD transitions in the window."""
+        return int(self._cells[2].sum())
 
     @cached_property
     def flow_matrix(self) -> np.ndarray:
         """Transition counts as a dense ``(n_areas, n_areas)`` matrix."""
-        n_areas = len(self.tweet_counts)
-        matrix = np.zeros((n_areas, n_areas), dtype=np.int64)
-        sources, dests, counts = self.flow_cells()
+        matrix = np.zeros((self.n_areas, self.n_areas), dtype=np.int64)
+        sources, dests, counts = self._cells
         matrix[sources, dests] = counts
         return matrix
 
@@ -618,42 +633,32 @@ class SummaryStore:
         return covering
 
     def query(self, t0: float, t1: float) -> WindowSummary:
-        """Stitch the tiles covering ``[t0, t1)`` into one summary.
+        """The tiles covering ``[t0, t1)``, as one lazily merged summary.
 
         Bounds snap outward to minute alignment (the finest tier); the
         effective bounds are reported on the result.  Open minute
         buckets are included, so answers reflect everything ingested.
-        The covering tiles' columns merge into one transient tile
-        (:meth:`~repro.summary.tiers.SummaryBucket.merged`) that the
-        per-area counts and the sparse ``od_counts`` are read from.
+        Only the plan holds the store's lock: the cover, the watermark
+        and the version.  The merge runs outside it, when the result is
+        first read (:class:`WindowSummary`).
         """
         q0, q1 = window_align(t0, t1)
         with self._lock, obs.span("summary.query", t0=q0, t1=q1) as sp:
-            covering = self._cover(q0, q1)
-            used = Counter(bucket.tier.name.lower() for bucket in covering)
-            merged = SummaryBucket.merged(
-                TimeTier.MINUTE, q0, self.world.n_areas, covering
-            )
-            if np.isfinite(self._watermark):
-                staleness = min(
-                    float(q1 - q0), max(0.0, q1 - self._watermark)
-                )
-            else:
-                staleness = float(q1 - q0)
+            covering = tuple(self._cover(q0, q1))
+            watermark = self._watermark
+            version = self._version
             sp.set(buckets=len(covering))
-            return WindowSummary(
-                t0=q0,
-                t1=q1,
-                tweet_counts=merged.tweet_counts(),
-                user_counts=merged.user_counts(),
-                od_counts=merged.od_counts(),
-                n_tweets=merged.n_tweets,
-                n_transitions=merged.n_transitions,
-                buckets_touched=len(covering),
-                tiles_used=dict(used),
-                staleness_seconds=round(staleness, 3),
-                version=self._version,
-            )
+        return WindowSummary(
+            t0=q0,
+            t1=q1,
+            n_areas=self.world.n_areas,
+            tiles=covering,
+            n_tweets=sum(tile.n_tweets for tile in covering),
+            buckets_touched=len(covering),
+            tiles_used=dict(Counter(tile.tier.name.lower() for tile in covering)),
+            staleness_seconds=round(min(float(q1 - q0), max(0.0, q1 - watermark)), 3),
+            version=version,
+        )
 
     # -- bulk install (backfill) ---------------------------------------
 

@@ -21,16 +21,17 @@ replay filtered to transition timestamps in ``[t0, t1)``.
 
 :func:`build_tiles` is the one kernel that turns labelled rows into
 tiles: live ingest and backfill both call it, and it groups the rows
-with a two-key ``np.lexsort`` (:func:`_group`).  Rollup, the merge into
-an open minute and query stitching are one array merge
-(:meth:`SummaryBucket.merged`): concatenate the columns of tiles that
-are each sorted already, then group equal keys and sum, with a kernel
-of its own (:func:`_merge_pairs`, :func:`_merge_cells`).  Which of the
-two groupings runs is fixed by the input — unsorted rows or sorted
-tiles — and each measured faster on its own.  Merging is associative
-and order-independent for every column, which is what makes the
-multi-resolution store's answers independent of which tier mix covered
-a window.
+with a two-key ``np.lexsort`` (:func:`_group`).  Tiles merge in two
+halves, :func:`stitch_pairs` and :func:`stitch_cells`: concatenate the
+pair (or cell) columns of tiles that are each sorted already, then
+group equal keys and sum, with a kernel of its own (:func:`_merge_pairs`,
+:func:`_merge_cells`).  Rollup and the merge into an open minute run
+both (:meth:`SummaryBucket.merged`), a windowed read only the half it
+answers.  Which grouping runs is fixed by the input — unsorted rows or
+sorted tiles — and each measured faster on its own.  Merging is
+associative and order-independent for every column, which is what
+makes the multi-resolution store's answers independent of which tier
+mix covered a window.
 
 Tiles persist in a small fixed binary format (:meth:`SummaryBucket.encode`):
 a header — magic, format version, tier, start, area count, tweet count
@@ -45,9 +46,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -179,7 +180,7 @@ def _merge_pairs(
     only sum, so their order does not matter.  Areas then sort stably,
     cast to the narrowest unsigned dtype holding ``n_areas - 1``, which
     NumPy radix-sorts up to 16 bits.  This is the grouping of
-    :meth:`SummaryBucket.merged`, whose parts are each sorted already;
+    :func:`stitch_pairs`, whose parts are each sorted already;
     there it measured faster than :func:`_group`'s ``np.lexsort``: the
     merge of a perfbench ingest-paper read cover (median 54 tiles) fell
     from ~0.9 to ~0.5 ms.  Rows that are not sorted runs keep
@@ -285,11 +286,9 @@ class SummaryBucket:
     ) -> "SummaryBucket":
         """One tile holding the union of ``parts``' counts (parts untouched).
 
-        Columns concatenate, then equal ``(area, user)`` pairs and equal
-        ``(source, dest)`` cells are grouped and summed by the merge
-        kernels (:func:`_merge_pairs`, :func:`_merge_cells`), which rely
-        on every area, source and dest lying in ``[0, n_areas)``.  One
-        part is reused as is: its columns are already grouped.
+        Runs both halves of the merge, :func:`stitch_pairs` and
+        :func:`stitch_cells`, which rely on every area, source and dest
+        lying in ``[0, n_areas)``.
         """
         for part in parts:
             if part.n_areas != n_areas:
@@ -297,25 +296,9 @@ class SummaryBucket:
                     f"cannot merge a {part.n_areas}-area tile into a "
                     f"{n_areas}-area tile"
                 )
-        n_tweets = sum(part.n_tweets for part in parts)
-        busy = [part for part in parts if part.areas.size or part.counts.size]
-        if not busy:
-            return cls(tier, start, n_areas, n_tweets)
-        if len(busy) == 1:
-            return replace(busy[0], tier=tier, start=start, n_tweets=n_tweets)
-
-        areas, users, tweets, sources, dests, counts = map(
-            np.concatenate,
-            zip(*[
-                (p.areas, p.users, p.tweets, p.sources, p.dests, p.counts)
-                for p in busy
-            ]),
-        )
-        areas, users, tweets = _merge_pairs(areas, users, tweets, n_areas)
-        sources, dests, counts = _merge_cells(sources, dests, counts, n_areas)
         return cls(
-            tier, start, n_areas, n_tweets, areas, users, tweets,
-            sources, dests, counts,
+            tier, start, n_areas, sum(part.n_tweets for part in parts),
+            *stitch_pairs(parts, n_areas), *stitch_cells(parts, n_areas),
         )
 
     @classmethod
@@ -399,6 +382,31 @@ class SummaryBucket:
     def __reduce__(self):
         # Pickles (the backfill ``TileSet`` artifact) carry the codec form.
         return (SummaryBucket.decode, (self.encode(),))
+
+
+#: A tile's pair columns or its cell columns.
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def stitch_pairs(parts: Sequence[SummaryBucket], n_areas: int) -> _Columns:
+    """``parts``' ``(area, user)`` pairs merged: ``(areas, users, tweets)``."""
+    return _stitch([(p.areas, p.users, p.tweets) for p in parts], _merge_pairs, n_areas)
+
+
+def stitch_cells(parts: Sequence[SummaryBucket], n_areas: int) -> _Columns:
+    """``parts``' OD cells merged: ``(sources, dests, counts)``, row-major."""
+    return _stitch([(p.sources, p.dests, p.counts) for p in parts], _merge_cells, n_areas)
+
+
+def _stitch(parts: list[_Columns], kernel: Callable[..., _Columns], n_areas: int) -> _Columns:
+    """Concatenate the non-empty parts' columns and group them with
+    ``kernel``; one non-empty part is returned as is, already grouped."""
+    busy = [columns for columns in parts if columns[0].size]
+    if not busy:
+        return _EMPTY, _EMPTY, _EMPTY
+    if len(busy) == 1:
+        return busy[0]
+    return kernel(*map(np.concatenate, zip(*busy)), n_areas)
 
 
 def build_tiles(

@@ -3,7 +3,7 @@
 ``reference_flows`` is the comprehension ``/v1/flows`` used to build its
 entries from a dense matrix, cell by cell.  The sparse renderer must
 emit the same entries, in the same order, from the windowed store's
-sparse OD counts and from ``np.nonzero`` of a snapshot matrix.
+stitched OD cells and from ``np.nonzero`` of a snapshot matrix.
 """
 
 import json
@@ -19,6 +19,7 @@ from repro.data.gazetteer import Scale
 from repro.serve import EstimationApp, IngestService
 from repro.serve.app import render_flows
 from repro.summary.store import SummaryStore, WindowSummary
+from repro.summary.tiers import SummaryBucket, TimeTier
 
 WORLD = World.from_scale(Scale.NATIONAL)
 
@@ -88,26 +89,39 @@ class TestRenderFlows:
     @settings(max_examples=200, deadline=None)
     @given(sparse_matrices(), st.randoms(use_true_random=False))
     def test_window_od_counts_equal_dense_scan(self, drawn, rng):
-        """Stitched counts arrive in arbitrary order; cells come out row-major."""
+        """Stitched tiles arrive in arbitrary order; cells come out row-major."""
         matrix, names, distance, origin, dest = drawn
         counts = {
             (i, j): int(matrix[i, j])
             for i, j in zip(*np.nonzero(matrix > 0))
             if i != j
         }
-        pairs = list(counts)
-        rng.shuffle(pairs)
+        # One cell per tile, a count above 1 split over two tiles, so
+        # the stitch both orders distinct cells and sums equal ones.
+        parts = []
+        for pair, count in counts.items():
+            if count > 1:
+                first = rng.randint(1, count - 1)
+                parts += [(pair, first), (pair, count - first)]
+            else:
+                parts.append((pair, count))
+        rng.shuffle(parts)
         n = len(names)
+        tiles = tuple(
+            SummaryBucket(
+                TimeTier.MINUTE, 60 * k, n, 0,
+                sources=np.array([i]), dests=np.array([j]), counts=np.array([count]),
+            )
+            for k, ((i, j), count) in enumerate(parts)
+        )
         result = WindowSummary(
             t0=0,
-            t1=60,
-            tweet_counts=np.zeros(n, dtype=np.int64),
-            user_counts=np.zeros(n, dtype=np.int64),
-            od_counts={pair: counts[pair] for pair in pairs},
+            t1=60 * max(len(tiles), 1),
+            n_areas=n,
+            tiles=tiles,
             n_tweets=0,
-            n_transitions=sum(counts.values()),
-            buckets_touched=0,
-            tiles_used={},
+            buckets_touched=len(tiles),
+            tiles_used={"minute": len(tiles)},
             staleness_seconds=0.0,
             version=0,
         )
@@ -117,6 +131,7 @@ class TestRenderFlows:
         dense = np.where(matrix > 0, matrix, 0).astype(np.int64)
         np.fill_diagonal(dense, 0)
         assert np.array_equal(result.flow_matrix, dense)
+        assert result.n_transitions == sum(counts.values())
 
 
 def _filters(names, busiest):
