@@ -79,7 +79,6 @@ class CallGraph:
                     )
         self.sites: tuple[CallSite, ...] = ()
         self._out: dict[str, list[CallSite]] = {}
-        self._in: dict[str, list[CallSite]] = {}
 
     @classmethod
     def build(cls, sources: Iterable[SourceFile]) -> "CallGraph":
@@ -94,7 +93,6 @@ class CallGraph:
         graph.sites = tuple(sites)
         for site in graph.sites:
             graph._out.setdefault(site.caller, []).append(site)
-            graph._in.setdefault(site.callee, []).append(site)
         return graph
 
     # -- resolution ----------------------------------------------------
@@ -148,14 +146,6 @@ class CallGraph:
         return None
 
     # -- queries -------------------------------------------------------
-
-    def callees(self, qualname: str) -> tuple[CallSite, ...]:
-        """Outgoing call sites of one function."""
-        return tuple(self._out.get(qualname, ()))
-
-    def callers(self, qualname: str) -> tuple[CallSite, ...]:
-        """Incoming call sites of one function."""
-        return tuple(self._in.get(qualname, ()))
 
     def reachable_from(
         self, seeds: Iterable[str], skip: frozenset[str] = frozenset()

@@ -1,17 +1,22 @@
-"""Reachability rule: public definitions that nothing runs.
+"""Reachability rule: public definitions and methods that nothing runs.
 
-The unit is a top-level public function or class of a ``src/repro``
-module.  A reached class keeps all of its methods: calls on instances
-do not resolve statically, so methods are never judged on their own.
+Two units are judged: the top-level public functions and classes of
+``src/repro`` modules, and the public methods and properties of their
+top-level classes.  Calls on instances do not resolve statically, so a
+method is judged by name: it is reached when its class is reached and
+its name is loaded as an attribute in reached code.
 
 Edges are references, not only calls.  Every ``Name`` or ``Attribute``
 load inside a definition (its decorators, defaults, annotations, bases
 and body) that resolves, through the file's imports and the call
 graph's re-export chase (:meth:`CallGraph.resolve_definition`), to
 another top-level definition is an edge to it; a load of a method
-lands on its class.  A call shaped ``f(owner, "attr")`` (``getattr``,
-``monkeypatch.setattr``, the perfbench ``Layer(Cls, "push_batch")``
-table) also references ``owner.attr``.
+lands on its class.  Every ``Attribute`` load also loads its name.  A
+call shaped ``f(owner, "attr")`` (``getattr``, ``monkeypatch.setattr``,
+the perfbench ``Layer(Cls, "push_batch")`` table) loads ``owner.attr``.
+A judged method's body is a node of its own, and its class's node is
+the rest of the class, so a name loaded only inside a dead method keeps
+nothing alive: the closure is a fixpoint over nodes and loaded names.
 
 Roots:
 
@@ -20,22 +25,28 @@ Roots:
   library, CLI wiring);
 * definitions decorated by a project function (``@register``): the
   decorator runs at import and hands the definition to project code;
-* every reference made by ``benchmarks/``, ``perfbench/`` and
-  ``examples/`` (:data:`ROOT_DIRS`), which :func:`run_check` parses
-  for this rule only.
+* every reference and attribute load in ``benchmarks/``, ``perfbench/``
+  and ``examples/`` (:data:`ROOT_DIRS`), which :func:`run_check` parses
+  for this rule only;
+* dunders and private methods, as part of their class's node, and every
+  method of a class with a base defined outside ``src/`` (``http.server``
+  calls ``do_GET`` by name).
 
-Tests are not roots.  Each public definition no root reaches is an
-``unreached`` finding.  A kept one carries
-``# repro: allow[reachability] <reason>`` on (or on the comment line
-above) its ``def``/``class`` line; what it uses then stays reached.
-Only three reasons hold: a frozen oracle a test compares a live path
-against, test-harness code CI runs through, and the Tweet-at-a-time
-replay helpers awaiting the stream-stack retirement.
+Tests are not roots.  Each unreached public definition is an
+``unreached`` finding, and so is each unreached judged method of a
+reached class.  A kept one carries ``# repro: allow[reachability]
+<reason>`` on (or on the comment line above) its decorator or
+``def``/``class`` line; what it uses then stays reached (for a class,
+with all of its methods).  Only three reasons hold: a frozen oracle a
+test compares a live path against, test-harness code CI runs through,
+and the Tweet-at-a-time replay helpers awaiting the stream-stack
+retirement.
 """
 
 from __future__ import annotations
 
 import ast
+from functools import partial
 from typing import Iterable, Iterator, Mapping
 
 from repro.check.callgraph import CallGraph
@@ -45,13 +56,18 @@ from repro.check.walker import SourceFile
 #: Project directories whose references are roots (never checked).
 ROOT_DIRS = ("benchmarks", "perfbench", "examples")
 
-_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = (*_FUNCTIONS, ast.ClassDef)
 _Definition = ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
+#: (qualnames of the definitions referenced, attribute names loaded).
+_Uses = tuple[set[str], set[str]]
+#: The pseudo-node whose uses are every root's.
+_ROOT = "<roots>"
 
 
 @register
 class ReachabilityRule(Rule):
-    """Top-level public definitions no root reaches."""
+    """Public definitions and methods no root reaches."""
 
     name = "reachability"
 
@@ -63,63 +79,94 @@ class ReachabilityRule(Rule):
         #: :func:`run_check`, else :meth:`run` indexes its own (the rule
         #: reads definitions and imports, never call edges).
         self.graph: CallGraph | None = None
-        self._unreached: dict[str, list[_Definition]] = {}
+        self._unreached: dict[str, list[tuple[str, str | None, _Definition]]] = {}
 
     def run(self, sources: Iterable[SourceFile]) -> list[Violation]:
         materialised = list(sources)
         graph = self.graph if self.graph is not None else CallGraph(materialised)
         pragma = frozenset({self.name, f"{self.name}/unreached"})
-        edges: dict[str, set[str]] = {}
-        seeds: set[str] = set()
+        roots: _Uses = (set(), set())
+        uses: dict[str, _Uses] = {_ROOT: roots}
+        methods: dict[str, tuple[str, ...]] = {}
+        # (path, qualname, owning class or None, node) of every judged unit.
+        units: list[tuple[str, str, str | None, _Definition]] = []
+
+        def seed(found: _Uses) -> None:
+            roots[0].update(found[0])
+            roots[1].update(found[1])
+
         for source in materialised:
-            imports = source.imports
+            scan = partial(_uses, graph, source.module, source.imports)
             for stmt in source.tree.body:
-                refs = _references(graph, stmt, source.module, imports)
                 if not isinstance(stmt, _DEFINITIONS):
                     if not _is_import_or_all(stmt):
-                        seeds |= refs
+                        seed(scan([stmt]))
                     continue
                 qualname = f"{source.module}.{stmt.name}"
-                edges[qualname] = refs
-                if any(
-                    _resolve(graph, decorator, source.module, imports)
-                    for decorator in stmt.decorator_list
-                ):
-                    seeds.add(qualname)
-                elif source.allowed(_span(stmt), pragma):
-                    # Kept: what it uses stays reached, but it is still
-                    # reported (and suppressed) unless something reaches it.
-                    seeds |= refs
+                judged = _judged_methods(graph, stmt, source)
+                methods[qualname] = tuple(judged)
+                if not stmt.name.startswith("_"):
+                    units.append((source.path, qualname, None, stmt))
+                for name, defs in judged.items():
+                    uses[f"{qualname}.{name}"] = scan(defs)
+                    units.append((source.path, f"{qualname}.{name}", qualname, defs[0]))
+                    if any(source.allowed(_header(d), pragma) for d in defs):
+                        seed(uses[f"{qualname}.{name}"])
+                own = [d for defs in judged.values() for d in defs]
+                rest: list[ast.AST] = [stmt]
+                if own:  # a class's node is all of it but its judged methods
+                    rest = [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+                    rest += [part for part in stmt.body if part not in own]
+                uses[qualname] = scan(rest)
+                if any(_resolve(graph, d, source.module, source.imports) for d in stmt.decorator_list):
+                    roots[0].add(qualname)
+                elif source.allowed(_header(stmt), pragma):
+                    # Kept: what it (with all its methods) uses stays
+                    # reached, but it is still reported (and suppressed)
+                    # unless something reaches it.
+                    seed(scan([stmt]))
         for source in self.external:
-            seeds |= _references(graph, source.tree, source.module, source.imports)
-        reached = _closure(seeds, edges)
-        self._unreached = {
-            source.path: [
-                stmt
-                for stmt in source.tree.body
-                if isinstance(stmt, _DEFINITIONS)
-                and not stmt.name.startswith("_")
-                and f"{source.module}.{stmt.name}" not in reached
-            ]
-            for source in materialised
-        }
+            seed(_uses(graph, source.module, source.imports, [source.tree]))
+        reached = _closure(uses, methods)
+        self._unreached = {}
+        for path, qualname, owner, node in units:
+            if qualname not in reached and (owner is None or owner in reached):
+                self._unreached.setdefault(path, []).append((qualname, owner, node))
         return super().run(materialised)
 
     def check(self, source: SourceFile) -> None:
-        for node in self._unreached.get(source.path, ()):
-            kind = "class" if isinstance(node, ast.ClassDef) else "function"
+        for qualname, owner, node in self._unreached.get(source.path, ()):
+            kind = "method" if owner else "class" if isinstance(node, ast.ClassDef) else "function"
             self.report(
                 source,
                 node,
                 "unreached",
-                f"{kind} '{node.name}' is reached from no module-level "
-                "statement, benchmark, perfbench workload or example (tests "
-                "are not roots): delete it, or keep it with a pragma naming why",
+                f"{kind} '{qualname[len(source.module) + 1:]}' is reached from no "
+                "module-level statement, benchmark, perfbench workload or example "
+                "(tests are not roots): delete it, or keep it with a pragma naming why",
+                span=_header(node),
             )
 
 
-def _span(node: ast.stmt) -> tuple[int, int]:
-    return node.lineno, node.end_lineno or node.lineno
+def _header(node: _Definition) -> tuple[int, int]:
+    """The decorators and ``def``/``class`` lines: where a pragma keeps it."""
+    first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+    return first, max(node.lineno, node.body[0].lineno - 1)
+
+
+def _judged_methods(
+    graph: CallGraph, node: _Definition, source: SourceFile
+) -> dict[str, list[_Definition]]:
+    """A class's public methods by name, less overrides of outside bases."""
+    judged: dict[str, list[_Definition]] = {}
+    if not isinstance(node, ast.ClassDef) or any(
+        _resolve(graph, base, source.module, source.imports) is None for base in node.bases
+    ):
+        return judged
+    for stmt in node.body:
+        if isinstance(stmt, _FUNCTIONS) and not stmt.name.startswith("_"):
+            judged.setdefault(stmt.name, []).append(stmt)
+    return judged
 
 
 def _is_import_or_all(stmt: ast.stmt) -> bool:
@@ -134,7 +181,7 @@ def _resolve(
 ) -> str | None:
     """The top-level definition a Name/Attribute chain names, if any.
 
-    A method resolves to its class, since classes are the unit.
+    A method resolves to its class; its own name's load reaches it.
     """
     dotted = dotted_path(node, imports)
     if dotted is None:
@@ -164,24 +211,40 @@ def _loads(tree: ast.AST) -> Iterator[ast.expr]:
                     yield ast.Attribute(value=owner, attr=attr.value, ctx=ast.Load())
 
 
-def _references(
-    graph: CallGraph, tree: ast.AST, module: str, imports: Mapping[str, str]
-) -> set[str]:
-    """Qualnames of the top-level definitions ``tree`` references."""
-    found = set()
-    for node in _loads(tree):
-        target = _resolve(graph, node, module, imports)
-        if target is not None:
-            found.add(target)
-    return found
+def _uses(
+    graph: CallGraph, module: str, imports: Mapping[str, str], trees: Iterable[ast.AST]
+) -> _Uses:
+    """The definitions ``trees`` reference and the attribute names they load."""
+    refs: set[str] = set()
+    attrs: set[str] = set()
+    for tree in trees:
+        for node in _loads(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            target = _resolve(graph, node, module, imports)
+            if target is not None:
+                refs.add(target)
+    return refs, attrs
 
 
-def _closure(seeds: set[str], edges: dict[str, set[str]]) -> set[str]:
-    seen = set(seeds)
-    frontier = list(seen)
+def _closure(uses: dict[str, _Uses], methods: dict[str, tuple[str, ...]]) -> set[str]:
+    """Nodes reached from the roots; a method needs its class and its name."""
+    owners: dict[str, list[str]] = {}
+    for cls, judged in methods.items():
+        for name in judged:
+            owners.setdefault(name, []).append(cls)
+    reached: set[str] = set()
+    loaded: set[str] = set()
+    frontier = [_ROOT]
     while frontier:
-        for target in edges.get(frontier.pop(), ()):
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    return seen
+        node = frontier.pop()
+        if node in reached:
+            continue
+        reached.add(node)
+        refs, attrs = uses.get(node, (set(), set()))
+        frontier.extend(refs)
+        frontier.extend(f"{node}.{name}" for name in methods.get(node, ()) if name in loaded)
+        for name in attrs - loaded:
+            loaded.add(name)
+            frontier.extend(f"{cls}.{name}" for cls in owners.get(name, ()) if cls in reached)
+    return reached

@@ -110,12 +110,13 @@ class Rule:
         node: ast.AST,
         code: str,
         message: str,
+        span: tuple[int, int] | None = None,
     ) -> None:
-        """Emit a finding unless a pragma on the node's span allows it."""
+        """Emit a finding unless a pragma on ``span`` (default: the node's) allows it."""
         lineno = getattr(node, "lineno", 1)
         end = getattr(node, "end_lineno", None) or lineno
         full_code = f"{self.name}/{code}"
-        if source.allowed((lineno, end), frozenset({self.name, full_code})):
+        if source.allowed(span or (lineno, end), frozenset({self.name, full_code})):
             self._suppressed += 1
             return
         self._found.append(

@@ -91,9 +91,9 @@ class _Held:
 class _SanitizedLock:
     """Instrumented proxy over a real ``threading`` lock.
 
-    Supports the full lock protocol (context manager, ``acquire`` with
-    ``blocking``/``timeout``, ``release``, ``locked``) and forwards
-    anything else — ``Condition`` internals never reach here because
+    Instruments the lock protocol (context manager, ``acquire`` with
+    ``blocking``/``timeout``, ``release``) and forwards anything else
+    (``locked``) — ``Condition`` internals never reach here because
     stdlib-created locks are not wrapped.
     """
 
@@ -111,9 +111,6 @@ class _SanitizedLock:
     def release(self) -> None:
         self._inner.release()  # type: ignore[attr-defined]
         self._sanitizer._on_release(self._ident)
-
-    def locked(self) -> bool:
-        return self._inner.locked()  # type: ignore[attr-defined]
 
     def __enter__(self) -> bool:
         return self.acquire()
@@ -282,6 +279,7 @@ class LockSanitizer:
                 )
         return {"contradictions": contradictions, "unmodelled": unmodelled}
 
+    # repro: allow[reachability] test harness: tests/conftest.py fails the CI sanitizer session on it
     def verify_tree(self, src_root: str | Path) -> tuple[list[str], bool]:
         """Session report lines, and whether the session fails.
 
@@ -310,6 +308,7 @@ class LockSanitizer:
             ],
         }
 
+    # repro: allow[reachability] test harness: tests/conftest.py writes the CI sanitizer artifact with it
     def dump(self, path: str | Path) -> None:
         """Write :meth:`report` to ``path`` as indented JSON."""
         Path(path).write_text(

@@ -30,7 +30,6 @@ or loaded models cross the fork boundary).
 
 from __future__ import annotations
 
-import errno
 import os
 import select
 import signal
@@ -285,6 +284,7 @@ class ClusterSupervisor:
             signal.signal(signal.SIGINT, previous_int)
             self.stop()
 
+    # repro: allow[reachability] test harness: the tests/cluster failure injection kills workers with it
     def kill_worker(self, shard: int, sig: int = signal.SIGKILL) -> int:
         """Kill one worker (failure injection for tests); returns its pid."""
         state = self._workers[shard]

@@ -96,11 +96,6 @@ class PopulationAccumulator:
             [len(c) for c in self._users_per_area], dtype=np.int64
         )
 
-    @property
-    def total_tweets(self) -> int:
-        """Total tweet-area memberships currently accumulated."""
-        return int(self._tweet_counts.sum())
-
     def snapshot(self) -> "PopulationAccumulator":
         """An independent deep copy of the current state.
 

@@ -176,6 +176,7 @@ class World:
         """
         return tuple(area.footprint for area in self.areas)
 
+    # repro: allow[reachability] test harness: the grid equivalence suite and the gazetteer properties read it
     @property
     def has_footprints(self) -> bool:
         """Whether every area carries a polygon footprint."""

@@ -18,8 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.data.schema import CorpusStats, Tweet, UserSummary
-from repro.geo.bbox import BoundingBox
+from repro.data.schema import CorpusStats, Tweet
 
 
 class TweetCorpus:
@@ -87,6 +86,7 @@ class TweetCorpus:
         lons = np.fromiter((t.lon for t in materialised), np.float64, count=n)
         return cls(tweet_ids, user_ids, timestamps, lats, lons)
 
+    # repro: allow[reachability] test harness: the extraction and invariant tests build corpora with it
     @classmethod
     def from_arrays(
         cls,
@@ -150,10 +150,6 @@ class TweetCorpus:
             presorted=True,
         )
 
-    def filter_bbox(self, bbox: BoundingBox) -> "TweetCorpus":
-        """The sub-corpus of tweets inside a bounding box."""
-        return self.subset(bbox.contains_mask(self.lats, self.lons))
-
     # -- per-user measurements ------------------------------------------
 
     def tweets_per_user(self) -> np.ndarray:
@@ -196,24 +192,6 @@ class TweetCorpus:
         new = np.ones(runs.size, dtype=bool)
         new[1:] = (runs[1:] != runs[:-1]) | (lats[1:] != lats[:-1]) | (lons[1:] != lons[:-1])
         return np.bincount(runs[new], minlength=self.n_users)
-
-    def user_summaries(self) -> list[UserSummary]:
-        """Per-user aggregate records (Table I per-user columns)."""
-        locations = self.distinct_locations_per_user()
-        summaries = []
-        for i, user_id in enumerate(self._unique_users):
-            start = int(self._user_starts[i])
-            stop = start + int(self._user_counts[i])
-            summaries.append(
-                UserSummary(
-                    user_id=int(user_id),
-                    n_tweets=int(self._user_counts[i]),
-                    first_timestamp=float(self.timestamps[start]),
-                    last_timestamp=float(self.timestamps[stop - 1]),
-                    n_distinct_locations=int(locations[i]),
-                )
-            )
-        return summaries
 
     def users_with_at_least(self, minimum: int) -> int:
         """How many users posted at least ``minimum`` tweets.

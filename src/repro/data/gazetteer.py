@@ -228,14 +228,6 @@ class Gazetteer:
         """The ε radius for a scale."""
         return self.radii[scale]
 
-    def all_areas(self) -> tuple[Area, ...]:
-        """All areas, national then state then metropolitan order."""
-        return (
-            self.areas_by_scale[Scale.NATIONAL]
-            + self.areas_by_scale[Scale.STATE]
-            + self.areas_by_scale[Scale.METROPOLITAN]
-        )
-
     @property
     def is_legacy(self) -> bool:
         """Whether this is the paper's hardcoded 60-area gazetteer."""

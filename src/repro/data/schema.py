@@ -26,7 +26,6 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.geo.coords import (
-    Coordinate,
     CoordinateError,
     validate_latitude,
     validate_longitude,
@@ -88,11 +87,6 @@ class Tweet:
             raise SchemaError(f"timestamp must be finite, got {self.timestamp!r}")
         object.__setattr__(self, "lat", validate_latitude(self.lat))
         object.__setattr__(self, "lon", validate_longitude(self.lon))
-
-    @property
-    def coordinate(self) -> Coordinate:
-        """The geo-tag as a :class:`~repro.geo.coords.Coordinate`."""
-        return Coordinate(lat=self.lat, lon=self.lon)
 
 
 _MISSING = object()
@@ -285,26 +279,6 @@ class TweetBatch:
         return TweetBatch(
             self.user_ids[mask], self.timestamps[mask], self.lats[mask], self.lons[mask]
         )
-
-
-@dataclass(frozen=True, slots=True)
-class UserSummary:
-    """Aggregate view of one user's activity in a corpus.
-
-    Produced by :meth:`repro.data.corpus.TweetCorpus.user_summaries`;
-    the fields mirror the per-user columns of Table I.
-    """
-
-    user_id: int
-    n_tweets: int
-    first_timestamp: float
-    last_timestamp: float
-    n_distinct_locations: int
-
-    @property
-    def active_span_seconds(self) -> float:
-        """Seconds between the user's first and last tweet."""
-        return self.last_timestamp - self.first_timestamp
 
 
 @dataclass(frozen=True, slots=True)

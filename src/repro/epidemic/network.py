@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.core.world import World
@@ -51,20 +50,6 @@ class MobilityNetwork:
     def n_patches(self) -> int:
         """Number of patches."""
         return len(self.names)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """The network as a weighted directed graph (rate = edge weight)."""
-        graph = nx.DiGraph()
-        for i, name in enumerate(self.names):
-            graph.add_node(name, population=float(self.populations[i]))
-        rows, cols = np.nonzero(self.rates)
-        for i, j in zip(rows, cols):
-            graph.add_edge(self.names[i], self.names[j], rate=float(self.rates[i, j]))
-        return graph
-
-    def strongly_connected(self) -> bool:
-        """Whether every patch can (indirectly) seed every other patch."""
-        return nx.is_strongly_connected(self.to_networkx())
 
 
 def _rates_from_trip_matrix(

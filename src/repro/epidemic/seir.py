@@ -62,12 +62,6 @@ class SEIRResult:
     r: np.ndarray
     network: MobilityNetwork
 
-    @property
-    def attack_rate(self) -> np.ndarray:
-        """Final fraction of each patch ever infected."""
-        populations = self.network.populations
-        return (self.r[-1] + self.i[-1] + self.e[-1]) / populations
-
     def peak_times(self) -> np.ndarray:
         """Day of peak infectious prevalence per patch."""
         return self.times[np.argmax(self.i, axis=0)]

@@ -33,11 +33,6 @@ class StochasticResult:
         """Total individuals ever infected across all patches."""
         return float(self.r[-1].sum() + self.i[-1].sum())
 
-    @property
-    def died_out_early(self) -> bool:
-        """Whether the outbreak fizzled before leaving the seed patch."""
-        return int(np.isfinite(self.arrival_day).sum()) <= 1
-
 
 def simulate_stochastic_sir(
     network: MobilityNetwork,

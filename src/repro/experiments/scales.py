@@ -41,11 +41,6 @@ class ScaleSpec:
         """The scale's default search radius ε (from the world)."""
         return self.world.radius_km
 
-    @property
-    def label(self) -> str:
-        """Capitalised scale name as the paper prints it."""
-        return self.scale.value.capitalize()
-
 
 def default_scale_specs(gazetteer: str | None = None) -> tuple[ScaleSpec, ...]:
     """The three scales with their Section III radii.

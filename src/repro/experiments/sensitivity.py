@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.data.gazetteer import Scale
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.scales import ExperimentContext

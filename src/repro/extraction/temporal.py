@@ -24,26 +24,6 @@ class ActivityProfile:
     bin_labels: tuple[str, ...]
     counts: np.ndarray
 
-    @property
-    def fractions(self) -> np.ndarray:
-        """Counts normalised to sum to 1 (zeros if empty)."""
-        total = self.counts.sum()
-        if total == 0:
-            return np.zeros_like(self.counts, dtype=np.float64)
-        return self.counts / total
-
-    @property
-    def peak_label(self) -> str:
-        """Label of the busiest bin."""
-        return self.bin_labels[int(np.argmax(self.counts))]
-
-    def relative_amplitude(self) -> float:
-        """(max - min) / mean of the bin counts; 0 for a flat profile."""
-        if self.counts.sum() == 0:
-            return 0.0
-        mean = self.counts.mean()
-        return float((self.counts.max() - self.counts.min()) / mean)
-
     def render(self, width: int = 40) -> str:
         """A labelled horizontal bar chart."""
         top = max(int(self.counts.max()), 1)

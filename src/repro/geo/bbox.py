@@ -82,27 +82,6 @@ class BoundingBox:
             max_lon=self.max_lon + margin_deg,
         )
 
-    @classmethod
-    def around_points(
-        cls, points: list[Coordinate | tuple[float, float]], margin_deg: float = 0.0
-    ) -> "BoundingBox":
-        """The tightest box covering ``points``, optionally padded."""
-        if not points:
-            raise ValueError("cannot bound an empty point set")
-        lats = []
-        lons = []
-        for point in points:
-            if isinstance(point, Coordinate):
-                lats.append(point.lat)
-                lons.append(point.lon)
-            else:
-                lats.append(float(point[0]))
-                lons.append(float(point[1]))
-        box = cls(
-            min_lat=min(lats), max_lat=max(lats), min_lon=min(lons), max_lon=max(lons)
-        )
-        return box.expanded(margin_deg) if margin_deg else box
-
 
 AUSTRALIA_BBOX = BoundingBox(
     min_lat=-54.640301,

@@ -81,21 +81,6 @@ class Coordinate:
         """Latitude in radians."""
         return math.radians(self.lat)
 
-    @property
-    def lon_rad(self) -> float:
-        """Longitude in radians."""
-        return math.radians(self.lon)
-
-    def as_tuple(self) -> tuple[float, float]:
-        """Return the position as a ``(lat, lon)`` tuple."""
-        return (self.lat, self.lon)
-
-    @classmethod
-    def from_tuple(cls, pair: tuple[float, float]) -> "Coordinate":
-        """Build a coordinate from a ``(lat, lon)`` tuple."""
-        lat, lon = pair
-        return cls(lat=lat, lon=lon)
-
     def __str__(self) -> str:
         ns = "N" if self.lat >= 0 else "S"
         ew = "E" if self.lon >= 0 else "W"

@@ -211,12 +211,6 @@ class SyntheticGazetteer:
                     return area
         raise KeyError(name)
 
-    def children(self, name: str) -> tuple[SynthArea, ...]:
-        """The direct children of an area (empty for suburbs)."""
-        return tuple(
-            a for group in (self.cities, self.suburbs) for a in group if a.parent == name
-        )
-
     @property
     def n_areas(self) -> int:
         """Total area count across all levels."""

@@ -137,32 +137,18 @@ class DensityGrid:
     def __init__(self, spec: GridSpec) -> None:
         self.spec = spec
         self._counts = np.zeros((spec.n_rows, spec.n_cols), dtype=np.int64)
-        self._n_added = 0
-        self._n_outside = 0
 
     @property
     def counts(self) -> np.ndarray:
         """The raw count matrix (rows = latitude bands, south first)."""
         return self._counts
 
-    @property
-    def total_inside(self) -> int:
-        """Number of points that landed inside the box."""
-        return self._n_added
-
-    @property
-    def total_outside(self) -> int:
-        """Number of points rejected for being outside the box."""
-        return self._n_outside
-
     def add(self, lat: float, lon: float) -> bool:
         """Add one point; returns whether it fell inside the grid."""
         cell = self.spec.cell_of(lat, lon)
         if cell is None:
-            self._n_outside += 1
             return False
         self._counts[cell] += 1
-        self._n_added += 1
         return True
 
     def add_many(self, lats_deg: np.ndarray, lons_deg: np.ndarray) -> int:
@@ -172,10 +158,7 @@ class DensityGrid:
         rows = cells[inside, 0]
         cols = cells[inside, 1]
         np.add.at(self._counts, (rows, cols), 1)
-        n_inside = int(inside.sum())
-        self._n_added += n_inside
-        self._n_outside += int(inside.size - n_inside)
-        return n_inside
+        return int(inside.sum())
 
     def log_density(self, floor: float = 1.0) -> np.ndarray:
         """``log10(max(count, floor))`` matrix — the Fig 1 colour scale.
@@ -186,10 +169,3 @@ class DensityGrid:
         if floor <= 0:
             raise ValueError(f"floor must be positive, got {floor}")
         return np.log10(np.maximum(self._counts.astype(np.float64), floor))
-
-    def nonzero_cells(self) -> list[tuple[int, int, int]]:
-        """All occupied cells as ``(row, col, count)`` tuples."""
-        rows, cols = np.nonzero(self._counts)
-        return [
-            (int(r), int(c), int(self._counts[r, c])) for r, c in zip(rows, cols)
-        ]

@@ -79,23 +79,6 @@ class Polygon:
         """Enclosed area in square kilometres (always positive)."""
         return float(abs(self._cross.sum()) / 2.0)
 
-    @property
-    def centroid(self) -> Coordinate:
-        """The area centroid."""
-        signed_area = self._cross.sum() / 2.0
-        x_next = np.roll(self._x, -1)
-        y_next = np.roll(self._y, -1)
-        cx = ((self._x + x_next) * self._cross).sum() / (6.0 * signed_area)
-        cy = ((self._y + y_next) * self._cross).sum() / (6.0 * signed_area)
-        return self._projection.to_latlon(float(cx), float(cy))
-
-    @property
-    def perimeter_km(self) -> float:
-        """Total edge length in kilometres."""
-        dx = np.roll(self._x, -1) - self._x
-        dy = np.roll(self._y, -1) - self._y
-        return float(np.hypot(dx, dy).sum())
-
     def contains(self, lat: float, lon: float) -> bool:
         """Ray-casting containment with a deterministic half-open edge rule.
 

@@ -51,13 +51,3 @@ class LocalProjection:
         lat = self.origin.lat + y_km / self._km_per_deg
         lon = self.origin.lon + x_km / (self._km_per_deg * self._cos_lat)
         return Coordinate(lat=lat, lon=lon)
-
-    def planar_distance_km(
-        self, a: Coordinate | tuple[float, float], b: Coordinate | tuple[float, float]
-    ) -> float:
-        """Euclidean distance between two points in the projected plane."""
-        lat_a, lon_a = (a.lat, a.lon) if isinstance(a, Coordinate) else a
-        lat_b, lon_b = (b.lat, b.lon) if isinstance(b, Coordinate) else b
-        ax, ay = self.to_xy(lat_a, lon_a)
-        bx, by = self.to_xy(lat_b, lon_b)
-        return math.hypot(ax - bx, ay - by)

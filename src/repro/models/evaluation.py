@@ -44,11 +44,6 @@ class ModelEvaluation:
     cpc: float
     underestimation: float
 
-    @property
-    def n_pairs(self) -> int:
-        """Number of OD pairs evaluated."""
-        return int(self.observed.size)
-
 
 def evaluate_fitted(
     fitted: FittedMobilityModel, pairs: ODPairs

@@ -76,15 +76,11 @@ class PopulationGrid:
         self.cell_lons = lons
 
     @property
-    def total_mass(self) -> float:
-        """Sum of all cell masses."""
-        return float(self.cell_masses.sum())
-
-    @property
     def n_occupied_cells(self) -> int:
         """Number of non-empty raster cells."""
         return int(self.cell_masses.size)
 
+    # repro: allow[reachability] oracle: tests/models/test_radiation_grid.py checks the cumulative profile against it
     def mass_within(self, center: tuple[float, float], radius_km: float) -> float:
         """Total raster mass within ``radius_km`` of a point."""
         if radius_km < 0:

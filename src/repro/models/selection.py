@@ -47,24 +47,9 @@ class CrossValidationResult:
     fold_evaluations: tuple[ModelEvaluation, ...]
 
     @property
-    def n_folds(self) -> int:
-        """Number of folds that completed."""
-        return len(self.fold_evaluations)
-
-    @property
     def mean_pearson(self) -> float:
         """Average held-out Pearson r across folds."""
         return float(np.mean([e.pearson_r for e in self.fold_evaluations]))
-
-    @property
-    def mean_hit_rate(self) -> float:
-        """Average held-out HitRate@50% across folds."""
-        return float(np.mean([e.hit_rate_50 for e in self.fold_evaluations]))
-
-    @property
-    def mean_log_rmse(self) -> float:
-        """Average held-out log-space RMSE across folds."""
-        return float(np.mean([e.log_rmse for e in self.fold_evaluations]))
 
 
 def k_fold_cross_validate(

@@ -97,10 +97,6 @@ class StructuredLogger:
         """Emit an info-level record."""
         self._emit("info", event, fields)
 
-    def warning(self, event: str, **fields) -> None:
-        """Emit a warning-level record."""
-        self._emit("warning", event, fields)
-
     def error(self, event: str, **fields) -> None:
         """Emit an error-level record."""
         self._emit("error", event, fields)

@@ -53,16 +53,6 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    @property
-    def wall_ms(self) -> float:
-        """Wall-clock duration in milliseconds."""
-        return self.wall_s * 1000.0
-
-    @property
-    def cpu_ms(self) -> float:
-        """CPU-time duration in milliseconds."""
-        return self.cpu_s * 1000.0
-
     def to_dict(self) -> dict:
         """Plain-data form (JSON-safe, what manifests persist)."""
         return {

@@ -185,15 +185,5 @@ class ArtifactStore:
                     path.rmdir()
         return removed
 
-    def size_bytes(self) -> int:
-        """Total bytes held by stored artifacts and journals."""
-        return sum(
-            p.stat().st_size
-            for p in (
-                *self.objects_dir.glob("*.pkl"),
-                *self.journals_dir.glob("*.log"),
-            )
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArtifactStore({str(self.root)!r})"

@@ -82,6 +82,7 @@ class IngestService:
     def _follow(self, tiles: Sequence[SummaryBucket], frontier: int | None) -> int:
         return self.monitor.advance(map(minute_cells, tiles), frontier)
 
+    # repro: allow[reachability] oracle: the tests/cluster gathered == single-process tests parse their reference with it
     @staticmethod
     def parse_tweet(record: dict) -> Tweet:
         """Build a validated :class:`Tweet` from one JSON object.

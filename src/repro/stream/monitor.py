@@ -327,8 +327,7 @@ class MobilityMonitor:
     def check_now(self) -> list[FlowAnomaly]:
         """Force a check cycle at the current stream time.
 
-        Call at end-of-stream (or during quiet spells after
-        ``counter.advance_to``) so recently counted flows are examined
+        Call at end-of-stream so recently counted flows are examined
         even when no further tweet triggers a scheduled check.
         """
         now = self.counter._latest

@@ -182,13 +182,6 @@ class OnlineMobilityCounter:
         self._flows.observe(tweet.user_id, label, tweet.timestamp)
         self._expire(tweet.timestamp)
 
-    def advance_to(self, now: float) -> None:
-        """Expire old transitions without ingesting a tweet."""
-        if now < self._latest:
-            raise StreamOrderError(f"cannot move time backwards to {now}")
-        self._latest = now
-        self._expire(now)
-
     def _expire(self, now: float) -> None:
         if not np.isfinite(self.window_seconds):
             return

@@ -41,16 +41,6 @@ class SlidingWindow:
     def __iter__(self) -> Iterator[Tweet]:
         return iter(self._buffer)
 
-    @property
-    def latest_timestamp(self) -> float:
-        """Timestamp of the newest tweet seen (-inf before any push)."""
-        return self._latest
-
-    @property
-    def oldest_timestamp(self) -> float:
-        """Timestamp of the oldest retained tweet (nan when empty)."""
-        return self._buffer[0].timestamp if self._buffer else float("nan")
-
     def push(self, tweet: Tweet) -> list[Tweet]:
         """Add one tweet; returns the tweets that expired because of it.
 
@@ -65,16 +55,6 @@ class SlidingWindow:
         self._latest = tweet.timestamp
         self._buffer.append(tweet)
         return self._expire(tweet.timestamp)
-
-    def advance_to(self, now: float) -> list[Tweet]:
-        """Move time forward without a new tweet; returns expirations.
-
-        Lets a monitor expire stale state during quiet periods.
-        """
-        if now < self._latest:
-            raise StreamOrderError(f"cannot move time backwards to {now}")
-        self._latest = now
-        return self._expire(now)
 
     def _expire(self, now: float) -> list[Tweet]:
         cutoff = now - self.span_seconds

@@ -506,7 +506,7 @@ class SummaryStore:
             )
             self._install_tile(tile)
             self._persist(tile)
-            if tier in ROLLUP_SOURCE.values() and tier is not TimeTier.DAY:
+            if tier is TimeTier.HOUR:
                 self._schedule(TimeTier.DAY, bucket_start(start, TimeTier.DAY))
 
     # -- persistence ---------------------------------------------------
@@ -554,14 +554,9 @@ class SummaryStore:
                     self._newly_final.append(tile)
                 recovered += 1
                 self._watermark = max(self._watermark, float(tile.end))
-                if tile.tier in ROLLUP_SOURCE.values() or tile.tier is TimeTier.MINUTE:
-                    coarser = (
-                        TimeTier.HOUR
-                        if tile.tier is TimeTier.MINUTE
-                        else TimeTier.DAY
-                    )
-                    if coarser in self._pending_rollup:
-                        self._schedule(coarser, bucket_start(tile.start, coarser))
+                if tile.tier is not TimeTier.DAY:
+                    coarser = TimeTier.HOUR if tile.tier is TimeTier.MINUTE else TimeTier.DAY
+                    self._schedule(coarser, bucket_start(tile.start, coarser))
             # Drop rollup slots already materialised by a recovered tile.
             for tier in self._pending_rollup:
                 self._pending_rollup[tier] -= self._tiles[tier].keys()

@@ -251,31 +251,6 @@ class SummaryBucket:
         """Total OD transitions recorded in the bucket."""
         return int(self.counts.sum())
 
-    def tweet_counts(self) -> np.ndarray:
-        """Tweets per area (a tweet counts in every containing disc)."""
-        return np.bincount(
-            self.areas, weights=self.tweets, minlength=self.n_areas
-        ).astype(np.int64)
-
-    def user_counts(self) -> np.ndarray:
-        """Unique users per area."""
-        return np.bincount(self.areas, minlength=self.n_areas)
-
-    def od_counts(self) -> dict[tuple[int, int], int]:
-        """The nonzero transition counts keyed ``(source, dest)``, sorted."""
-        return dict(
-            zip(
-                zip(self.sources.tolist(), self.dests.tolist()),
-                self.counts.tolist(),
-            )
-        )
-
-    def flow_matrix(self) -> np.ndarray:
-        """The bucket's OD counts as a dense ``(n, n)`` matrix."""
-        matrix = np.zeros((self.n_areas, self.n_areas), dtype=np.int64)
-        matrix[self.sources, self.dests] = self.counts
-        return matrix
-
     @classmethod
     def merged(
         cls,

@@ -39,15 +39,6 @@ class DiscretePowerLaw:
         # Guard against rounding: force the last CDF entry to exactly 1.
         self._cdf[-1] = 1.0
 
-    def pmf(self, k: int | np.ndarray) -> np.ndarray:
-        """Probability mass at ``k`` (0 outside the support)."""
-        k = np.asarray(k)
-        inside = (k >= self.k_min) & (k <= self.k_max)
-        out = np.zeros(k.shape, dtype=np.float64)
-        idx = np.asarray(k, dtype=np.int64)[inside] - self.k_min
-        out[inside] = self._pmf[idx]
-        return out
-
     def mean(self) -> float:
         """Exact mean of the truncated distribution."""
         return float((self._support * self._pmf).sum())
@@ -91,6 +82,7 @@ class TruncatedPareto:
         integral = (lo ** (2 - a) - hi ** (2 - a)) / (a - 2)
         return float(integral / norm)
 
+    # repro: allow[reachability] oracle: tests/synth/test_distributions.py checks sampled quantiles against it
     def cdf(self, x: float | np.ndarray) -> np.ndarray:
         """CDF evaluated at ``x`` (clamped to [0, 1] outside the support)."""
         x = np.clip(np.asarray(x, dtype=np.float64), self.x_min, self.x_max)

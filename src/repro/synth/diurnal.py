@@ -54,6 +54,7 @@ class DiurnalPattern:
         self._hours = hours
         self._cdf = cdf / cdf[-1]
 
+    # repro: allow[reachability] oracle: tests/synth/test_diurnal.py checks sampled hours against it
     def density(self, hour: float | np.ndarray) -> np.ndarray:
         """Relative activity density at an hour of day (mean 1)."""
         hour = np.asarray(hour, dtype=np.float64) % 24.0

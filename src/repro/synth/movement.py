@@ -52,6 +52,7 @@ class TripKernel:
         self._cdf = np.cumsum(self._probs, axis=1)
         self._cdf[:, -1] = 1.0
 
+    # repro: allow[reachability] oracle: tests/synth/test_movement.py checks sampled trips against it
     def transition_probabilities(self, origin: int) -> np.ndarray:
         """The ground-truth ``P(j | origin)`` row (sums to 1, 0 at origin)."""
         return self._probs[origin].copy()
@@ -60,13 +61,6 @@ class TripKernel:
         """Draw one destination site for a move starting at ``origin``."""
         u = rng.random()
         return int(self._cdf[origin].searchsorted(u, side="right"))
-
-    def expected_flow_matrix(self, trips_per_site: np.ndarray) -> np.ndarray:
-        """Expected OD matrix given per-site outgoing trip counts."""
-        trips = np.asarray(trips_per_site, dtype=np.float64)
-        if trips.shape != (len(self.world),):
-            raise ValueError("trips_per_site must have one entry per site")
-        return trips[:, None] * self._probs
 
 
 class FavoritePointStore:

@@ -161,13 +161,6 @@ class World:
         """Sum of census populations over all sites."""
         return float(self.populations.sum())
 
-    def site_index(self, name: str) -> int:
-        """Index of the site with the given name (exact match)."""
-        for i, site in enumerate(self.sites):
-            if site.name == name:
-                return i
-        raise KeyError(f"no site named {name!r}")
-
 
 def _city_scatter_km(population: float) -> float:
     """Urban footprint scale for a city of the given population.

@@ -181,3 +181,143 @@ class TestFindings:
         result = run_check(root=root, rules=("reachability",))
         assert result.ok
         assert result.suppressed == 1
+
+
+#: A reached ``Store``: a module-level route table makes and uses one.
+STORE_APP = source(
+    "repro.serve.app",
+    "from repro.summary.store import Store\n"
+    "def handle(row):\n"
+    "    return Store().put(row)\n"
+    "ROUTES = {'put': handle}\n",
+)
+
+
+class TestMethods:
+    def test_method_no_reached_code_loads_is_reported(self):
+        found = unreached(
+            source(
+                "repro.summary.store",
+                "class Store:\n"
+                "    def put(self, row):\n"
+                "        return row\n"
+                "    def size_bytes(self):\n"
+                "        return 0\n",
+            ),
+            STORE_APP,
+        )
+        assert found == ["Store.size_bytes"]
+
+    def test_method_loaded_only_by_a_dead_method_is_reported(self):
+        found = unreached(
+            source(
+                "repro.summary.store",
+                "def encode_row(row):\n"
+                "    return row\n"
+                "class Store:\n"
+                "    def put(self, row):\n"
+                "        return row\n"
+                "    def filter_bbox(self, box):\n"
+                "        return self.subset(box)\n"
+                "    def subset(self, box):\n"
+                "        return encode_row(box)\n",
+            ),
+            STORE_APP,
+        )
+        assert found == ["Store.filter_bbox", "Store.subset", "encode_row"]
+
+    def test_external_layer_row_keeps_the_method(self):
+        monitor = source(
+            "repro.stream.monitor",
+            "class MobilityMonitor:\n"
+            "    def push_batch(self, batch):\n"
+            "        return batch\n"
+            "    def check_now(self):\n"
+            "        return None\n",
+        )
+        layers = SourceFile.from_text(
+            "from repro.stream.monitor import MobilityMonitor\n"
+            "LAYERS = (Layer(MobilityMonitor, 'push_batch', 'stream.monitor'),)\n",
+            path="perfbench/layers.py",
+            module="perfbench.layers",
+        )
+        assert unreached(monitor, external=(layers,)) == ["MobilityMonitor.check_now"]
+
+    def test_dunders_and_private_methods_are_not_judged(self):
+        found = unreached(
+            source(
+                "repro.summary.store",
+                "class Store:\n"
+                "    def __init__(self):\n"
+                "        self._rows = []\n"
+                "    def __len__(self):\n"
+                "        return len(self._rows)\n"
+                "    def _compact(self):\n"
+                "        return None\n"
+                "    def put(self, row):\n"
+                "        return row\n"
+                "    def od_counts(self):\n"
+                "        return {}\n",
+            ),
+            STORE_APP,
+        )
+        assert found == ["Store.od_counts"]
+
+    def test_override_of_an_outside_base_is_not_reported(self):
+        found = unreached(
+            source(
+                "repro.serve.app",
+                "from http.server import BaseHTTPRequestHandler\n"
+                "class Handler:\n"
+                "    pass\n"
+                "class RequestHandler(BaseHTTPRequestHandler):\n"
+                "    def do_GET(self):\n"
+                "        return None\n"
+                "class LocalHandler(Handler):\n"
+                "    def do_GET(self):\n"
+                "        return None\n"
+                "ROUTES = {'http': RequestHandler, 'local': LocalHandler}\n",
+            )
+        )
+        assert found == ["LocalHandler.do_GET"]
+
+    def test_unreached_class_does_not_report_its_methods(self):
+        found = unreached(
+            source(
+                "repro.summary.store",
+                "class Store:\n"
+                "    def put(self, row):\n"
+                "        return row\n"
+                "    def advance_to(self, now):\n"
+                "        return now\n"
+                "class Window:\n"
+                "    def advance_to(self, now):\n"
+                "        return now\n"
+                "    def latest_timestamp(self):\n"
+                "        return 0.0\n",
+            ),
+            STORE_APP,
+        )
+        assert found == ["Store.advance_to", "Window"]
+
+    def test_pragma_on_a_method_keeps_it_and_what_it_uses(self, make_project):
+        root = make_project(
+            {
+                "summary/store.py": (
+                    "def helper():\n"
+                    "    return 1\n"
+                    "class Store:\n"
+                    "    def put(self, row):\n"
+                    "        return row\n"
+                    "    # repro: allow[reachability] test harness: a test fixture kills it\n"
+                    "    def kill_worker(self):\n"
+                    "        return self.drain() + helper()\n"
+                    "    def drain(self):\n"
+                    "        return 0\n"
+                    "ROUTES = {'put': Store().put}\n"
+                ),
+            }
+        )
+        result = run_check(root=root, rules=("reachability",))
+        assert result.ok
+        assert result.suppressed == 1

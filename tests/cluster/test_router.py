@@ -7,7 +7,6 @@ query-string ``forwarded=1`` loop prevention included — at unit speed.
 
 from urllib.parse import parse_qsl, urlsplit
 
-import numpy as np
 import pytest
 
 from repro.cluster import HashRing, ShardRouter

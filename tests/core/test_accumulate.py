@@ -128,7 +128,7 @@ class TestSnapshotAndMerge:
         merged.merge(shards[2])
         assert np.array_equal(merged.tweet_counts(), single.tweet_counts())
         assert np.array_equal(merged.user_counts(), single.user_counts())
-        assert merged.total_tweets == single.total_tweets
+        assert merged.tweet_counts().sum() == single.tweet_counts().sum()
 
     def test_population_merge_counts_shared_user_once(self):
         a = PopulationAccumulator(1)

@@ -103,12 +103,6 @@ class TestLocations:
         locations = tiny_corpus.distinct_locations_per_user()
         assert locations.tolist() == [2, 1]
 
-    def test_user_summaries(self, tiny_corpus):
-        summaries = {s.user_id: s for s in tiny_corpus.user_summaries()}
-        assert summaries[1].n_tweets == 3
-        assert summaries[1].active_span_seconds == 7200.0
-        assert summaries[2].n_distinct_locations == 1
-
 
 def _per_user_unique_locations(corpus, round_decimals=4):
     """The per-user ``np.unique(axis=0)`` loop the one-sort count replaced."""
@@ -187,7 +181,7 @@ class TestStatsAndSubset:
 
     def test_filter_bbox(self, tiny_corpus):
         box = BoundingBox(min_lat=-33.5, max_lat=-30.0, min_lon=150.0, max_lon=152.0)
-        kept = tiny_corpus.filter_bbox(box)
+        kept = tiny_corpus.subset(box.contains_mask(tiny_corpus.lats, tiny_corpus.lons))
         assert len(kept) == 2  # only the two -33.0 tweets
 
 

@@ -6,10 +6,8 @@ from repro.data.schema import (
     CorpusStats,
     SchemaError,
     Tweet,
-    UserSummary,
     parse_tweet_record,
 )
-from repro.geo.coords import Coordinate
 
 
 class TestTweet:
@@ -38,10 +36,6 @@ class TestTweet:
     def test_longitude_normalised(self):
         t = Tweet(user_id=0, timestamp=0.0, lat=0.0, lon=190.0)
         assert t.lon == pytest.approx(-170.0)
-
-    def test_coordinate_property(self):
-        t = Tweet(user_id=0, timestamp=0.0, lat=-35.0, lon=149.0)
-        assert t.coordinate == Coordinate(lat=-35.0, lon=149.0)
 
     def test_frozen(self):
         t = Tweet(user_id=0, timestamp=0.0, lat=0.0, lon=0.0)
@@ -149,18 +143,6 @@ class TestIdAndNumberCoercion:
     def test_int_too_large_for_a_float_is_a_schema_error(self, field):
         with pytest.raises(SchemaError, match=f"field '{field}' is invalid"):
             parse_tweet_record({**self.RECORD, field: 10**400})
-
-
-class TestUserSummary:
-    def test_active_span(self):
-        s = UserSummary(
-            user_id=1,
-            n_tweets=10,
-            first_timestamp=100.0,
-            last_timestamp=400.0,
-            n_distinct_locations=3,
-        )
-        assert s.active_span_seconds == 300.0
 
 
 class TestCorpusStats:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from repro.data.gazetteer import Scale, areas_for_scale
 from repro.epidemic.network import MobilityNetwork, network_from_model
@@ -45,23 +46,6 @@ class TestMobilityNetworkValidation:
             )
 
 
-class TestNetworkx:
-    def test_export(self):
-        graph = _toy_network().to_networkx()
-        assert graph.number_of_nodes() == 2
-        assert graph["A"]["B"]["rate"] == pytest.approx(0.1)
-        assert graph.nodes["B"]["population"] == 2000.0
-
-    def test_strongly_connected(self):
-        assert _toy_network().strongly_connected()
-        one_way = MobilityNetwork(
-            names=("A", "B"),
-            populations=np.array([1.0, 1.0]),
-            rates=np.array([[0.0, 0.1], [0.0, 0.0]]),
-        )
-        assert not one_way.strongly_connected()
-
-
 class TestCalibration:
     def test_from_model_structure(self, medium_context):
         from repro.models import GravityModel
@@ -70,6 +54,7 @@ class TestCalibration:
         fitted = GravityModel(2).fit(flows.pairs())
         net = network_from_model(fitted, areas_for_scale(Scale.NATIONAL))
         assert net.n_patches == 20
-        assert net.strongly_connected()
+        # every patch can (indirectly) seed every other patch
+        assert connected_components(net.rates > 0, connection="strong")[0] == 1
         assert np.all(np.diag(net.rates) == 0)
 

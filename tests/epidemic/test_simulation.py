@@ -45,7 +45,7 @@ class TestStochasticSir:
             t_max_days=200, rng=np.random.default_rng(1),
         )
         assert result.total_infected == 10.0
-        assert result.died_out_early
+        assert int(np.isfinite(result.arrival_day).sum()) <= 1  # never left the seed
 
     def test_big_outbreak_reaches_all_patches(self):
         result = simulate_stochastic_sir(

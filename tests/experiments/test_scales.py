@@ -13,10 +13,6 @@ class TestScaleSpecs:
         assert [s.radius_km for s in specs] == [50.0, 25.0, 2.0]
         assert all(len(s.areas) == 20 for s in specs)
 
-    def test_labels(self):
-        labels = [s.label for s in default_scale_specs()]
-        assert labels == ["National", "State", "Metropolitan"]
-
 
 class TestExperimentContext:
     def test_index_built_once(self, small_corpus):

@@ -108,7 +108,7 @@ class TestAssignTweetsToAreas:
     def test_overlap_resolved_by_nearest(self):
         # Two areas 4 km apart with 5 km radii: a point 1 km from A is
         # inside both discs but must label as A.
-        area_b_close = _area("B2", *destination_point(AREA_A.center, 90.0, 4.0).as_tuple())
+        area_b_close = _area("B2", *destination_point(AREA_A.center, 90.0, 4.0))
         point = destination_point(AREA_A.center, 90.0, 1.0)
         corpus = _corpus_at([(1, point.lat, point.lon)])
         labels = assign_tweets_to_areas(corpus, [AREA_A, area_b_close], 5.0)
@@ -120,7 +120,7 @@ class TestAssignTweetsToAreas:
         assert labels2.tolist() == [1]
 
     def test_order_independence_of_overlap_resolution(self):
-        area_b_close = _area("B2", *destination_point(AREA_A.center, 90.0, 4.0).as_tuple())
+        area_b_close = _area("B2", *destination_point(AREA_A.center, 90.0, 4.0))
         point = destination_point(AREA_A.center, 90.0, 1.0)
         corpus = _corpus_at([(1, point.lat, point.lon)])
         forward = assign_tweets_to_areas(corpus, [AREA_A, area_b_close], 5.0)

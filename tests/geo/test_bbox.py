@@ -64,20 +64,6 @@ class TestGeometry:
         with pytest.raises(ValueError):
             BoundingBox(min_lat=0, max_lat=1, min_lon=0, max_lon=1).expanded(-1)
 
-    def test_around_points(self):
-        box = BoundingBox.around_points([(0.0, 0.0), (2.0, 3.0), (-1.0, 1.0)])
-        assert box.min_lat == -1.0
-        assert box.max_lat == 2.0
-        assert box.max_lon == 3.0
-
-    def test_around_points_with_margin(self):
-        box = BoundingBox.around_points([Coordinate(lat=0, lon=0)], margin_deg=1.0)
-        assert box.contains((0.9, -0.9))
-
-    def test_around_empty_raises(self):
-        with pytest.raises(ValueError):
-            BoundingBox.around_points([])
-
 
 class TestAustraliaBox:
     def test_matches_table1_exactly(self):

@@ -94,8 +94,6 @@ class TestCoordinate:
     def test_iteration_and_tuple(self):
         c = Coordinate(lat=-35.0, lon=149.0)
         assert tuple(c) == (-35.0, 149.0)
-        assert c.as_tuple() == (-35.0, 149.0)
-        assert Coordinate.from_tuple((-35.0, 149.0)) == c
 
     def test_radians_properties(self):
         c = Coordinate(lat=90.0, lon=0.0)

@@ -46,7 +46,7 @@ class TestHaversine:
 
     def test_accepts_tuples_and_coordinates(self):
         d1 = haversine_km(SYDNEY, (-37.8136, 144.9631))
-        d2 = haversine_km(SYDNEY.as_tuple(), MELBOURNE)
+        d2 = haversine_km((SYDNEY.lat, SYDNEY.lon), MELBOURNE)
         assert d1 == pytest.approx(d2)
 
     @given(coords, coords)

@@ -78,20 +78,14 @@ class TestStructure:
         for state in small.states:
             assert state.parent is None
 
-    def test_children_lookup(self, small):
-        for state in small.states:
-            for city in small.children(state.name):
-                assert city.parent == state.name
-
     def test_population_rollups_exact(self, small):
         spec = small.spec
         assert sum(a.population for a in small.suburbs) == spec.total_population
-        for city in small.cities:
-            children = small.children(city.name)
-            assert city.population == sum(a.population for a in children)
-        for state in small.states:
-            children = small.children(state.name)
-            assert state.population == sum(a.population for a in children)
+        for parents, children in ((small.cities, small.suburbs), (small.states, small.cities)):
+            for parent in parents:
+                assert parent.population == sum(
+                    a.population for a in children if a.parent == parent.name
+                )
 
     def test_every_leaf_population_positive(self, small):
         assert all(a.population >= 1 for a in small.suburbs)

@@ -83,8 +83,7 @@ class TestDensityGrid:
         grid = DensityGrid(GridSpec(bbox=BOX, n_rows=2, n_cols=2))
         assert grid.add(1.0, 1.0)
         assert not grid.add(50.0, 1.0)
-        assert grid.total_inside == 1
-        assert grid.total_outside == 1
+        assert grid.counts.sum() == 1
 
     def test_add_many_matches_scalar_adds(self):
         spec = GridSpec(bbox=BOX, n_rows=5, n_cols=5)
@@ -97,7 +96,6 @@ class TestDensityGrid:
         for lat, lon in zip(lats, lons):
             scalar.add(lat, lon)
         assert np.array_equal(bulk.counts, scalar.counts)
-        assert bulk.total_inside == scalar.total_inside
 
     def test_counts_sum(self):
         grid = DensityGrid(GridSpec(bbox=BOX, n_rows=3, n_cols=3))
@@ -115,10 +113,3 @@ class TestDensityGrid:
         grid = DensityGrid(GridSpec(bbox=BOX, n_rows=2, n_cols=2))
         with pytest.raises(ValueError):
             grid.log_density(floor=0)
-
-    def test_nonzero_cells(self):
-        grid = DensityGrid(GridSpec(bbox=BOX, n_rows=2, n_cols=2))
-        grid.add(1.0, 1.0)
-        grid.add(1.0, 1.0)
-        cells = grid.nonzero_cells()
-        assert cells == [(0, 0, 2)]

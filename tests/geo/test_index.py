@@ -33,12 +33,6 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             index.query_radius((0.0, 0.0), -1.0)
 
-    def test_count_matches_query(self):
-        lats, lons = _random_points(500)
-        index = BruteForceIndex(lats, lons)
-        center = (-33.0, 151.0)
-        assert index.count_radius(center, 200.0) == len(index.query_radius(center, 200.0))
-
     def test_mismatched_arrays_raise(self):
         with pytest.raises(ValueError):
             BruteForceIndex(np.zeros(3), np.zeros(4))
@@ -136,11 +130,3 @@ class TestGridIndex:
         grid = GridIndex(lats, lons)
         result = grid.query_radius((-33.87, 151.21), 1.0)
         assert len(result) == 7
-
-    def test_count_radius(self):
-        lats, lons = _random_points(400, seed=5)
-        grid = GridIndex(lats, lons)
-        brute = BruteForceIndex(lats, lons)
-        assert grid.count_radius((-33.0, 151.0), 150.0) == brute.count_radius(
-            (-33.0, 151.0), 150.0
-        )

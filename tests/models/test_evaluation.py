@@ -52,7 +52,7 @@ class TestEvaluateFitted:
     def test_model_name_recorded(self):
         ev = evaluate_fitted(_ConstantModel(2.0), _pairs([1.0, 2.0, 4.0]))
         assert ev.model_name == "Constant x2.0"
-        assert ev.n_pairs == 3
+        assert ev.observed.size == 3
 
     def test_half_decade_error_metrics(self):
         factor = 10**0.5

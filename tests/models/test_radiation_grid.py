@@ -29,7 +29,7 @@ def _small_grid():
 class TestPopulationGrid:
     def test_total_and_occupied(self):
         grid = _small_grid()
-        assert grid.total_mass == 1500.0
+        assert grid.cell_masses.sum() == 1500.0
         assert grid.n_occupied_cells == 2
 
     def test_mass_within_small_radius(self):
@@ -80,13 +80,13 @@ class TestPopulationGrid:
 class TestGridBuilders:
     def test_world_grid_conserves_population(self, medium_result):
         grid = population_grid_from_world(medium_result.world)
-        assert grid.total_mass == pytest.approx(
+        assert grid.cell_masses.sum() == pytest.approx(
             medium_result.world.total_population, rel=1e-9
         )
 
     def test_corpus_grid_rescaled_to_census(self, medium_corpus):
         grid = population_grid_from_corpus(medium_corpus, total_population=2.0e7)
-        assert grid.total_mass == pytest.approx(2.0e7, rel=1e-9)
+        assert grid.cell_masses.sum() == pytest.approx(2.0e7, rel=1e-9)
 
     def test_corpus_grid_invalid_total_raises(self, medium_corpus):
         with pytest.raises(ValueError):

@@ -30,9 +30,9 @@ class TestCrossValidation:
     def test_fold_count_and_scores(self, medium_context):
         pairs = medium_context.flows(Scale.NATIONAL).pairs()
         result = k_fold_cross_validate(GravityModel(2), pairs, k=5)
-        assert result.n_folds == 5
+        assert len(result.fold_evaluations) == 5
         assert -1.0 <= result.mean_pearson <= 1.0
-        assert 0.0 <= result.mean_hit_rate <= 1.0
+        assert all(0.0 <= e.hit_rate_50 <= 1.0 for e in result.fold_evaluations)
 
     def test_held_out_gravity_still_beats_radiation(self, medium_context):
         """The paper's conclusion survives held-out evaluation."""

@@ -7,7 +7,6 @@ from repro.scenario import (
     ScenarioConfig,
     ScenarioConfigError,
     comparison_pipeline,
-    named_scenario,
     network_task_name,
     run_comparison,
     run_scenario,

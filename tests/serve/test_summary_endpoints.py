@@ -1,6 +1,5 @@
 """Windowed endpoints: summary answers, staleness, cache invalidation."""
 
-import numpy as np
 import pytest
 
 from repro.core.world import World

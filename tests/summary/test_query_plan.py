@@ -79,7 +79,10 @@ def assert_answer_matches(store: SummaryStore, t0: float, t1: float) -> None:
             for _ in range(tweets):
                 part.add([area], user)
         merged.merge(part)
-        od.update(bucket.od_counts())
+        for source, dest, count in zip(
+            bucket.sources.tolist(), bucket.dests.tolist(), bucket.counts.tolist()
+        ):
+            od[source, dest] += count
     flows = np.zeros((WORLD.n_areas, WORLD.n_areas), dtype=np.int64)
     for (source, dest), count in od.items():
         flows[source, dest] = count

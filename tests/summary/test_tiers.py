@@ -89,6 +89,17 @@ def _rows_tile(start, rows, moves=(), n_areas=3, tier=TimeTier.MINUTE):
     return tile
 
 
+def _per_area(tile):
+    """Tweets and unique users per area, counted from the tile's pairs."""
+    tweets = np.bincount(tile.areas, weights=tile.tweets, minlength=tile.n_areas)
+    return tweets.astype(np.int64).tolist(), np.bincount(tile.areas, minlength=tile.n_areas).tolist()
+
+
+def _cells(tile):
+    """The tile's OD cells keyed ``(source, dest)``, in column order."""
+    return dict(zip(zip(tile.sources.tolist(), tile.dests.tolist()), tile.counts.tolist()))
+
+
 def _one_tweet_tile(start, n_areas):
     return _rows_tile(start, [(7, [n_areas // 2])], n_areas=n_areas)
 
@@ -98,7 +109,7 @@ class TestSummaryBucket:
         tile = _tile(0)
         assert tile.n_tweets == 0
         assert tile.n_transitions == 0
-        assert tile.flow_matrix().sum() == 0
+        assert _cells(tile) == {}
         assert tile.end == 60
 
     def test_merge_adds_counts_and_unions_users(self):
@@ -106,12 +117,11 @@ class TestSummaryBucket:
         b = _rows_tile(60, [(1, [0])], moves=[(0, 1), (0, 1)])  # same user
         merged = SummaryBucket.merged(TimeTier.HOUR, 0, 3, [a, b])
         assert merged.n_tweets == 2
-        assert merged.tweet_counts()[0] == 2
-        assert merged.user_counts()[0] == 1  # exact unique users
-        assert merged.od_counts() == {(0, 1): 3}
+        assert _per_area(merged) == ([2, 0, 0], [1, 0, 0])  # exact unique users
+        assert _cells(merged) == {(0, 1): 3}
         # the merged-from tiles are untouched
-        assert b.n_tweets == 1 and b.od_counts() == {(0, 1): 2}
-        assert a.od_counts() == {(0, 1): 1}
+        assert b.n_tweets == 1 and _cells(b) == {(0, 1): 2}
+        assert _cells(a) == {(0, 1): 1}
 
     def test_merge_rejects_area_mismatch(self):
         with pytest.raises(ValueError, match="area"):
@@ -123,7 +133,7 @@ class TestSummaryBucket:
         children = [_rows_tile(k * 60, [(k, [k % 3])]) for k in range(3)]
         hour = SummaryBucket.rolled_up(TimeTier.HOUR, 0, 3, children)
         assert hour.n_tweets == 3
-        assert np.array_equal(hour.tweet_counts(), [1, 1, 1])
+        assert _per_area(hour)[0] == [1, 1, 1]
 
     def test_rolled_up_rejects_child_outside_span(self):
         stray = _tile(3600)  # first minute of the *next* hour
@@ -140,9 +150,8 @@ class TestSummaryBucket:
         assert tile.areas.tolist() == [0, 2, 2]
         assert tile.users.tolist() == [1, 1, 5]
         assert tile.tweets.tolist() == [1, 1, 2]
-        assert np.array_equal(tile.tweet_counts(), [1, 0, 3])
-        assert np.array_equal(tile.user_counts(), [1, 0, 2])
-        assert list(tile.od_counts().items()) == [((0, 2), 1), ((2, 0), 2)]
+        assert _per_area(tile) == ([1, 0, 3], [1, 0, 2])
+        assert list(_cells(tile).items()) == [((0, 2), 1), ((2, 0), 2)]
 
     def test_kernel_splits_rows_by_bucket(self):
         tiles = build_tiles(

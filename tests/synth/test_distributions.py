@@ -9,21 +9,6 @@ from repro.synth.distributions import DiscretePowerLaw, TruncatedPareto
 
 
 class TestDiscretePowerLaw:
-    def test_pmf_sums_to_one(self):
-        d = DiscretePowerLaw(alpha=1.85, k_min=1, k_max=1000)
-        ks = np.arange(1, 1001)
-        assert d.pmf(ks).sum() == pytest.approx(1.0)
-
-    def test_pmf_zero_outside_support(self):
-        d = DiscretePowerLaw(alpha=2.0, k_min=2, k_max=10)
-        assert d.pmf(np.array([1])).item() == 0.0
-        assert d.pmf(np.array([11])).item() == 0.0
-
-    def test_pmf_is_decreasing(self):
-        d = DiscretePowerLaw(alpha=1.5, k_min=1, k_max=100)
-        pmf = d.pmf(np.arange(1, 101))
-        assert np.all(np.diff(pmf) < 0)
-
     def test_samples_within_support(self):
         d = DiscretePowerLaw(alpha=1.85, k_min=3, k_max=50)
         samples = d.sample(np.random.default_rng(0), 10_000)

@@ -5,8 +5,6 @@ scoring — on the shared medium corpus and assert the reproduction
 targets listed in DESIGN.md.
 """
 
-import numpy as np
-
 from repro.data.gazetteer import Scale
 from repro.experiments import run_fig3, run_table2
 from repro.models import (

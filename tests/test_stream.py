@@ -60,24 +60,9 @@ class TestSlidingWindow:
         with pytest.raises(StreamOrderError):
             window.push(_tweet(1, 5.0))
 
-    def test_advance_to(self):
-        window = SlidingWindow(100.0)
-        window.push(_tweet(1, 0.0))
-        assert len(window.advance_to(500.0)) == 1
-        assert len(window) == 0
-        with pytest.raises(StreamOrderError):
-            window.advance_to(400.0)
-
     def test_invalid_span_raises(self):
         with pytest.raises(ValueError):
             SlidingWindow(0.0)
-
-    def test_timestamps_tracked(self):
-        window = SlidingWindow(1000.0)
-        window.push(_tweet(1, 5.0))
-        window.push(_tweet(1, 9.0))
-        assert window.oldest_timestamp == 5.0
-        assert window.latest_timestamp == 9.0
 
 
 class TestBatchEquivalence:
@@ -217,7 +202,7 @@ class TestWindowedCounters:
         counter.push(_tweet(1, 0.0))
         counter.push(_tweet(1, 10.0, lat=MELBOURNE.lat, lon=MELBOURNE.lon))
         assert counter.total_transitions == 1
-        counter.advance_to(500.0)
+        counter.push(_tweet(2, 500.0))  # a later tweet expires the transition
         assert counter.total_transitions == 0
 
     def test_unlabelled_tweet_breaks_adjacency(self):
