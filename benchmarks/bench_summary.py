@@ -15,8 +15,8 @@ queries two ways:
 
 An aligned day is one day tile, so that batch never merges tiles.  A
 second batch of **stitched** windows — random minute-aligned starts,
-spans of two hours to thirty days — makes every read merge day, hour
-and minute tiles (:func:`repro.summary.tiers.stitch_pairs` and
+spans of two hours to thirty days — makes every read stitch day, hour
+and minute tiles (:func:`repro.summary.tiers.pair_counts` and
 :func:`~repro.summary.tiers.stitch_cells`); it is timed as
 ``stitched_seconds`` and checked against the recompute too.
 

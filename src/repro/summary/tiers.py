@@ -23,15 +23,22 @@ replay filtered to transition timestamps in ``[t0, t1)``.
 tiles: live ingest and backfill both call it, and it groups the rows
 with a two-key ``np.lexsort`` (:func:`_group`).  Tiles merge in two
 halves, :func:`stitch_pairs` and :func:`stitch_cells`: concatenate the
-pair (or cell) columns of tiles that are each sorted already, then
-group equal keys and sum, with a kernel of its own (:func:`_merge_pairs`,
-:func:`_merge_cells`).  Rollup and the merge into an open minute run
-both (:meth:`SummaryBucket.merged`), a windowed read only the half it
-answers.  Which grouping runs is fixed by the input — unsorted rows or
-sorted tiles — and each measured faster on its own.  Merging is
-associative and order-independent for every column, which is what
-makes the multi-resolution store's answers independent of which tier
-mix covered a window.
+pair (or cell) columns of the tiles, pack each row's two keys into one
+exact int64 (:func:`_merge_pairs`, :func:`_merge_cells`), then sort,
+group equal keys and sum.  Rollup and the merge into an open minute run
+both (:meth:`SummaryBucket.merged`).  A windowed read merges only the
+cells; per-area counts need no merged pairs: tweets are one
+``bincount`` and distinct users the runs of one ``np.sort`` of the
+packed pair keys (:func:`pair_counts`).  Merging is associative and
+order-independent for every column, which is what makes the
+multi-resolution store's answers independent of which tier mix covered
+a window.
+
+User ids in a tile are whatever id space its maker chose.  A
+:class:`~repro.summary.store.SummaryStore` holds its own dense ids
+below ``2**USER_BITS`` (its intern table), so ``(area, user)`` packs;
+backfill tiles and journal frames carry raw ids, which the store
+translates where they cross into it.
 
 Tiles persist in a small fixed binary format (:meth:`SummaryBucket.encode`):
 a header — magic, format version, tier, start, area count, tweet count
@@ -54,16 +61,23 @@ import numpy as np
 
 
 class TimeTier(Enum):
-    """A summary resolution; the value is the bucket span in seconds."""
+    """A summary resolution; the value is the bucket span in seconds.
+
+    A member hashes by identity (members are singletons) and holds its
+    span as a plain attribute: every tile's store lookups key on its
+    tier, and :class:`Enum`'s own ``__hash__`` and ``value`` are Python
+    calls.
+    """
 
     MINUTE = 60
     HOUR = 3600
     DAY = 86400
 
-    @property
-    def span_seconds(self) -> int:
-        """Length of one bucket at this tier."""
-        return self.value
+    __hash__ = object.__hash__
+
+    def __init__(self, span: int) -> None:
+        #: Length of one bucket at this tier.
+        self.span_seconds = span
 
 
 #: Tiers finest-first; rollup folds each into the next.
@@ -87,6 +101,15 @@ _HEADER = struct.Struct("<4sHHqqqqq")
 _COLUMN = np.dtype("<i8")
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
+
+#: Bits of a user id in a packed ``(area, user) = (area << USER_BITS) | user``
+#: key.  The merge kernels pack pairs this way, so the users they see
+#: must lie in ``[0, 2**USER_BITS)``: a store's dense ids.
+USER_BITS = 32
+_USER_MASK = (1 << USER_BITS) - 1
+
+#: A tile's pair columns or its cell columns.
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class StaleTileError(ValueError):
@@ -142,17 +165,14 @@ def first_of_runs(*keys: np.ndarray) -> np.ndarray:
 
 def _group(
     major: np.ndarray, minor: np.ndarray, weights: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> _Columns:
     """Distinct ``(major, minor)`` keys of unsorted rows, sorted, with
     their summed weights.
 
     ``weights=None`` counts each row once.  This is the grouping of
-    :func:`build_tiles`, whose labelled rows are in no key order.  It
-    keeps a two-key ``np.lexsort``, which measured faster on those rows
-    than :func:`_merge_pairs`' two-pass sort where it counts: a live
-    batch of 22 rows (a perfbench ingest-paper minute) grouped in 12.4 µs
-    against 13.5 µs, and the backfill of ``bench_summary``'s 121k-tweet
-    corpus took the same time either way (0.88 against 0.87 s).
+    :func:`build_tiles`, whose rows may carry raw user ids anywhere in
+    ``[0, 2**63)`` (backfill), so the two keys do not pack; a two-key
+    ``np.lexsort`` groups them.
     """
     if major.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
@@ -169,38 +189,36 @@ def _group(
     return major[firsts], minor[firsts], sums
 
 
+def _sum_runs(key: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of a packed ``key`` column, sorted, with their
+    summed ``weights``: one ``argsort``, run starts, ``np.add.reduceat``."""
+    order = key.argsort()
+    key = key[order]
+    firsts = first_of_runs(key)
+    return key[firsts], np.add.reduceat(weights[order], firsts)
+
+
 def _merge_pairs(
     areas: np.ndarray, users: np.ndarray, tweets: np.ndarray, n_areas: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group concatenated population columns of sorted tiles.
+) -> _Columns:
+    """Group concatenated population columns of tiles.
 
-    Users may be any non-negative int64, so ``(area, user)`` does not
-    pack into one key; two passes sort it instead.  Users sort first
-    with the default (unstable) sort: rows with equal ``(area, user)``
-    only sum, so their order does not matter.  Areas then sort stably,
-    cast to the narrowest unsigned dtype holding ``n_areas - 1``, which
-    NumPy radix-sorts up to 16 bits.  This is the grouping of
-    :func:`stitch_pairs`, whose parts are each sorted already;
-    there it measured faster than :func:`_group`'s ``np.lexsort``: the
-    merge of a perfbench ingest-paper read cover (median 54 tiles) fell
-    from ~0.9 to ~0.5 ms.  Rows that are not sorted runs keep
-    :func:`_group`.
+    Users are a store's dense ids, below ``2**USER_BITS``, so
+    ``(area << USER_BITS) | user`` is an exact int64 key, like
+    :func:`_merge_cells`' cell key: one sort of it, sums over its runs,
+    and a shift and a mask back.  Rollups and the merge into an open
+    minute run it; a windowed read never does (:func:`pair_counts`).
     """
     if areas.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
-    order = users.argsort()
-    narrow = areas[order].astype(np.min_scalar_type(n_areas - 1))
-    order = order[narrow.argsort(kind="stable")]
-    areas = areas[order]
-    users = users[order]
-    firsts = first_of_runs(areas, users)
-    return areas[firsts], users[firsts], np.add.reduceat(tweets[order], firsts)
+    key, tweets = _sum_runs((areas << USER_BITS) | users, tweets)
+    return key >> USER_BITS, key & _USER_MASK, tweets
 
 
 def _merge_cells(
     sources: np.ndarray, dests: np.ndarray, counts: np.ndarray, n_areas: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group concatenated OD columns of sorted tiles.
+) -> _Columns:
+    """Group concatenated OD columns of tiles.
 
     Both ends lie in ``[0, n_areas)``, so ``source * n_areas + dest`` is
     an exact int64 key: one sort of it, sums over its runs, and a
@@ -208,12 +226,16 @@ def _merge_cells(
     """
     if sources.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
-    key = sources * n_areas + dests
-    order = key.argsort()
-    key = key[order]
-    firsts = first_of_runs(key)
-    sources, dests = np.divmod(key[firsts], n_areas)
-    return sources, dests, np.add.reduceat(counts[order], firsts)
+    key, counts = _sum_runs(sources * n_areas + dests, counts)
+    sources, dests = np.divmod(key, n_areas)
+    return sources, dests, counts
+
+
+def _count_users(areas: np.ndarray, users: np.ndarray, n_areas: int) -> np.ndarray:
+    """Distinct users per area among concatenated pair columns: the run
+    starts of one ``np.sort`` of the packed keys, counted per area."""
+    key = np.sort((areas << USER_BITS) | users)
+    return np.bincount(key[first_of_runs(key)] >> USER_BITS, minlength=n_areas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,9 +243,11 @@ class SummaryBucket:
     """One tile: population + OD summaries over ``[start, start + span)``.
 
     ``areas``/``users``/``tweets`` are the distinct ``(area, user)``
-    pairs, sorted by area then user, with the tweets each pair
-    contributed (a tweet counts toward every area whose ε-disc contains
-    it); ``sources``/``dests``/``counts`` are the nonzero OD cells,
+    pairs, sorted by area, then by user in the id space that built the
+    tile (a store's tile holds dense ids; one it installed or recovered
+    keeps its raw-id order), with the tweets each pair contributed (a
+    tweet counts toward every area whose ε-disc contains it);
+    ``sources``/``dests``/``counts`` are the nonzero OD cells,
     sorted, for transitions whose arriving tweet falls in the bucket.
     ``n_tweets`` counts the bucket's tweets, labelled or not; a tile
     given only ``(tier, start, n_areas)`` is empty.  Tiles are
@@ -284,35 +308,45 @@ class SummaryBucket:
         n_areas: int,
         children: Iterable["SummaryBucket"],
     ) -> "SummaryBucket":
-        """Merge finer tiles into one coarse tile covering their span.
+        """Merge tiles of the next finer tier (:data:`ROLLUP_SOURCE`)
+        into one coarse tile covering their span.
 
-        Children outside ``[start, start + span)`` are rejected — a
-        rollup must never smuggle counts across its own boundary.
+        Children of another tier, or outside ``[start, start + span)``,
+        are rejected — a rollup must never smuggle counts across its own
+        boundary.  The bounds check reads the children's first and last
+        start and one span.
         """
         children = list(children)
-        end = start + tier.span_seconds
-        for child in children:
-            if child.start < start or child.end > end:
+        if children:
+            source = ROLLUP_SOURCE[tier]
+            if any(child.tier is not source for child in children):
+                raise ValueError(f"a {tier.name} rollup takes {source.name} tiles")
+            first = min(child.start for child in children)
+            end = max(child.start for child in children) + source.span_seconds
+            if first < start or end > start + tier.span_seconds:
                 raise ValueError(
-                    f"child [{child.start}, {child.end}) lies outside "
-                    f"rollup span [{start}, {end})"
+                    f"children [{first}, {end}) lie outside rollup span "
+                    f"[{start}, {start + tier.span_seconds})"
                 )
         return cls.merged(tier, start, n_areas, children)
 
     # -- codec ---------------------------------------------------------
 
-    def encode(self) -> bytes:
-        """The tile's fixed binary form: header, then six int64 columns."""
+    def encode(self, pairs: _Columns | None = None) -> bytes:
+        """The tile's fixed binary form: header, then six int64 columns.
+
+        ``pairs`` stands in for the tile's own ``(areas, users, tweets)``
+        columns: a store encodes its tiles with the raw user ids in
+        place of its dense ones (``SummaryStore._persist``).
+        """
+        areas, users, tweets = (self.areas, self.users, self.tweets) if pairs is None else pairs
         header = _HEADER.pack(
             TILE_MAGIC, TILE_FORMAT_VERSION, TIER_ORDER.index(self.tier),
             self.start, self.n_areas, self.n_tweets,
-            self.areas.size, self.counts.size,
+            areas.size, self.counts.size,
         )
         columns = np.concatenate(
-            (
-                self.areas, self.users, self.tweets,
-                self.sources, self.dests, self.counts,
-            ),
+            (areas, users, tweets, self.sources, self.dests, self.counts),
             dtype=_COLUMN,
         )
         return header + columns.tobytes()
@@ -326,7 +360,9 @@ class SummaryBucket:
         header.  It also raises for an area, source or dest outside
         ``[0, n_areas)``, which the merge kernels rely on, and for a
         negative user id, which no tile holds: such a tile never
-        reaches a store.
+        reaches a store.  The columns are the new tile's own copy, not
+        views of ``payload``: recovery writes a store's dense user ids
+        over the raw ones in place.
         """
         if len(payload) < _HEADER.size:
             raise StaleTileError(f"{len(payload)}-byte payload is shorter than a tile header")
@@ -342,25 +378,24 @@ class SummaryBucket:
             payload, dtype=_COLUMN, count=size, offset=_HEADER.size
         ).astype(np.int64)
         pairs = 3 * n_pairs
-        # The areas column, then the sources and dests columns, side by side.
-        for ends in (columns[:n_pairs], columns[pairs : pairs + 2 * n_cells]):
-            if ends.size and (ends.min() < 0 or ends.max() >= n_areas):
+        cells = pairs + n_cells
+        # The areas column, then the sources and dests columns side by
+        # side.  Viewed unsigned, a negative value is huge, so one max
+        # finds it as well as an area past the world.
+        for ends in (columns[:n_pairs], columns[pairs : cells + n_cells]):
+            if ends.size and ends.view(np.uint64).max() >= n_areas:
                 raise StaleTileError(f"tile holds an area outside [0, {n_areas})")
         if n_pairs and columns[n_pairs : 2 * n_pairs].min() < 0:
             raise StaleTileError("tile holds a negative user id")
-        cuts = (0, n_pairs, 2 * n_pairs, pairs, pairs + n_cells, pairs + 2 * n_cells, size)
         return cls(
             TIER_ORDER[tier], start, n_areas, n_tweets,
-            *(columns[lo:hi] for lo, hi in zip(cuts, cuts[1:])),
+            columns[:n_pairs], columns[n_pairs : 2 * n_pairs], columns[2 * n_pairs : pairs],
+            columns[pairs:cells], columns[cells : cells + n_cells], columns[cells + n_cells :],
         )
 
     def __reduce__(self):
         # Pickles (the backfill ``TileSet`` artifact) carry the codec form.
         return (SummaryBucket.decode, (self.encode(),))
-
-
-#: A tile's pair columns or its cell columns.
-_Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def stitch_pairs(parts: Sequence[SummaryBucket], n_areas: int) -> _Columns:
@@ -371,6 +406,30 @@ def stitch_pairs(parts: Sequence[SummaryBucket], n_areas: int) -> _Columns:
 def stitch_cells(parts: Sequence[SummaryBucket], n_areas: int) -> _Columns:
     """``parts``' OD cells merged: ``(sources, dests, counts)``, row-major."""
     return _stitch([(p.sources, p.dests, p.counts) for p in parts], _merge_cells, n_areas)
+
+
+def pair_counts(parts: Sequence[SummaryBucket], n_areas: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tweets and distinct users per area over ``parts``' pairs.
+
+    The pairs are not merged: tweets add up in one ``bincount`` over
+    the concatenated columns, and a pair seen in several parts counts
+    its user once among the runs of one sort (:func:`_count_users`).
+    One non-empty part's pairs are distinct already, so its areas are
+    counted as they are.  The users must be packable (below
+    ``2**USER_BITS``).
+    """
+    busy = [p for p in parts if p.areas.size]
+    if not busy:
+        return np.zeros(n_areas, dtype=np.int64), np.zeros(n_areas, dtype=np.int64)
+    areas = np.concatenate([p.areas for p in busy])
+    tweets = np.bincount(
+        areas, weights=np.concatenate([p.tweets for p in busy]), minlength=n_areas
+    )
+    if len(busy) == 1:
+        users = np.bincount(areas, minlength=n_areas)
+    else:
+        users = _count_users(areas, np.concatenate([p.users for p in busy]), n_areas)
+    return tweets.astype(np.int64), users
 
 
 def _stitch(parts: list[_Columns], kernel: Callable[..., _Columns], n_areas: int) -> _Columns:

@@ -1,8 +1,11 @@
-"""A windowed read merges only the half of the tiles it answers.
+"""A windowed read runs only the kernel of the half of the tiles it
+answers.
 
 ``/v1/population`` reads per-area counts, which need the tiles'
 ``(area, user)`` pairs; ``/v1/flows`` reads OD cells.  Each read runs
-its own merge kernel once and the other never.
+its own kernel once and the other never: the population read counts
+distinct users in one sort (``_count_users``) and never merges the
+pairs' tweets (``_merge_pairs``), the flows read merges the cells.
 """
 
 import random
@@ -21,8 +24,8 @@ WINDOW = {"window": "0:3000"}
 
 @pytest.fixture()
 def merges(monkeypatch) -> dict[str, int]:
-    """Count the calls of each merge kernel."""
-    calls = {"pairs": 0, "cells": 0}
+    """Count the calls of each pair and cell kernel."""
+    calls = {"pairs": 0, "merged_pairs": 0, "cells": 0}
 
     def spy(name: str, key: str) -> None:
         original = getattr(tiers, name)
@@ -33,7 +36,8 @@ def merges(monkeypatch) -> dict[str, int]:
 
         monkeypatch.setattr(tiers, name, counted)
 
-    spy("_merge_pairs", "pairs")
+    spy("_count_users", "pairs")
+    spy("_merge_pairs", "merged_pairs")
     spy("_merge_cells", "cells")
     return calls
 
@@ -62,10 +66,13 @@ def windowed_app(registry) -> EstimationApp:
 
 @pytest.mark.parametrize(
     "path, want",
-    [("/v1/population", {"pairs": 1, "cells": 0}), ("/v1/flows", {"pairs": 0, "cells": 1})],
+    [
+        ("/v1/population", {"pairs": 1, "merged_pairs": 0, "cells": 0}),
+        ("/v1/flows", {"pairs": 0, "merged_pairs": 0, "cells": 1}),
+    ],
 )
 def test_windowed_read_runs_only_its_merge(windowed_app, merges, path, want):
-    merges.update(pairs=0, cells=0)
+    merges.update(pairs=0, merged_pairs=0, cells=0)
     status, payload, _ = windowed_app.handle("GET", path, WINDOW, None)
     assert status == 200
     assert payload["buckets_touched"] == 50

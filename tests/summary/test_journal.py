@@ -80,9 +80,10 @@ def frame_bounds(data: bytes) -> list[tuple[int, int]]:
 
 
 def tile_bytes(store: SummaryStore) -> dict[tuple[TimeTier, int], bytes]:
-    """Every finalized tile in memory, encoded as the journal stores it."""
+    """Every finalized tile in memory, encoded as the journal stores it
+    (with raw user ids: the store's own ids are its own)."""
     return {
-        (tier, start): tile.encode()
+        (tier, start): store._encode(tile)
         for tier, tiles in store._tiles.items()
         for start, tile in tiles.items()
     }

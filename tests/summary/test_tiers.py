@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.summary.tiers import (
     ROLLUP_SOURCE,
+    USER_BITS,
     StaleTileError,
     SummaryBucket,
     TimeTier,
@@ -140,6 +141,10 @@ class TestSummaryBucket:
         with pytest.raises(ValueError, match="outside"):
             SummaryBucket.rolled_up(TimeTier.HOUR, 0, 3, [stray])
 
+    def test_rolled_up_rejects_children_of_another_tier(self):
+        with pytest.raises(ValueError, match="takes MINUTE tiles"):
+            SummaryBucket.rolled_up(TimeTier.HOUR, 0, 3, [_tile(0, tier=TimeTier.HOUR)])
+
     def test_kernel_groups_pairs_and_cells_sorted(self):
         tile = _rows_tile(
             0,
@@ -170,7 +175,7 @@ class TestSummaryBucket:
         assert tiles[1].areas.tolist() == [0, 2]
 
 
-#: Area counts at the edges of the narrow area dtypes the merge sorts.
+#: Area counts at the edges of the 8- and 16-bit unsigned ranges.
 DTYPE_EDGES = (1, 2, 255, 256, 257, 65535, 65536, 65537)
 
 #: Column names of a tile: population pairs, then OD cells.
@@ -229,7 +234,8 @@ def merge_parts(draw):
         st.integers(0, top),
         st.sampled_from(sorted({0, top, min(255, top), min(256, top), top // 2})),
     )
-    user = st.one_of(st.integers(0, 4), st.integers(0, 2**63 - 1))
+    # A store's tiles hold its dense ids, below 2**USER_BITS.
+    user = st.one_of(st.integers(0, 4), st.integers(0, 2**USER_BITS - 1))
     weight = st.integers(1, 9)
     parts = []
     for _ in range(draw(st.integers(1, 6))):
